@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,26 +29,18 @@ MODE_LABELS = {
     "fedavg": "w/o Both",
 }
 
-ABLATION_MODES = ("feddag", "no_ndag", "no_sha", "fedavg")
-
-# Checkpoint document fields; this is the on-disk contract.
+# Checkpoint document fields; this is the on-disk contract.  The arch
+# object holds "kind" plus every field of the named architecture class.
 CHECKPOINT_FIELDS = ("arch", "values", "role", "round")
+ARCH_KINDS = {"task": TaskArch, "gen": GenArch}
 
 
 def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index: int) -> None:
     """Model snapshot as JSON: {arch, values, role, round}."""
-    if isinstance(arch, TaskArch):
-        desc = {
-            "kind": "task",
-            "input_dim": arch.input_dim,
-            "hidden_dims": list(arch.hidden_dims),
-            "feature_dim": arch.feature_dim,
-            "num_classes": arch.num_classes,
-        }
-    elif isinstance(arch, GenArch):
-        desc = {"kind": "gen", "input_dim": arch.input_dim, "hidden_dims": list(arch.hidden_dims)}
-    else:
+    kind = next((k for k, cls in ARCH_KINDS.items() if isinstance(arch, cls)), None)
+    if kind is None:
         raise ValueError(f"unknown arch type: {type(arch).__name__}")
+    desc = {"kind": kind, **dataclasses.asdict(arch)}
     doc = {
         "arch": desc,
         "values": params.values.tolist(),
@@ -67,17 +60,16 @@ def load_checkpoint(path: str):
     if missing:
         raise ValueError(f"checkpoint {path} missing fields: {missing}")
     desc = doc["arch"]
-    if desc["kind"] == "task":
-        arch = TaskArch(
-            input_dim=desc["input_dim"],
-            hidden_dims=tuple(desc["hidden_dims"]),
-            feature_dim=desc["feature_dim"],
-            num_classes=desc["num_classes"],
-        )
-    elif desc["kind"] == "gen":
-        arch = GenArch(input_dim=desc["input_dim"], hidden_dims=tuple(desc["hidden_dims"]))
-    else:
-        raise ValueError(f"checkpoint {path}: unknown arch kind {desc['kind']!r}")
+    cls = ARCH_KINDS.get(desc.get("kind"))
+    if cls is None:
+        raise ValueError(f"checkpoint {path}: unknown arch kind {desc.get('kind')!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    missing = [name for name in names if name not in desc]
+    if missing:
+        raise ValueError(f"checkpoint {path}: arch missing keys: {missing}")
+    fields = {name: desc[name] for name in names}
+    fields["hidden_dims"] = tuple(fields["hidden_dims"])
+    arch = cls(**fields)
     params = ParamVector(np.asarray(doc["values"], dtype=np.float64))
     if params.dim != arch.param_count():
         raise ValueError(f"checkpoint {path}: {params.dim} values for {arch.param_count()} params")
@@ -149,7 +141,7 @@ def cmd_ablate(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     seeds = cfg["seeds"]
 
-    jobs = [(mode, seed) for mode in ABLATION_MODES for seed in seeds]
+    jobs = [(mode, seed) for mode in protocol.MODES for seed in seeds]
 
     def one_job(job):
         mode, seed = job
@@ -166,7 +158,7 @@ def cmd_ablate(cfg: dict) -> int:
     for name in metric_names:
         header += [f"{name}_d{d}" for d in domain_ids] + [f"{name}_avg"]
     rows = []
-    for mode in ABLATION_MODES:
+    for mode in protocol.MODES:
         row = [MODE_LABELS[mode]]
         for name in metric_names:
             per_domain = []
@@ -184,7 +176,7 @@ def cmd_ablate(cfg: dict) -> int:
 
     # Paired comparisons against full FedDAG, over seeds and over domains.
     stats_rows = []
-    for mode in ABLATION_MODES[1:]:
+    for mode in protocol.MODES[1:]:
         for name in metric_names:
             full_by_seed = [results[("feddag", s)][f"{name}_avg"] for s in seeds]
             mode_by_seed = [results[(mode, s)][f"{name}_avg"] for s in seeds]
@@ -228,7 +220,7 @@ def cmd_ablate(cfg: dict) -> int:
         )
         writer.writerows(stats_rows)
 
-    for mode, row in zip(ABLATION_MODES, rows):
+    for mode, row in zip(protocol.MODES, rows):
         print(f"{MODE_LABELS[mode]:>9}: " + " ".join(row[1:]))
     print(f"artifacts in {out}")
     return 0
@@ -337,7 +329,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_export_bench(cfg, args.out)
-    except cfgmod.ConfigError as exc:
+    except (cfgmod.ConfigError, protocol.ThreadsSettingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, protocol.ClientRoundError) as exc:

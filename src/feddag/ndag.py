@@ -15,9 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import nets
 from .params import NonFiniteValues, ParamVector, SgdState, param_axpy, param_scale, sgd_step
+
+
+# Feature rows with a smaller norm have no direction to compare.
+DEGENERATE_NORM = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -115,6 +118,85 @@ def _collapse_guard(valid: np.ndarray) -> int:
     return bad
 
 
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean softmax cross-entropy (max-shifted) and its logit gradient."""
+    n = logits.shape[0]
+    zmax = logits.max(axis=1, keepdims=True)
+    ez = np.exp(logits - zmax)
+    sez = ez.sum(axis=1, keepdims=True)
+    logp = (logits - zmax) - np.log(sez)
+    loss = -logp[np.arange(n), labels].mean()
+    dz = ez / sez
+    dz[np.arange(n), labels] -= 1.0
+    return loss, dz * (1.0 / n)
+
+
+def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
+    """Row-wise || t/||t|| - f/||f|| ||^2 between (B, D) feature matrices.
+
+    Rows where either side has norm < DEGENERATE_NORM are invalid: their
+    distance is 0 and no gradient flows through them.  Returns (distances,
+    valid, grad) where grad(g) is the gradient of sum(g * distances)
+    w.r.t. feats.
+    """
+    nt = np.linalg.norm(t_feats, axis=1)
+    nf = np.linalg.norm(feats, axis=1)
+    valid = (nt >= DEGENERATE_NORM) & (nf >= DEGENERATE_NORM)
+    safe_nf = np.where(valid, nf, 1.0)
+    u = t_feats / np.where(valid, nt, 1.0)[:, None]
+    v = feats / safe_nf[:, None]
+    diff = u - v
+    dist = np.where(valid, (diff * diff).sum(axis=1), 0.0)
+    uv = (u * v).sum(axis=1)
+
+    def grad(g):
+        # d = 2 - 2 u.v on unit vectors, so dd/df = -2 (u - (u.v) v) / ||f||
+        gv = np.where(valid, g, 0.0)[:, None]
+        return gv * (-2.0) * (u - uv[:, None] * v) / safe_nf[:, None]
+
+    return dist, valid, grad
+
+
+def generator_grad(
+    models: ClientModels,
+    task_arch: nets.TaskArch,
+    gen_arch: nets.GenArch,
+    x_batch: np.ndarray,
+    y_batch: np.ndarray,
+    hyper: NdagHyper,
+    teacher_feats: np.ndarray,
+    lo: float = 0.0,
+    hi: float = 1.0,
+):
+    """Generator objective mean L_cls - mean min(L_dis, m) and its gradients.
+
+    The student is frozen.  Returns (l_cls, l_dis, degenerate_rows, grad,
+    x_hat_grad): grad is the flat generator gradient in pack order and
+    x_hat_grad the objective's gradient w.r.t. the perturbed batch, which
+    reaches the generator through clip -> alpha -> tanh.
+    """
+    n = x_batch.shape[0]
+    gen_layers = nets.split_layers(models.generator.values, gen_arch.layer_dims())
+    stu_layers = nets.split_layers(models.student.values, task_arch.layer_dims())
+    x = np.asarray(x_batch, dtype=np.float64)
+    gen_acts, gen_masks, gen_out = nets.mlp_forward(gen_layers, x)
+    delta = np.tanh(gen_out)
+    pre = x + delta * hyper.alpha
+    inside = (pre >= lo) & (pre <= hi)
+    acts, masks, logits = nets.mlp_forward(stu_layers, np.clip(pre, lo, hi))
+    ce, g_logits = _cross_entropy(logits, y_batch)
+    dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
+    bad = _collapse_guard(valid)
+    weights = np.full(n, 1.0 / n)
+    dis = np.minimum(dist, hyper.m) @ weights
+    # The capped branch (dist >= m) carries exactly zero gradient.
+    g_feats = dist_grad(-weights * (dist < hyper.m))
+    x_hat_grad = nets.mlp_backward(stu_layers, acts, masks, g_logits, g_feats, frozen=True)
+    g_out = x_hat_grad * inside * hyper.alpha * (1.0 - delta * delta)
+    grad = nets.mlp_backward(gen_layers, gen_acts, gen_masks, g_out)
+    return ce, dis, bad, grad, x_hat_grad
+
+
 def generator_step(
     models: ClientModels,
     task_arch: nets.TaskArch,
@@ -132,22 +214,13 @@ def generator_step(
     the generator learns perturbations that are hard in feature space yet
     still classifiable.  Returns (models, l_cls, l_dis, degenerate_rows).
     """
-    n = x_batch.shape[0]
-    gen_layers = nets.layer_tensors(models.generator, gen_arch, trainable=True)
-    stu_layers = nets.layer_tensors(models.student, task_arch, trainable=False)
-    x = ad.Tensor(x_batch)
-    x_hat = ad.clip(ad.add(x, ad.scale(nets.gen_graph(gen_layers, x), hyper.alpha)), lo, hi)
-    feats, logits = nets.task_graph(stu_layers, x_hat)
-    ce = ad.cross_entropy_mean(logits, y_batch)
-    dist, valid = ad.normalized_sq_dist_rows(ad.Tensor(teacher_feats), feats)
-    bad = _collapse_guard(valid)
-    dis = ad.weighted_sum(ad.minimum_const(dist, hyper.m), np.full(n, 1.0 / n))
-    objective = ad.sub(ce, dis)
-    ad.backward(objective)
+    ce, dis, bad, grad, _ = generator_grad(
+        models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo, hi
+    )
     try:
         new_gen, new_opt = sgd_step(
             models.generator,
-            nets.flat_grad(gen_layers),
+            ParamVector(grad),
             hyper.lr,
             hyper.momentum,
             hyper.weight_decay,
@@ -155,9 +228,37 @@ def generator_step(
         )
     except NonFiniteValues as exc:
         raise DivergenceError(f"generator step: {exc}") from exc
-    l_cls = _check_finite("generator l_cls", float(ce.value))
-    l_dis = _check_finite("l_dis", float(dis.value))
+    l_cls = _check_finite("generator l_cls", float(ce))
+    l_dis = _check_finite("l_dis", float(dis))
     return replace(models, generator=new_gen, gen_opt=new_opt), l_cls, l_dis, bad
+
+
+def student_grad(
+    models: ClientModels,
+    task_arch: nets.TaskArch,
+    gen_arch: nets.GenArch,
+    x_batch: np.ndarray,
+    y_batch: np.ndarray,
+    hyper: NdagHyper,
+    teacher_feats: np.ndarray,
+    lo: float = 0.0,
+    hi: float = 1.0,
+):
+    """Student objective mean L_cls + mean L_sim on the freshly perturbed batch.
+
+    Returns (l_cls, l_sim, degenerate_rows, grad) with grad the flat student
+    gradient in pack order.
+    """
+    n = x_batch.shape[0]
+    x_hat = generate(models.generator, gen_arch, x_batch, hyper.alpha, lo, hi)
+    stu_layers = nets.split_layers(models.student.values, task_arch.layer_dims())
+    acts, masks, logits = nets.mlp_forward(stu_layers, x_hat)
+    ce, g_logits = _cross_entropy(logits, y_batch)
+    dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
+    bad = _collapse_guard(valid)
+    weights = np.full(n, 1.0 / n)
+    grad = nets.mlp_backward(stu_layers, acts, masks, g_logits, dist_grad(weights))
+    return ce, dist @ weights, bad, grad
 
 
 def student_step(
@@ -177,26 +278,28 @@ def student_step(
     Returns (models, grad, l_cls, l_sim, degenerate_rows); grad is the flat
     student gradient, kept for sharpness probing at aggregation time.
     """
-    n = x_batch.shape[0]
-    x_hat = generate(models.generator, gen_arch, x_batch, hyper.alpha, lo, hi)
-    stu_layers = nets.layer_tensors(models.student, task_arch, trainable=True)
-    feats, logits = nets.task_graph(stu_layers, ad.Tensor(x_hat))
-    ce = ad.cross_entropy_mean(logits, y_batch)
-    dist, valid = ad.normalized_sq_dist_rows(ad.Tensor(teacher_feats), feats)
-    bad = _collapse_guard(valid)
-    sim = ad.weighted_sum(dist, np.full(n, 1.0 / n))
-    objective = ad.add(ce, sim)
-    ad.backward(objective)
+    ce, sim, bad, flat = student_grad(
+        models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo, hi
+    )
     try:
-        grad = nets.flat_grad(stu_layers)
+        grad = ParamVector(flat)
         new_student, new_opt = sgd_step(
             models.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay, models.student_opt
         )
     except NonFiniteValues as exc:
         raise DivergenceError(f"student step: {exc}") from exc
-    l_cls = _check_finite("student l_cls", float(ce.value))
-    l_sim = _check_finite("l_sim", float(sim.value))
+    l_cls = _check_finite("student l_cls", float(ce))
+    l_sim = _check_finite("l_sim", float(sim))
     return replace(models, student=new_student, student_opt=new_opt), grad, l_cls, l_sim, bad
+
+
+def plain_grad(models: ClientModels, task_arch: nets.TaskArch, x_batch, y_batch):
+    """Mean L_cls of the student on the raw batch; returns (l_cls, grad)."""
+    stu_layers = nets.split_layers(models.student.values, task_arch.layer_dims())
+    acts, masks, logits = nets.mlp_forward(stu_layers, np.asarray(x_batch, dtype=np.float64))
+    ce, g_logits = _cross_entropy(logits, y_batch)
+    grad = nets.mlp_backward(stu_layers, acts, masks, g_logits)
+    return ce, grad
 
 
 def plain_step(
@@ -207,18 +310,15 @@ def plain_step(
     hyper: NdagHyper,
 ) -> tuple[ClientModels, ParamVector, float]:
     """Classification-only student step on the raw batch (warmup, baselines)."""
-    stu_layers = nets.layer_tensors(models.student, task_arch, trainable=True)
-    _, logits = nets.task_graph(stu_layers, ad.Tensor(np.asarray(x_batch, dtype=np.float64)))
-    ce = ad.cross_entropy_mean(logits, y_batch)
-    ad.backward(ce)
+    ce, flat = plain_grad(models, task_arch, x_batch, y_batch)
     try:
-        grad = nets.flat_grad(stu_layers)
+        grad = ParamVector(flat)
         new_student, new_opt = sgd_step(
             models.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay, models.student_opt
         )
     except NonFiniteValues as exc:
         raise DivergenceError(f"plain step: {exc}") from exc
-    l_cls = _check_finite("l_cls", float(ce.value))
+    l_cls = _check_finite("l_cls", float(ce))
     return replace(models, student=new_student, student_opt=new_opt), grad, l_cls
 
 

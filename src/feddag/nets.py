@@ -5,7 +5,9 @@ too) plus a linear classifier head.  The generator is a relu stack with a
 tanh output of the same width as its input, so its raw output lives in
 (-1, 1) per coordinate.  Parameters are packed layer by layer as
 (W row-major, b) into one flat vector; pack order is the contract every
-gradient and aggregation routine relies on.
+gradient and aggregation routine relies on.  mlp_forward / mlp_backward are
+the closed-form batched passes the training objectives backpropagate
+through.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .params import DimensionMismatch, ParamVector
 
 
@@ -61,7 +62,7 @@ class GenArch:
         return sum((din + 1) * dout for din, dout in self.layer_dims())
 
 
-def _split_layers(values: np.ndarray, layer_dims) -> list[tuple[np.ndarray, np.ndarray]]:
+def split_layers(values: np.ndarray, layer_dims) -> list[tuple[np.ndarray, np.ndarray]]:
     need = sum((din + 1) * dout for din, dout in layer_dims)
     if values.size != need:
         raise DimensionMismatch(f"params have {values.size} entries, arch needs {need}")
@@ -95,21 +96,12 @@ def task_apply(params: ParamVector, arch: TaskArch, x_batch: np.ndarray):
         raise DimensionMismatch(
             f"expected inputs of shape (B, {arch.input_dim}), got {x_batch.shape}"
         )
-    layers = _split_layers(params.values, arch.layer_dims())
+    layers = split_layers(params.values, arch.layer_dims())
     a = x_batch
     for w, b in layers[:-1]:
         a = np.maximum(a @ w + b, 0.0)
     wc, bc = layers[-1]
     return a, a @ wc + bc
-
-
-def task_forward(params: ParamVector, arch: TaskArch, x: np.ndarray):
-    """Single-sample forward: returns (feature vector, logit vector)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != arch.input_dim:
-        raise DimensionMismatch(f"input has dim {x.size}, arch wants {arch.input_dim}")
-    feats, logits = task_apply(params, arch, x[None, :])
-    return feats[0], logits[0]
 
 
 def gen_apply(params: ParamVector, arch: GenArch, x_batch: np.ndarray) -> np.ndarray:
@@ -119,7 +111,7 @@ def gen_apply(params: ParamVector, arch: GenArch, x_batch: np.ndarray) -> np.nda
         raise DimensionMismatch(
             f"expected inputs of shape (B, {arch.input_dim}), got {x_batch.shape}"
         )
-    layers = _split_layers(params.values, arch.layer_dims())
+    layers = split_layers(params.values, arch.layer_dims())
     a = x_batch
     for w, b in layers[:-1]:
         a = np.maximum(a @ w + b, 0.0)
@@ -127,44 +119,46 @@ def gen_apply(params: ParamVector, arch: GenArch, x_batch: np.ndarray) -> np.nda
     return np.tanh(a @ wo + bo)
 
 
-def gen_forward(params: ParamVector, arch: GenArch, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != arch.input_dim:
-        raise DimensionMismatch(f"input has dim {x.size}, arch wants {arch.input_dim}")
-    return gen_apply(params, arch, x[None, :])[0]
+def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    """Batched pass through relu hidden layers and a linear last layer.
 
-
-def layer_tensors(params: ParamVector, arch, trainable: bool) -> list[tuple[ad.Tensor, ad.Tensor]]:
-    """Per-layer (W, b) autodiff leaves sliced out of a flat vector."""
-    return [
-        (ad.Tensor(w, requires_grad=trainable), ad.Tensor(b, requires_grad=trainable))
-        for w, b in _split_layers(params.values, arch.layer_dims())
-    ]
-
-
-def task_graph(layers: list[tuple[ad.Tensor, ad.Tensor]], x: ad.Tensor):
-    """Graph version of task_apply on prebuilt layer tensors."""
-    a = x
+    Returns (acts, masks, out) for mlp_backward: acts[i] is the input of
+    layer i (so acts[-1] is the task net's feature matrix), masks[i] the
+    relu mask of hidden layer i, and out the last layer's pre-activation.
+    """
+    acts, masks = [x], []
     for w, b in layers[:-1]:
-        a = ad.relu(ad.add_bias(ad.matmul(a, w), b))
-    wc, bc = layers[-1]
-    return a, ad.add_bias(ad.matmul(a, wc), bc)
-
-
-def gen_graph(layers: list[tuple[ad.Tensor, ad.Tensor]], x: ad.Tensor) -> ad.Tensor:
-    a = x
-    for w, b in layers[:-1]:
-        a = ad.relu(ad.add_bias(ad.matmul(a, w), b))
+        z = x @ w + b
+        mask = z > 0.0
+        x = np.where(mask, z, 0.0)
+        acts.append(x)
+        masks.append(mask)
     wo, bo = layers[-1]
-    return ad.tanh(ad.add_bias(ad.matmul(a, wo), bo))
+    return acts, masks, x @ wo + bo
 
 
-def flat_grad(layers: list[tuple[ad.Tensor, ad.Tensor]]) -> ParamVector:
-    """Collect layer gradients back into pack order; missing grads are zero."""
+def mlp_backward(layers, acts, masks, g_out, g_hidden=None, frozen=False):
+    """Backprop a scalar objective through an mlp_forward pass.
+
+    g_out is the objective's gradient w.r.t. out; g_hidden, if given, is an
+    extra gradient w.r.t. acts[-1] (a loss on the task net's features).
+    Returns the flat parameter gradient in pack order or, for a frozen net,
+    the gradient w.r.t. its input instead.
+    """
     chunks = []
-    for w, b in layers:
-        gw = w.grad if w.grad is not None else np.zeros_like(w.value)
-        gb = b.grad if b.grad is not None else np.zeros_like(b.value)
-        chunks.append(np.asarray(gw).reshape(-1))
-        chunks.append(np.asarray(gb).reshape(-1))
-    return ParamVector(np.concatenate(chunks))
+    g = g_out
+    for i in range(len(layers) - 1, -1, -1):
+        if not frozen:
+            chunks.append(g.sum(axis=0))
+            chunks.append((acts[i].T @ g).reshape(-1))
+            if i == 0:
+                break
+        g = g @ layers[i][0].T
+        if g_hidden is not None and i == len(layers) - 1:
+            g = g + g_hidden
+        if i > 0:
+            g = g * masks[i - 1]
+    if frozen:
+        return g
+    chunks.reverse()
+    return np.concatenate(chunks)

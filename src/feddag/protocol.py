@@ -384,13 +384,17 @@ def run_lodo(
     return RunReport(domains=runs, averages=avg)
 
 
+class ThreadsSettingError(ValueError):
+    """FEDDAG_THREADS is not an integer; the CLI reports it as a config error."""
+
+
 def worker_count(n_tasks: int) -> int:
     """FEDDAG_THREADS caps parallelism; default is sequential."""
     raw = os.environ.get("FEDDAG_THREADS", "1")
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"FEDDAG_THREADS must be an integer, got {raw!r}") from None
+        raise ThreadsSettingError(f"FEDDAG_THREADS must be an integer, got {raw!r}") from None
     return max(1, min(cap, n_tasks))
 
 

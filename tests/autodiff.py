@@ -1,4 +1,9 @@
-"""Minimal reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode tape over float64 numpy arrays: the oracle for the fused passes.
+
+The package backpropagates its three training objectives through the
+closed-form nets.mlp_forward / nets.mlp_backward.  This general tape builds
+the same objectives op by op instead, so tests can demand bitwise equality
+between the two routes and check both against central differences.
 
 Only the handful of operations the training objectives need: affine layers,
 relu/tanh, interval clamping, a capped term, row-wise normalized squared
@@ -10,6 +15,10 @@ order, so there is no tape state to reset between steps.
 from __future__ import annotations
 
 import numpy as np
+
+from feddag import ndag, nets
+from feddag.ndag import DEGENERATE_NORM
+from feddag.params import ParamVector
 
 
 class Tensor:
@@ -177,9 +186,6 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _node(loss, (logits,), backprop)
 
 
-DEGENERATE_NORM = 1e-12
-
-
 def normalized_sq_dist_rows(f: Tensor, h: Tensor) -> tuple[Tensor, np.ndarray]:
     """Row-wise || f/||f|| - h/||h|| ||^2 for (B, D) feature matrices.
 
@@ -206,3 +212,84 @@ def normalized_sq_dist_rows(f: Tensor, h: Tensor) -> tuple[Tensor, np.ndarray]:
         _accumulate(h, gv * (-2.0) * (u - uv[:, None] * v) / safe_nh[:, None])
 
     return _node(d, (f, h), backprop), valid
+
+
+# ------------------------------------------- graph versions of the nets
+
+
+def layer_tensors(params: ParamVector, arch, trainable: bool) -> list[tuple[Tensor, Tensor]]:
+    """Per-layer (W, b) autodiff leaves sliced out of a flat vector."""
+    return [
+        (Tensor(w, requires_grad=trainable), Tensor(b, requires_grad=trainable))
+        for w, b in nets.split_layers(params.values, arch.layer_dims())
+    ]
+
+
+def task_graph(layers: list[tuple[Tensor, Tensor]], x: Tensor):
+    """Graph version of nets.task_apply on prebuilt layer tensors."""
+    a = x
+    for w, b in layers[:-1]:
+        a = relu(add_bias(matmul(a, w), b))
+    wc, bc = layers[-1]
+    return a, add_bias(matmul(a, wc), bc)
+
+
+def gen_graph(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
+    a = x
+    for w, b in layers[:-1]:
+        a = relu(add_bias(matmul(a, w), b))
+    wo, bo = layers[-1]
+    return tanh(add_bias(matmul(a, wo), bo))
+
+
+def flat_grad(layers: list[tuple[Tensor, Tensor]]) -> ParamVector:
+    """Collect layer gradients back into pack order; missing grads are zero."""
+    chunks = []
+    for w, b in layers:
+        gw = w.grad if w.grad is not None else np.zeros_like(w.value)
+        gb = b.grad if b.grad is not None else np.zeros_like(b.value)
+        chunks.append(np.asarray(gw).reshape(-1))
+        chunks.append(np.asarray(gb).reshape(-1))
+    return ParamVector(np.concatenate(chunks))
+
+
+# ------------------------- tape routes of the ndag objective functions
+
+
+def generator_grad(models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo=0.0, hi=1.0):
+    """Tape route of ndag.generator_grad: same arguments, same returns."""
+    n = x_batch.shape[0]
+    gen_layers = layer_tensors(models.generator, gen_arch, trainable=True)
+    stu_layers = layer_tensors(models.student, task_arch, trainable=False)
+    x = Tensor(x_batch)
+    x_hat = clip(add(x, scale(gen_graph(gen_layers, x), hyper.alpha)), lo, hi)
+    feats, logits = task_graph(stu_layers, x_hat)
+    ce = cross_entropy_mean(logits, y_batch)
+    dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats), feats)
+    bad = ndag._collapse_guard(valid)
+    dis = weighted_sum(minimum_const(dist, hyper.m), np.full(n, 1.0 / n))
+    backward(sub(ce, dis))
+    return ce.value, dis.value, bad, flat_grad(gen_layers).values, x_hat.grad
+
+
+def student_grad(models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo=0.0, hi=1.0):
+    """Tape route of ndag.student_grad: same arguments, same returns."""
+    n = x_batch.shape[0]
+    x_hat = ndag.generate(models.generator, gen_arch, x_batch, hyper.alpha, lo, hi)
+    stu_layers = layer_tensors(models.student, task_arch, trainable=True)
+    feats, logits = task_graph(stu_layers, Tensor(x_hat))
+    ce = cross_entropy_mean(logits, y_batch)
+    dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats), feats)
+    bad = ndag._collapse_guard(valid)
+    sim = weighted_sum(dist, np.full(n, 1.0 / n))
+    backward(add(ce, sim))
+    return ce.value, sim.value, bad, flat_grad(stu_layers).values
+
+
+def plain_grad(models, task_arch, x_batch, y_batch):
+    """Tape route of ndag.plain_grad: same arguments, same returns."""
+    stu_layers = layer_tensors(models.student, task_arch, trainable=True)
+    _, logits = task_graph(stu_layers, Tensor(np.asarray(x_batch, dtype=np.float64)))
+    ce = cross_entropy_mean(logits, y_batch)
+    backward(ce)
+    return ce.value, flat_grad(stu_layers).values

@@ -14,7 +14,7 @@ discrepancy gradient untouched.
 
 import numpy as np
 
-from feddag import autodiff as ad
+import autodiff as ad
 from feddag import ndag, nets
 
 # three 5-bit codes with pairwise Hamming distance >= 3; a random coordinate
@@ -35,15 +35,15 @@ def class_margins(logits, y):
 def dis_grad_norm(models, task_arch, gen_arch, X, alpha):
     """Generator-gradient norm of the raw (uncapped) mean discrepancy."""
     t_feats, _ = nets.task_apply(models.teacher, task_arch, X)
-    gen_layers = nets.layer_tensors(models.generator, gen_arch, trainable=True)
-    stu_layers = nets.layer_tensors(models.student, task_arch, trainable=False)
+    gen_layers = ad.layer_tensors(models.generator, gen_arch, trainable=True)
+    stu_layers = ad.layer_tensors(models.student, task_arch, trainable=False)
     x = ad.Tensor(np.asarray(X, dtype=np.float64))
-    x_hat = ad.clip(ad.add(x, ad.scale(nets.gen_graph(gen_layers, x), alpha)), 0.0, 1.0)
-    feats, _ = nets.task_graph(stu_layers, x_hat)
+    x_hat = ad.clip(ad.add(x, ad.scale(ad.gen_graph(gen_layers, x), alpha)), 0.0, 1.0)
+    feats, _ = ad.task_graph(stu_layers, x_hat)
     dist, valid = ad.normalized_sq_dist_rows(ad.Tensor(t_feats), feats)
     weights = valid.astype(np.float64) / max(int(valid.sum()), 1)
     ad.backward(ad.weighted_sum(dist, weights))
-    return float(np.linalg.norm(nets.flat_grad(gen_layers).values))
+    return float(np.linalg.norm(ad.flat_grad(gen_layers).values))
 
 
 def saturated_fixture(seed, task_arch, gen_arch, alpha=0.3, attempts=80):

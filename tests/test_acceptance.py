@@ -16,13 +16,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import autodiff as ad
 import fixtures
 import helpers
-from feddag import autodiff as ad
 from feddag import cli, config, ndag, nets, protocol, sha
-from feddag.losses import loss_cls, loss_dis, loss_sim, normalized_sq_dist
 from feddag.metrics import rank_auc
 from feddag.params import ParamVector
+from scalar_losses import loss_cls, loss_dis, loss_sim, normalized_sq_dist
 from test_autodiff import clean_fixture, gen_objective_graph, student_objective_graph
 
 TASK_ARCH = nets.TaskArch(5, (7,), 4, 3)
@@ -74,31 +74,38 @@ def seed_accs(bench, task_arch, gen_arch, base: dict, mode: str, seeds) -> list[
 def test_criterion_01_gradient_check(capsys):
     with criterion(capsys, 1, "loss-composition gradients match central differences"):
         start = time.perf_counter()
+        hyper = ndag.NdagHyper(alpha=0.3, m=0.5)
         for seed in range(100):
             stu, gen, X, y, t_feats = clean_fixture(seed)
             objective, gen_layers = gen_objective_graph(gen, stu, X, y, t_feats, 0.3, 0.5)
             ad.backward(objective)
-            analytic = nets.flat_grad(gen_layers).values
+            models = ndag.ClientModels(student=stu, generator=gen)
+            fused = ndag.generator_grad(models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats)[3]
 
             def f_gen(phi):
                 return helpers.gen_objective_ref(
                     phi, stu.values, TASK_ARCH, GEN_ARCH, X, y, t_feats, 0.3, 0.5
                 )
 
-            err = helpers.max_rel_err(analytic, helpers.fd_grad(f_gen, gen.values))
-            assert err < 1e-4, f"generator objective, seed {seed}: rel err {err}"
+            numeric = helpers.fd_grad(f_gen, gen.values)
+            for route, analytic in (("tape", ad.flat_grad(gen_layers).values), ("fused", fused)):
+                err = helpers.max_rel_err(analytic, numeric)
+                assert err < 1e-4, f"generator objective, {route}, seed {seed}: rel err {err}"
         for seed in range(100):
             stu, gen, X, y, t_feats = clean_fixture(seed + 1000)
             x_hat = np.clip(X + 0.3 * nets.gen_apply(gen, GEN_ARCH, X), 0.0, 1.0)
             objective, stu_layers = student_objective_graph(stu, x_hat, y, t_feats)
             ad.backward(objective)
-            analytic = nets.flat_grad(stu_layers).values
+            models = ndag.ClientModels(student=stu, generator=gen)
+            fused = ndag.student_grad(models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats)[3]
 
             def f_stu(omega):
                 return helpers.student_objective_ref(omega, TASK_ARCH, x_hat, y, t_feats)
 
-            err = helpers.max_rel_err(analytic, helpers.fd_grad(f_stu, stu.values))
-            assert err < 1e-4, f"student objective, seed {seed}: rel err {err}"
+            numeric = helpers.fd_grad(f_stu, stu.values)
+            for route, analytic in (("tape", ad.flat_grad(stu_layers).values), ("fused", fused)):
+                err = helpers.max_rel_err(analytic, numeric)
+                assert err < 1e-4, f"student objective, {route}, seed {seed}: rel err {err}"
         assert time.perf_counter() - start < 10.0
 
 
@@ -141,11 +148,11 @@ def test_criterion_03_cap_invariant(capsys):
         assert m_tiny > 0.0
 
         def gen_grad(m):
-            gen_layers = nets.layer_tensors(gen, GEN_ARCH, trainable=True)
-            stu_layers = nets.layer_tensors(stu, TASK_ARCH, trainable=False)
+            gen_layers = ad.layer_tensors(gen, GEN_ARCH, trainable=True)
+            stu_layers = ad.layer_tensors(stu, TASK_ARCH, trainable=False)
             xs = ad.Tensor(X)
-            xh = ad.clip(ad.add(xs, ad.scale(nets.gen_graph(gen_layers, xs), 0.3)), 0.0, 1.0)
-            feats, logits = nets.task_graph(stu_layers, xh)
+            xh = ad.clip(ad.add(xs, ad.scale(ad.gen_graph(gen_layers, xs), 0.3)), 0.0, 1.0)
+            feats, logits = ad.task_graph(stu_layers, xh)
             ce = ad.cross_entropy_mean(logits, y)
             if m is None:
                 ad.backward(ce)
@@ -154,9 +161,23 @@ def test_criterion_03_cap_invariant(capsys):
                 n = X.shape[0]
                 dis = ad.weighted_sum(ad.minimum_const(dist, m), np.full(n, 1.0 / n))
                 ad.backward(ad.sub(ce, dis))
-            return nets.flat_grad(gen_layers).values
+            return ad.flat_grad(gen_layers).values
 
-        assert np.array_equal(gen_grad(m_tiny), gen_grad(None))
+        ce_only = gen_grad(None)
+        assert np.array_equal(gen_grad(m_tiny), ce_only)
+        # The fused route takes the same flat branch, and central differences
+        # of the capped objective agree with it.
+        models = ndag.ClientModels(student=stu, generator=gen)
+        hyper = ndag.NdagHyper(alpha=0.3, m=m_tiny)
+        fused = ndag.generator_grad(models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats)[3]
+        assert np.array_equal(fused, ce_only)
+
+        def f_gen(phi):
+            return helpers.gen_objective_ref(
+                phi, stu.values, TASK_ARCH, GEN_ARCH, X, y, t_feats, 0.3, m_tiny
+            )
+
+        assert helpers.max_rel_err(fused, helpers.fd_grad(f_gen, gen.values)) < 1e-4
 
 
 def test_criterion_04_fedavg_equivalence(capsys):
@@ -288,7 +309,7 @@ def test_criterion_09_byte_identical_reports(capsys, tmp_path):
         assert (out / "report.json").read_bytes() == first
 
 
-def test_criterion_10_single_step_directions(capsys):
+def test_criterion_10_single_step_directions(capsys, monkeypatch):
     with criterion(capsys, 10, "adversarial single-step directions on 100 fixtures"):
         hyper = ndag.NdagHyper(
             alpha=0.3, m=10.0, ema_decay=0.95, lr=1e-4, momentum=0.9,
@@ -301,6 +322,7 @@ def test_criterion_10_single_step_directions(capsys):
             s_feats, _ = nets.task_apply(student, TASK_ARCH, x_hat)
             return float(helpers.nsd_rows_ref(t_feats, s_feats).mean())
 
+        fd_checked = {"generator": 0, "student": 0}
         for seed in range(100):
             models, X, y = fixtures.saturated_fixture(seed, TASK_ARCH, GEN_ARCH)
             t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
@@ -325,3 +347,50 @@ def test_criterion_10_single_step_directions(capsys):
             assert l_sim(after_s.student) <= pre_sim, (
                 f"seed {seed}: student step raised similarity loss"
             )
+
+            # The tape route takes exactly the same two steps.
+            with monkeypatch.context() as patch:
+                patch.setattr(ndag, "generator_grad", ad.generator_grad)
+                patch.setattr(ndag, "student_grad", ad.student_grad)
+                tape_g, _, _, _ = ndag.generator_step(
+                    models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
+                )
+                tape_s, _, _, _, _ = ndag.student_step(
+                    after_g, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
+                )
+            assert np.array_equal(tape_g.generator.values, after_g.generator.values)
+            assert np.array_equal(tape_s.student.values, after_s.student.values)
+
+            # The fused gradients behind both steps match central differences
+            # wherever no kink lies within the probe radius.
+            for phase, state in (("generator", models), ("student", after_g)):
+                margins = helpers.composition_margins(
+                    state.student.values, TASK_ARCH, state.generator.values, GEN_ARCH,
+                    X, y, t_feats, hyper.alpha, hyper.m,
+                )
+                if min(margins.values()) <= 2e-3:
+                    continue
+                fd_checked[phase] += 1
+                if phase == "generator":
+                    analytic = ndag.generator_grad(
+                        state, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
+                    )[3]
+                    at = state.generator.values
+
+                    def f(phi):
+                        return helpers.gen_objective_ref(
+                            phi, state.student.values, TASK_ARCH, GEN_ARCH, X, y, t_feats,
+                            hyper.alpha, hyper.m,
+                        )
+                else:
+                    analytic = ndag.student_grad(
+                        state, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
+                    )[3]
+                    at = state.student.values
+
+                    def f(omega):
+                        return helpers.student_objective_ref(omega, TASK_ARCH, x_hat, y, t_feats)
+
+                err = helpers.max_rel_err(analytic, helpers.fd_grad(f, at))
+                assert err < 1e-4, f"seed {seed}: fused {phase} gradient rel err {err}"
+        assert min(fd_checked.values()) >= 75, fd_checked

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import autodiff as ad
 import helpers
-from feddag import autodiff as ad
+import scalar_losses
 from feddag import losses, nets
 
 TASK_ARCH = nets.TaskArch(5, (7,), 4, 3)
@@ -35,11 +36,11 @@ def clean_fixture(seed, margin=2e-3):
 def gen_objective_graph(gen, stu, X, y, t_feats, alpha, m):
     """The generator objective exactly as the training step composes it."""
     n = X.shape[0]
-    gen_layers = nets.layer_tensors(gen, GEN_ARCH, trainable=True)
-    stu_layers = nets.layer_tensors(stu, TASK_ARCH, trainable=False)
+    gen_layers = ad.layer_tensors(gen, GEN_ARCH, trainable=True)
+    stu_layers = ad.layer_tensors(stu, TASK_ARCH, trainable=False)
     x = ad.Tensor(X)
-    x_hat = ad.clip(ad.add(x, ad.scale(nets.gen_graph(gen_layers, x), alpha)), 0.0, 1.0)
-    feats, logits = nets.task_graph(stu_layers, x_hat)
+    x_hat = ad.clip(ad.add(x, ad.scale(ad.gen_graph(gen_layers, x), alpha)), 0.0, 1.0)
+    feats, logits = ad.task_graph(stu_layers, x_hat)
     ce = ad.cross_entropy_mean(logits, y)
     dist, _ = ad.normalized_sq_dist_rows(ad.Tensor(t_feats), feats)
     dis = ad.weighted_sum(ad.minimum_const(dist, m), np.full(n, 1.0 / n))
@@ -48,8 +49,8 @@ def gen_objective_graph(gen, stu, X, y, t_feats, alpha, m):
 
 def student_objective_graph(stu, x_hat, y, t_feats):
     n = x_hat.shape[0]
-    stu_layers = nets.layer_tensors(stu, TASK_ARCH, trainable=True)
-    feats, logits = nets.task_graph(stu_layers, ad.Tensor(x_hat))
+    stu_layers = ad.layer_tensors(stu, TASK_ARCH, trainable=True)
+    feats, logits = ad.task_graph(stu_layers, ad.Tensor(x_hat))
     ce = ad.cross_entropy_mean(logits, y)
     dist, _ = ad.normalized_sq_dist_rows(ad.Tensor(t_feats), feats)
     sim = ad.weighted_sum(dist, np.full(n, 1.0 / n))
@@ -62,7 +63,7 @@ class TestCompositionGradients:
             stu, gen, X, y, t_feats = clean_fixture(seed)
             objective, gen_layers = gen_objective_graph(gen, stu, X, y, t_feats, 0.3, 0.5)
             ad.backward(objective)
-            analytic = nets.flat_grad(gen_layers).values
+            analytic = ad.flat_grad(gen_layers).values
 
             def f(phi):
                 return helpers.gen_objective_ref(
@@ -78,7 +79,7 @@ class TestCompositionGradients:
             x_hat = np.clip(X + 0.3 * nets.gen_apply(gen, GEN_ARCH, X), 0.0, 1.0)
             objective, stu_layers = student_objective_graph(stu, x_hat, y, t_feats)
             ad.backward(objective)
-            analytic = nets.flat_grad(stu_layers).values
+            analytic = ad.flat_grad(stu_layers).values
 
             def f(omega):
                 return helpers.student_objective_ref(omega, TASK_ARCH, x_hat, y, t_feats)
@@ -89,10 +90,10 @@ class TestCompositionGradients:
     def test_plain_cross_entropy_matches_finite_differences(self):
         for seed in range(10):
             stu, _, X, y, _ = clean_fixture(seed + 2000)
-            layers = nets.layer_tensors(stu, TASK_ARCH, trainable=True)
-            _, logits = nets.task_graph(layers, ad.Tensor(X))
+            layers = ad.layer_tensors(stu, TASK_ARCH, trainable=True)
+            _, logits = ad.task_graph(layers, ad.Tensor(X))
             ad.backward(ad.cross_entropy_mean(logits, y))
-            analytic = nets.flat_grad(layers).values
+            analytic = ad.flat_grad(layers).values
 
             def f(omega):
                 _, z = helpers.naive_task_forward(omega, TASK_ARCH, X)
@@ -117,16 +118,16 @@ class TestExactBranches:
         assert x.grad.tolist() == [0.0, 1.0, 0.0, 1.0, 1.0]
 
     def test_loss_constant_in_parameter_gives_zero_grad(self):
-        layers = nets.layer_tensors(
+        layers = ad.layer_tensors(
             nets.init_params(GEN_ARCH, np.random.default_rng(3)), GEN_ARCH, trainable=True
         )
-        assert np.array_equal(nets.flat_grad(layers).values, np.zeros(GEN_ARCH.param_count()))
+        assert np.array_equal(ad.flat_grad(layers).values, np.zeros(GEN_ARCH.param_count()))
 
     def test_alpha_zero_gives_generator_exactly_zero_grad(self):
         stu, gen, X, y, t_feats = clean_fixture(7)
         objective, gen_layers = gen_objective_graph(gen, stu, X, y, t_feats, 0.0, 0.5)
         ad.backward(objective)
-        assert np.array_equal(nets.flat_grad(gen_layers).values, np.zeros(gen.dim))
+        assert np.array_equal(ad.flat_grad(gen_layers).values, np.zeros(gen.dim))
 
 
 class TestGraphMechanics:
@@ -150,7 +151,7 @@ class TestGraphMechanics:
             stu, gen, X, y, t_feats = clean_fixture(11)
             objective, gen_layers = gen_objective_graph(gen, stu, X, y, t_feats, 0.3, 0.5)
             ad.backward(objective)
-            grads.append(nets.flat_grad(gen_layers).values)
+            grads.append(ad.flat_grad(gen_layers).values)
         assert np.array_equal(grads[0], grads[1])
 
 
@@ -170,7 +171,7 @@ class TestForwardAgreement:
         node, valid = ad.normalized_sq_dist_rows(ad.Tensor(F), ad.Tensor(H))
         assert valid.all()
         for i in range(5):
-            assert abs(node.value[i] - losses.normalized_sq_dist(F[i], H[i])) < 1e-12
+            assert abs(node.value[i] - scalar_losses.normalized_sq_dist(F[i], H[i])) < 1e-12
         np.testing.assert_allclose(node.value, helpers.nsd_rows_ref(F, H), rtol=1e-12)
 
     def test_nsd_degenerate_rows_are_masked_without_gradient(self):

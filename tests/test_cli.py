@@ -209,6 +209,63 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
 
 
+def run_with_threads(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("FEDDAG_THREADS", value)
+    return cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")])
+
+
+def load_corrupted_checkpoint(tmp_path, corrupt):
+    path = str(tmp_path / "ckpt.json")
+    arch = TestCheckpoint.TASK
+    cli.save_checkpoint(path, ParamVector(np.zeros(arch.param_count())), arch, "x", 0)
+    with open(path) as fh:
+        doc = json.load(fh)
+    corrupt(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return cli.load_checkpoint(path)
+
+
+MALFORMED_INPUTS = [
+    pytest.param(
+        lambda tmp, mp: run_with_threads(tmp, mp, "abc"),
+        2,
+        "config error: FEDDAG_THREADS must be an integer, got 'abc'",
+        id="bad_threads",
+    ),
+    pytest.param(
+        lambda tmp, mp: load_corrupted_checkpoint(tmp, lambda d: d["arch"].pop("feature_dim")),
+        ValueError,
+        r"arch missing keys: \['feature_dim'\]",
+        id="missing_arch_key",
+    ),
+    pytest.param(
+        lambda tmp, mp: load_corrupted_checkpoint(tmp, lambda d: d["arch"].update(kind="rnn")),
+        ValueError,
+        "unknown arch kind 'rnn'",
+        id="unknown_kind",
+    ),
+    pytest.param(
+        lambda tmp, mp: load_corrupted_checkpoint(tmp, lambda d: d["values"].pop()),
+        ValueError,
+        "50 values for 51 params",
+        id="value_count_mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("attempt, expected, message", MALFORMED_INPUTS)
+def test_malformed_input(attempt, expected, message, tmp_path, monkeypatch, capsys):
+    """Each malformed input gets its documented exit code or exception."""
+    if isinstance(expected, int):
+        assert attempt(tmp_path, monkeypatch) == expected
+        assert capsys.readouterr().err.splitlines() == [message]
+    else:
+        with pytest.raises(expected, match=message) as info:
+            attempt(tmp_path, monkeypatch)
+        assert type(info.value) is expected
+
+
 class TestAblate:
     def test_table_shape_and_labels(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import autodiff as ad
 import fixtures
 import helpers
 from feddag import ndag, nets
-from feddag.autodiff import Tensor, backward, cross_entropy_mean
 from feddag.params import DimensionMismatch, ParamVector
 
 TASK_ARCH = nets.TaskArch(5, (7,), 4, 3)
@@ -137,15 +137,14 @@ class TestGeneratorStep:
             out, _, l_dis, _ = ndag.generator_step(
                 models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
             )
-            gen_layers = nets.layer_tensors(gen, GEN_ARCH, trainable=True)
-            stu_layers = nets.layer_tensors(stu, TASK_ARCH, trainable=False)
-            from feddag.autodiff import add, clip, scale
-            xh = clip(add(Tensor(X), scale(nets.gen_graph(gen_layers, Tensor(X)),
-                                           hyper.alpha)), 0.0, 1.0)
-            _, logits = nets.task_graph(stu_layers, xh)
-            backward(cross_entropy_mean(logits, y))
+            gen_layers = ad.layer_tensors(gen, GEN_ARCH, trainable=True)
+            stu_layers = ad.layer_tensors(stu, TASK_ARCH, trainable=False)
+            x = ad.Tensor(X)
+            xh = ad.clip(ad.add(x, ad.scale(ad.gen_graph(gen_layers, x), hyper.alpha)), 0.0, 1.0)
+            _, logits = ad.task_graph(stu_layers, xh)
+            ad.backward(ad.cross_entropy_mean(logits, y))
             from feddag.params import sgd_step
-            ref, _ = sgd_step(gen, nets.flat_grad(gen_layers), hyper.lr,
+            ref, _ = sgd_step(gen, ad.flat_grad(gen_layers), hyper.lr,
                               hyper.momentum, hyper.weight_decay, models.gen_opt)
             assert np.array_equal(out.generator.values, ref.values)
             assert l_dis == pytest.approx(hyper.m, rel=1e-12)

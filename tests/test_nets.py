@@ -5,9 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import autodiff as ad
 import helpers
 from feddag import nets
 from feddag.params import DimensionMismatch, ParamVector
+
+
+def task_forward(params, arch, x):
+    """Single-sample forward through the batched one: (feature vector, logit vector)."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.size != arch.input_dim:
+        raise DimensionMismatch(f"input has dim {x.size}, arch wants {arch.input_dim}")
+    feats, logits = nets.task_apply(params, arch, x[None, :])
+    return feats[0], logits[0]
+
+
+def gen_forward(params, arch, x):
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if x.size != arch.input_dim:
+        raise DimensionMismatch(f"input has dim {x.size}, arch wants {arch.input_dim}")
+    return nets.gen_apply(params, arch, x[None, :])[0]
 
 
 class TestArchitectures:
@@ -81,7 +98,7 @@ class TestTaskForward:
         params = nets.init_params(arch, rng)
         X = rng.normal(size=(3, 5))
         feats, logits = nets.task_apply(params, arch, X)
-        f1, l1 = nets.task_forward(params, arch, X[1])
+        f1, l1 = task_forward(params, arch, X[1])
         # single-row and batched matmuls may take different BLAS kernels
         np.testing.assert_allclose(f1, feats[1], rtol=1e-15, atol=1e-15)
         np.testing.assert_allclose(l1, logits[1], rtol=1e-15, atol=1e-15)
@@ -149,7 +166,7 @@ class TestGenForward:
         rng = np.random.default_rng(13)
         params = nets.init_params(arch, rng)
         X = rng.normal(size=(3, 5))
-        assert np.array_equal(nets.gen_forward(params, arch, X[2]), nets.gen_apply(params, arch, X)[2])
+        assert np.array_equal(gen_forward(params, arch, X[2]), nets.gen_apply(params, arch, X)[2])
 
 
 class TestGraphConsistency:
@@ -161,12 +178,10 @@ class TestGraphConsistency:
         gp = nets.init_params(gen_arch, rng)
         X = rng.uniform(size=(4, 5))
 
-        from feddag import autodiff as ad
-
-        feats, logits = nets.task_graph(nets.layer_tensors(tp, task_arch, False), ad.Tensor(X))
+        feats, logits = ad.task_graph(ad.layer_tensors(tp, task_arch, False), ad.Tensor(X))
         pf, pl = nets.task_apply(tp, task_arch, X)
         assert np.array_equal(feats.value, pf)
         assert np.array_equal(logits.value, pl)
 
-        delta = nets.gen_graph(nets.layer_tensors(gp, gen_arch, False), ad.Tensor(X))
+        delta = ad.gen_graph(ad.layer_tensors(gp, gen_arch, False), ad.Tensor(X))
         assert np.array_equal(delta.value, nets.gen_apply(gp, gen_arch, X))
