@@ -82,22 +82,19 @@ def _bench_dims(bench) -> tuple[int, int]:
     return input_dim, max(n_classes, 2)
 
 
-def _lodo_report(cfg: dict, collect_trace: bool = False) -> protocol.RunReport:
+def _lodo_report(cfg: dict, collect_trace: bool = False) -> tuple[protocol.RunReport, TaskArch]:
     bench = cfgmod.benchmark(cfg)
     input_dim, n_classes = _bench_dims(bench)
     task_arch, gen_arch = cfgmod.arches(cfg, input_dim, n_classes)
     fed = cfgmod.fed_config(cfg, n_clients=len(bench) - 1)
-    return protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=collect_trace)
+    report = protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=collect_trace)
+    return report, task_arch
 
 
 def cmd_run(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    bench = cfgmod.benchmark(cfg)
-    input_dim, n_classes = _bench_dims(bench)
-    task_arch, gen_arch = cfgmod.arches(cfg, input_dim, n_classes)
-    fed = cfgmod.fed_config(cfg, n_clients=len(bench) - 1)
-    report = protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=True)
+    report, task_arch = _lodo_report(cfg, collect_trace=True)
     reporting.write_report_json(os.path.join(out, "report.json"), cfg, report)
     metrics_path = os.path.join(out, "metrics.csv")
     reporting.write_metrics_csv(metrics_path, report)
@@ -131,27 +128,24 @@ def _fmt_cell(v) -> str:
     return repr(float(v))
 
 
-def _ablation_metric(finals: list[metrics.EvalResult], name: str) -> list[float | None]:
-    vals = [getattr(f, name) for f in finals]
-    return [None if v is None else float(v) for v in vals]
-
-
 def cmd_ablate(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     seeds = cfg["seeds"]
 
-    jobs = [(mode, seed) for mode in protocol.MODES for seed in seeds]
+    results = {
+        (mode, seed): _lodo_report(dict(cfg, mode=mode, seed=seed))[0]
+        for mode in protocol.MODES
+        for seed in seeds
+    }
 
-    def one_job(job):
-        mode, seed = job
-        sub = dict(cfg, mode=mode, seed=seed)
-        return protocol_report_summary(_lodo_report(sub))
-
-    results = dict(zip(jobs, protocol.parallel_map(one_job, jobs)))
-
-    domain_ids = results[jobs[0]]["domains"]
+    domain_ids = [run.target_domain for run in results[(protocol.MODES[0], seeds[0])].domains]
     metric_names = ("acc", "f1", "auc")
+
+    def domain_mean(mode: str, name: str, pos: int) -> float | None:
+        """Seed mean of one leg's final metric; None if a seed has none (single-class AUC)."""
+        vals = [getattr(results[(mode, s)].domains[pos].final, name) for s in seeds]
+        return None if any(v is None for v in vals) else float(np.mean(vals))
 
     # Seed-averaged per-domain and overall-average table, one row per mode.
     header = ["mode"]
@@ -161,11 +155,8 @@ def cmd_ablate(cfg: dict) -> int:
     for mode in protocol.MODES:
         row = [MODE_LABELS[mode]]
         for name in metric_names:
-            per_domain = []
-            for pos in range(len(domain_ids)):
-                vals = [results[(mode, s)][name][pos] for s in seeds]
-                per_domain.append(None if any(v is None for v in vals) else float(np.mean(vals)))
-            avg = [results[(mode, s)][f"{name}_avg"] for s in seeds]
+            per_domain = [domain_mean(mode, name, pos) for pos in range(len(domain_ids))]
+            avg = [results[(mode, s)].averages[name] for s in seeds]
             avg = None if any(v is None for v in avg) else float(np.mean(avg))
             row += [_fmt_cell(v) for v in per_domain] + [_fmt_cell(avg)]
         rows.append(row)
@@ -178,17 +169,11 @@ def cmd_ablate(cfg: dict) -> int:
     stats_rows = []
     for mode in protocol.MODES[1:]:
         for name in metric_names:
-            full_by_seed = [results[("feddag", s)][f"{name}_avg"] for s in seeds]
-            mode_by_seed = [results[(mode, s)][f"{name}_avg"] for s in seeds]
+            full_by_seed = [results[("feddag", s)].averages[name] for s in seeds]
+            mode_by_seed = [results[(mode, s)].averages[name] for s in seeds]
             pairings = [("seeds", full_by_seed, mode_by_seed)]
-            full_by_dom = [
-                float(np.mean([results[("feddag", s)][name][pos] for s in seeds]))
-                for pos in range(len(domain_ids))
-            ]
-            mode_by_dom = [
-                float(np.mean([results[(mode, s)][name][pos] for s in seeds]))
-                for pos in range(len(domain_ids))
-            ]
+            full_by_dom = [domain_mean("feddag", name, pos) for pos in range(len(domain_ids))]
+            mode_by_dom = [domain_mean(mode, name, pos) for pos in range(len(domain_ids))]
             pairings.append(("domains", full_by_dom, mode_by_dom))
             for pairing, a, b in pairings:
                 if any(v is None for v in a + b):
@@ -226,16 +211,6 @@ def cmd_ablate(cfg: dict) -> int:
     return 0
 
 
-def protocol_report_summary(report: protocol.RunReport) -> dict:
-    """Flatten a RunReport to per-domain metric lists keyed by metric name."""
-    finals = [r.final for r in report.domains]
-    summary = {"domains": [r.target_domain for r in report.domains]}
-    for name in ("acc", "f1", "auc"):
-        summary[name] = _ablation_metric(finals, name)
-        summary[f"{name}_avg"] = report.averages[name]
-    return summary
-
-
 def cmd_sweep(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -253,8 +228,7 @@ def cmd_sweep(cfg: dict) -> int:
             return cfgmod.resolve(dict(cfg, n_domains=value + 1))
         return cfgmod.resolve(dict(cfg, **{param: value}))
 
-    sub_cfgs = [cfg_for(v) for v in values]
-    reports = protocol.parallel_map(_lodo_report, sub_cfgs)
+    reports = [_lodo_report(cfg_for(v))[0] for v in values]
 
     with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -329,7 +303,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_export_bench(cfg, args.out)
-    except (cfgmod.ConfigError, protocol.ThreadsSettingError) as exc:
+    except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, protocol.ClientRoundError) as exc:

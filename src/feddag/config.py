@@ -3,8 +3,8 @@
 One document carries the federation, adversarial, aggregation, benchmark
 and architecture knobs.  Unknown keys are rejected and every value is
 range-checked, so a typo fails fast instead of silently running the wrong
-experiment.  The fully-resolved dict is echoed into every report for exact
-replay.
+experiment.  The fully-resolved dict, less the output directory, is echoed
+into every report for exact replay.
 """
 
 from __future__ import annotations

@@ -124,16 +124,8 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
-def paired_compare(
-    runs_a: list[float],
-    runs_b: list[float],
-    seeds_a: list[int] | None = None,
-    seeds_b: list[int] | None = None,
-) -> PairedComparison:
+def paired_compare(runs_a: list[float], runs_b: list[float]) -> PairedComparison:
     """Per-seed paired comparison of a metric (a vs b, positive favors a)."""
-    if seeds_a is not None or seeds_b is not None:
-        if seeds_a != seeds_b:
-            raise ValueError(f"misaligned seeds: {seeds_a} vs {seeds_b}")
     if len(runs_a) != len(runs_b):
         raise ValueError(f"paired runs differ in length: {len(runs_a)} vs {len(runs_b)}")
     if len(runs_a) < 3:

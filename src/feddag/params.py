@@ -2,8 +2,7 @@
 
 Every model (task net, generator), every gradient and every perturbation is a
 ParamVector: an immutable 1-D float64 array.  Aggregation, EMA updates and
-optimizer steps are pure functions from vectors to vectors, which keeps the
-federation loop trivially safe to parallelize.
+optimizer steps are pure functions from vectors to vectors.
 """
 
 from __future__ import annotations

@@ -9,8 +9,6 @@ removable for ablations.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -359,22 +357,23 @@ def run_lodo(
     if len(benchmark) < 2:
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
-    def one_target(idx: int) -> DomainRun:
-        target = benchmark[idx]
+    runs = []
+    for idx, target in enumerate(benchmark):
         sources = [d for i, d in enumerate(benchmark) if i != idx]
         leg_config = replace(config, n_clients=len(sources))
         server, rounds, trace = run_federation(
             sources, leg_config, task_arch, gen_arch, target, collect_trace
         )
-        return DomainRun(
-            target_domain=target.domain,
-            rounds=rounds,
-            final=rounds[-1].target_eval,
-            final_task=server.global_task,
-            trace=trace,
+        runs.append(
+            DomainRun(
+                target_domain=target.domain,
+                rounds=rounds,
+                final=rounds[-1].target_eval,
+                final_task=server.global_task,
+                trace=trace,
+            )
         )
-
-    runs = parallel_map(one_target, range(len(benchmark)))
+        del server  # its SHA histories would otherwise stay alive through the next leg
     avg = {
         "acc": float(np.mean([r.final.acc for r in runs])),
         "f1": float(np.mean([r.final.f1 for r in runs])),
@@ -382,27 +381,3 @@ def run_lodo(
     aucs = [r.final.auc for r in runs if r.final.auc is not None]
     avg["auc"] = float(np.mean(aucs)) if aucs else None
     return RunReport(domains=runs, averages=avg)
-
-
-class ThreadsSettingError(ValueError):
-    """FEDDAG_THREADS is not an integer; the CLI reports it as a config error."""
-
-
-def worker_count(n_tasks: int) -> int:
-    """FEDDAG_THREADS caps parallelism; default is sequential."""
-    raw = os.environ.get("FEDDAG_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ThreadsSettingError(f"FEDDAG_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(cap, n_tasks))
-
-
-def parallel_map(fn, items):
-    """Map preserving order; results are identical to sequential execution."""
-    items = list(items)
-    workers = worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -52,7 +52,7 @@ def _eval_dict(ev: EvalResult | None) -> dict[str, Any] | None:
 
 
 def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
-    """JSON-ready report: config echo, per-domain rounds, final averages."""
+    """JSON-ready report: config echo (less `out`), per-domain rounds, final averages."""
     domains = []
     for run in report.domains:
         rounds = []
@@ -77,7 +77,10 @@ def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
                 "rounds": rounds,
             }
         )
-    return {"config": dict(sorted(cfg.items())), "domains": domains, "averages": report.averages}
+    # The output directory is not an experiment parameter: leaving it out keeps
+    # the same config and seed byte-identical whatever --out is.
+    config = {k: v for k, v in sorted(cfg.items()) if k != "out"}
+    return {"config": config, "domains": domains, "averages": report.averages}
 
 
 def write_report_json(path: str, cfg: dict[str, Any], report: RunReport) -> None:

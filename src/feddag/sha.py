@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nets
 from .losses import batch_loss_cls
-from .params import ParamVector, param_axpy
+from .params import ParamVector, param_axpy, param_mean
 
 GRAD_NORM_FLOOR = 1e-12
 SCORE_CAP = 1e9
@@ -136,11 +136,8 @@ def within_client_aggregate(
     if not chosen:
         return current, new_history
     pool = chosen + [current]
-    acc = np.zeros(current.params.dim)
-    for snap in pool:
-        acc += snap.params.values
     merged = ScoredSnapshot(
-        params=ParamVector(acc / len(pool)),
+        params=param_mean([snap.params for snap in pool]),
         score=float(np.mean([snap.score for snap in pool])),
         round=current.round,
     )

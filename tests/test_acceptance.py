@@ -258,9 +258,8 @@ def test_criterion_06_ema_contraction(capsys):
             assert abs(gap - 0.999**t * base) <= 1e-12 * base
 
 
-def test_criterion_07_ablation_ordering(capsys, monkeypatch):
+def test_criterion_07_ablation_ordering(capsys):
     with criterion(capsys, 7, "ablation ordering, >= 2 point gap, >= 4/5 seed wins, < 15 min"):
-        monkeypatch.setenv("FEDDAG_THREADS", "1")
         start = time.perf_counter()
         cfg = config.resolve(ABLATION_RECIPE)
         bench = config.benchmark(cfg)
@@ -282,9 +281,8 @@ def test_criterion_07_ablation_ordering(capsys, monkeypatch):
         assert elapsed < 900.0, elapsed
 
 
-def test_criterion_08_style_strength_monotonicity(capsys, monkeypatch):
+def test_criterion_08_style_strength_monotonicity(capsys):
     with criterion(capsys, 8, "improvement over FedAvg non-decreasing in style strength"):
-        monkeypatch.setenv("FEDDAG_THREADS", "1")
         improvements = []
         for strength in (0.0, 0.5, 1.0):
             base = {"style_strength": strength, "bench_seed": 0}

@@ -128,15 +128,18 @@ class TestRun:
 
     def test_overrides_recorded_in_report(self, tmp_path):
         cfg = write_cfg(tmp_path)
-        out = tmp_path / "out"
-        rc = cli.main(
-            ["run", "--config", cfg, "--out", str(out), "--mode", "fedavg", "--seed", "5"]
-        )
-        assert rc == 0
-        doc = json.loads((out / "report.json").read_text())
+        reports = []
+        for out in (tmp_path / "out", tmp_path / "elsewhere" / "out2"):
+            rc = cli.main(
+                ["run", "--config", cfg, "--out", str(out), "--mode", "fedavg", "--seed", "5"]
+            )
+            assert rc == 0
+            reports.append((out / "report.json").read_bytes())
+        doc = json.loads(reports[0])
         assert doc["config"]["mode"] == "fedavg"
         assert doc["config"]["seed"] == 5
-        assert doc["config"]["out"] == str(out)
+        # The output directory is not echoed, so the bytes do not depend on it.
+        assert reports[1] == reports[0]
 
     def test_checkpoints_load_back(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -209,11 +212,6 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
 
 
-def run_with_threads(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("FEDDAG_THREADS", value)
-    return cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "out")])
-
-
 def load_corrupted_checkpoint(tmp_path, corrupt):
     path = str(tmp_path / "ckpt.json")
     arch = TestCheckpoint.TASK
@@ -228,25 +226,19 @@ def load_corrupted_checkpoint(tmp_path, corrupt):
 
 MALFORMED_INPUTS = [
     pytest.param(
-        lambda tmp, mp: run_with_threads(tmp, mp, "abc"),
-        2,
-        "config error: FEDDAG_THREADS must be an integer, got 'abc'",
-        id="bad_threads",
-    ),
-    pytest.param(
-        lambda tmp, mp: load_corrupted_checkpoint(tmp, lambda d: d["arch"].pop("feature_dim")),
+        lambda tmp: load_corrupted_checkpoint(tmp, lambda d: d["arch"].pop("feature_dim")),
         ValueError,
         r"arch missing keys: \['feature_dim'\]",
         id="missing_arch_key",
     ),
     pytest.param(
-        lambda tmp, mp: load_corrupted_checkpoint(tmp, lambda d: d["arch"].update(kind="rnn")),
+        lambda tmp: load_corrupted_checkpoint(tmp, lambda d: d["arch"].update(kind="rnn")),
         ValueError,
         "unknown arch kind 'rnn'",
         id="unknown_kind",
     ),
     pytest.param(
-        lambda tmp, mp: load_corrupted_checkpoint(tmp, lambda d: d["values"].pop()),
+        lambda tmp: load_corrupted_checkpoint(tmp, lambda d: d["values"].pop()),
         ValueError,
         "50 values for 51 params",
         id="value_count_mismatch",
@@ -255,15 +247,11 @@ MALFORMED_INPUTS = [
 
 
 @pytest.mark.parametrize("attempt, expected, message", MALFORMED_INPUTS)
-def test_malformed_input(attempt, expected, message, tmp_path, monkeypatch, capsys):
-    """Each malformed input gets its documented exit code or exception."""
-    if isinstance(expected, int):
-        assert attempt(tmp_path, monkeypatch) == expected
-        assert capsys.readouterr().err.splitlines() == [message]
-    else:
-        with pytest.raises(expected, match=message) as info:
-            attempt(tmp_path, monkeypatch)
-        assert type(info.value) is expected
+def test_malformed_input(attempt, expected, message, tmp_path):
+    """Each malformed input raises its documented exception."""
+    with pytest.raises(expected, match=message) as info:
+        attempt(tmp_path)
+    assert type(info.value) is expected
 
 
 class TestAblate:
@@ -312,6 +300,27 @@ class TestAblate:
         doc = json.loads((run_out / "report.json").read_text())
         assert float(table["w/o Both"]["acc_avg"]) == doc["averages"]["acc"]
         assert float(table["w/o Both"]["f1_avg"]) == doc["averages"]["f1"]
+
+    def test_single_class_target_domain(self, tmp_path):
+        """AUC is undefined on a one-class target: its cells stay empty, its stats are skipped."""
+        bench_path = tmp_path / "bench.csv"
+        export = ["export-bench", "--config", write_cfg(tmp_path), "--out", str(bench_path)]
+        assert cli.main(export) == 0
+        rows = read_rows(bench_path)
+        for row in rows[1:]:
+            if row[0] == "2":
+                row[1] = "0"
+        with open(bench_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = write_cfg(tmp_path, name="cfg2.json", data_csv=str(bench_path))
+        out = tmp_path / "out"
+        assert cli.main(["ablate", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "ablation.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert {r["auc_d2"] for r in table} == {""}
+        assert all(float(r["auc_d1"]) > 0.0 for r in table)
+        stats = read_rows(out / "ablation_stats.csv")[1:]
+        assert {r[1] for r in stats} == {"acc", "f1"}
 
 
 class TestSweep:

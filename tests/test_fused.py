@@ -228,6 +228,7 @@ def test_cli_import_graph_leaves_out_the_tape():
         "assert not any(m.split('.')[-1] == 'autodiff' for m in sys.modules), sorted(sys.modules)\n"
         "assert not hasattr(feddag, 'autodiff')\n"
         "assert importlib.util.find_spec('feddag.autodiff') is None\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -177,16 +177,6 @@ class TestPairedCompare:
         assert cmp.mean_diff == pytest.approx(0.4, rel=1e-15)
         assert cmp.p_value == sign_test_p(3, 1)
 
-    def test_seed_alignment_enforced(self):
-        with pytest.raises(ValueError, match="misaligned seeds"):
-            paired_compare([1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
-                           seeds_a=[0, 1, 2], seeds_b=[0, 2, 1])
-
-    def test_aligned_seeds_accepted(self):
-        cmp = paired_compare([1.0, 2.0, 3.0], [0.0, 0.0, 0.0],
-                             seeds_a=[0, 1, 2], seeds_b=[0, 1, 2])
-        assert cmp.wins == 3
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in length"):
             paired_compare([1.0, 2.0, 3.0], [1.0, 2.0])

@@ -320,36 +320,3 @@ class TestRunLodo:
         assert r1.averages == r2.averages
         for a, b in zip(r1.domains, r2.domains):
             assert np.array_equal(a.final_task.values, b.final_task.values)
-
-    def test_threaded_matches_sequential(self, monkeypatch):
-        config = fed(mode="feddag", rounds=2, warmup=1, n_clients=2, seed=8)
-        monkeypatch.delenv("FEDDAG_THREADS", raising=False)
-        seq = protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
-        monkeypatch.setenv("FEDDAG_THREADS", "3")
-        par = protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
-        assert seq.averages == par.averages
-        for a, b in zip(seq.domains, par.domains):
-            assert np.array_equal(a.final_task.values, b.final_task.values)
-
-
-class TestWorkerCount:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("FEDDAG_THREADS", raising=False)
-        assert protocol.worker_count(8) == 1
-
-    def test_capped_by_tasks(self, monkeypatch):
-        monkeypatch.setenv("FEDDAG_THREADS", "8")
-        assert protocol.worker_count(3) == 3
-
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv("FEDDAG_THREADS", "-2")
-        assert protocol.worker_count(3) == 1
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv("FEDDAG_THREADS", "many")
-        with pytest.raises(ValueError, match="FEDDAG_THREADS"):
-            protocol.worker_count(3)
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("FEDDAG_THREADS", "4")
-        assert protocol.parallel_map(lambda v: v * v, range(7)) == [v * v for v in range(7)]
