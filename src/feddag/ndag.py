@@ -1,4 +1,4 @@
-"""Adversarial novel-domain generation: the per-client training loop.
+"""Adversarial novel-domain generation: the clients' local training loop.
 
 Each mini-batch runs two moves of a teacher/student/generator game.  The
 generator perturbs inputs to push student features away from teacher
@@ -7,24 +7,43 @@ still keeping the perturbed batch classifiable.  The student then trains on
 the perturbed batch to classify it and to re-align its features with the
 teacher.  The teacher trails the student by exponential moving average and
 is what the client uploads.
+
+The clients of a round train in lockstep.  Their weights are rows of
+stacked (C, P) arrays (ClientStack), and each batch step runs once for a
+stack of clients whose batches have the same size, on (C, B, d)
+activations, so numpy dispatches each op once per stack rather than once
+per client.  Every stacked op is bitwise equal to its per-client form, so a
+client's result does not depend on which clients share its stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nets
-from .params import NonFiniteValues, ParamVector, SgdState, param_axpy, param_scale, sgd_step
+from .params import DimensionMismatch, ParamVector, SgdRows, SgdState, sgd_step
 
 
 # Feature rows with a smaller norm have no direction to compare.
 DEGENERATE_NORM = 1e-12
 
+# Most rows (clients x batch rows) one stacked step holds.  All of a stack's
+# activations stay alive until its backward pass ends, so peak memory grows
+# with the stack: one stack of 16 clients with 179-row batches raised a run's
+# peak RSS from 44.6 to 48.9 MB.  A batch of more than half the cap trains alone.
+MAX_STACK_ROWS = 256
+
 
 class DivergenceError(RuntimeError):
-    """Training produced non-finite losses or gradients."""
+    """Training produced non-finite losses or gradients.
+
+    client is the failing client's position in its stacked round, once
+    client_round raises the error.
+    """
+
+    client: int | None = None
 
 
 class FeatureCollapse(DivergenceError):
@@ -89,106 +108,186 @@ class ClientRoundResult:
 
 
 def generate(
-    gen_params: ParamVector,
+    gen_params,
     gen_arch: nets.GenArch,
     x_batch: np.ndarray,
     alpha: float,
     lo: float = 0.0,
     hi: float = 1.0,
 ) -> np.ndarray:
-    """Perturbed batch clamp(x + alpha * G(x)); alpha=0 returns x clamped."""
+    """Perturbed batch clamp(x + alpha * G(x)); alpha=0 returns x clamped.
+
+    gen_params is a ParamVector, or stacked rows (C, G) with x (C, B, d).
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     delta = nets.gen_apply(gen_params, gen_arch, x_batch)
     return np.clip(np.asarray(x_batch, dtype=np.float64) + alpha * delta, lo, hi)
 
 
-def _check_finite(name: str, value: float) -> float:
-    if not np.isfinite(value):
-        raise DivergenceError(f"{name} is non-finite")
-    return float(value)
+@dataclass
+class ClientStack:
+    """The weights of C clients as rows of stacked arrays, updated in place.
+
+    generator and teacher are None when the round runs without NDAG.
+    errors maps a row to the first check it failed in the current step.
+    """
+
+    student: SgdRows
+    generator: SgdRows | None = None
+    teacher: np.ndarray | None = None
+    errors: dict[int, DivergenceError] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, models: list[ClientModels], ndag_enabled: bool) -> ClientStack:
+        """Copy the clients' weights into rows; NDAG's only when it is on."""
+        student = SgdRows.stack([m.student for m in models], [m.student_opt for m in models])
+        if not ndag_enabled:
+            return cls(student)
+        if any(m.teacher is None for m in models):
+            raise ValueError("ndag round requires an initialized teacher")
+        generator = SgdRows.stack([m.generator for m in models], [m.gen_opt for m in models])
+        return cls(student, generator, np.stack([m.teacher.values for m in models]))
+
+    def take(self, positions: list[int]) -> ClientStack:
+        """The given rows (ascending) as a stack of their own.
+
+        Consecutive rows are views, so steps on them update this stack
+        directly; other rows are copies that put() writes back.
+        """
+        rows = _rows(positions)
+        return ClientStack(
+            self.student.take(rows),
+            None if self.generator is None else self.generator.take(rows),
+            None if self.teacher is None else self.teacher[rows],
+        )
+
+    def put(self, positions: list[int], part: ClientStack) -> None:
+        """Adopt a taken part's updates and failures."""
+        rows = _rows(positions)
+        if not isinstance(rows, slice):
+            self.student.put(rows, part.student)
+            if self.generator is not None:
+                self.generator.put(rows, part.generator)
+                self.teacher[rows] = part.teacher
+        for row, exc in part.errors.items():
+            self.errors.setdefault(positions[row], exc)
+
+    def check(self, ok: np.ndarray, message: str) -> None:
+        """Record DivergenceError(message) for each row not ok, unless it failed earlier."""
+        if not ok.all():
+            for row in np.flatnonzero(~ok).tolist():
+                self.errors.setdefault(row, DivergenceError(message))
+
+    def raise_failure(self) -> None:
+        """Raise the recorded error of the lowest failed row, tagged with that row."""
+        if self.errors:
+            row = min(self.errors)
+            exc = self.errors[row]
+            exc.client = row
+            raise exc
 
 
-def _collapse_guard(valid: np.ndarray) -> int:
-    bad = int(valid.size - valid.sum())
-    if bad * 2 > valid.size:
-        raise FeatureCollapse(
-            f"{bad}/{valid.size} feature rows below the normalization floor"
+def _rows(positions: list[int]):
+    """Index for ascending row positions: a slice when they are consecutive."""
+    first, last = positions[0], positions[-1]
+    if last - first + 1 == len(positions):
+        return slice(first, last + 1)
+    return np.array(positions)
+
+
+def _collapse_guard(stack: ClientStack, valid: np.ndarray) -> np.ndarray:
+    """Degenerate feature rows per client; fails clients where most are degenerate."""
+    n = valid.shape[1]
+    bad = n - valid.sum(axis=1)
+    for row in np.flatnonzero(bad * 2 > n).tolist():
+        stack.errors.setdefault(
+            row, FeatureCollapse(f"{bad[row]}/{n} feature rows below the normalization floor")
         )
     return bad
 
 
+def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """values[c] @ weights for every row c, each a plain 1-D dot."""
+    return (values[:, None, :] @ weights[:, None])[:, 0, 0]
+
+
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean softmax cross-entropy (max-shifted) and its logit gradient."""
-    n = logits.shape[0]
-    zmax = logits.max(axis=1, keepdims=True)
+    """Mean softmax cross-entropy (max-shifted) per client and its logit gradient.
+
+    logits is (C, B, K) and labels (C, B); the loss is (C,).
+    """
+    n = logits.shape[1]
+    zmax = logits.max(axis=2, keepdims=True)
     ez = np.exp(logits - zmax)
-    sez = ez.sum(axis=1, keepdims=True)
+    sez = ez.sum(axis=2, keepdims=True)
     logp = (logits - zmax) - np.log(sez)
-    loss = -logp[np.arange(n), labels].mean()
+    picked = (np.arange(logits.shape[0])[:, None], np.arange(n), labels)
+    loss = -logp[picked].mean(axis=1)
     dz = ez / sez
-    dz[np.arange(n), labels] -= 1.0
+    dz[picked] -= 1.0
     return loss, dz * (1.0 / n)
 
 
 def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
-    """Row-wise || t/||t|| - f/||f|| ||^2 between (B, D) feature matrices.
+    """Row-wise || t/||t|| - f/||f|| ||^2 between (C, B, D) feature stacks.
 
     Rows where either side has norm < DEGENERATE_NORM are invalid: their
     distance is 0 and no gradient flows through them.  Returns (distances,
-    valid, grad) where grad(g) is the gradient of sum(g * distances)
-    w.r.t. feats.
+    valid, grad), both (C, B), where grad(g) is the gradient of
+    sum(g * distances) w.r.t. feats.
     """
-    nt = np.linalg.norm(t_feats, axis=1)
-    nf = np.linalg.norm(feats, axis=1)
+    nt = np.linalg.norm(t_feats, axis=2)
+    nf = np.linalg.norm(feats, axis=2)
     valid = (nt >= DEGENERATE_NORM) & (nf >= DEGENERATE_NORM)
     safe_nf = np.where(valid, nf, 1.0)
-    u = t_feats / np.where(valid, nt, 1.0)[:, None]
-    v = feats / safe_nf[:, None]
+    u = t_feats / np.where(valid, nt, 1.0)[:, :, None]
+    v = feats / safe_nf[:, :, None]
     diff = u - v
-    dist = np.where(valid, (diff * diff).sum(axis=1), 0.0)
-    uv = (u * v).sum(axis=1)
+    dist = np.where(valid, (diff * diff).sum(axis=2), 0.0)
+    uv = (u * v).sum(axis=2)
 
     def grad(g):
         # d = 2 - 2 u.v on unit vectors, so dd/df = -2 (u - (u.v) v) / ||f||
-        gv = np.where(valid, g, 0.0)[:, None]
-        return gv * (-2.0) * (u - uv[:, None] * v) / safe_nf[:, None]
+        gv = np.where(valid, g, 0.0)[:, :, None]
+        return gv * (-2.0) * (u - uv[:, :, None] * v) / safe_nf[:, :, None]
 
     return dist, valid, grad
 
 
 def generator_grad(
-    models: ClientModels,
+    stack: ClientStack,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
     lo: float = 0.0,
     hi: float = 1.0,
 ):
-    """Generator objective mean L_cls - mean min(L_dis, m) and its gradients.
+    """Generator objective mean L_cls - mean min(L_dis, m) per client, and its gradients.
 
-    The student is frozen.  Returns (l_cls, l_dis, degenerate_rows, grad,
-    x_hat_grad): grad is the flat generator gradient in pack order and
-    x_hat_grad the objective's gradient w.r.t. the perturbed batch, which
-    reaches the generator through clip -> alpha -> tanh.
+    The students are frozen.  x is (C, B, d), y (C, B) and teacher_feats
+    (C, B, F).  Returns (l_cls, l_dis, degenerate_rows, grad, x_hat_grad):
+    the first three are (C,), grad is the flat generator gradient (C, G) in
+    pack order and x_hat_grad the objective's gradient w.r.t. the perturbed
+    batch, which reaches the generator through clip -> alpha -> tanh.
+    Clients whose features collapse are recorded in stack.errors.
     """
-    n = x_batch.shape[0]
-    gen_layers = nets.split_layers(models.generator.values, gen_arch.layer_dims())
-    stu_layers = nets.split_layers(models.student.values, task_arch.layer_dims())
-    x = np.asarray(x_batch, dtype=np.float64)
+    n = x.shape[1]
+    gen_layers = nets.split_layers(stack.generator.params, gen_arch.layer_dims())
+    stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
     gen_acts, gen_masks, gen_out = nets.mlp_forward(gen_layers, x)
     delta = np.tanh(gen_out)
     pre = x + delta * hyper.alpha
     inside = (pre >= lo) & (pre <= hi)
     acts, masks, logits = nets.mlp_forward(stu_layers, np.clip(pre, lo, hi))
-    ce, g_logits = _cross_entropy(logits, y_batch)
+    ce, g_logits = _cross_entropy(logits, y)
     dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
-    bad = _collapse_guard(valid)
+    bad = _collapse_guard(stack, valid)
     weights = np.full(n, 1.0 / n)
-    dis = np.minimum(dist, hyper.m) @ weights
+    dis = _row_dot(np.minimum(dist, hyper.m), weights)
     # The capped branch (dist >= m) carries exactly zero gradient.
     g_feats = dist_grad(-weights * (dist < hyper.m))
     x_hat_grad = nets.mlp_backward(stu_layers, acts, masks, g_logits, g_feats, frozen=True)
@@ -198,47 +297,39 @@ def generator_grad(
 
 
 def generator_step(
-    models: ClientModels,
+    stack: ClientStack,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
     lo: float = 0.0,
     hi: float = 1.0,
-) -> tuple[ClientModels, float, float, int]:
-    """One adversarial step on the generator.
+):
+    """One adversarial step on every client's generator, in place.
 
     Minimizes mean L_cls - mean min(L_dis, m) through the frozen student, so
     the generator learns perturbations that are hard in feature space yet
-    still classifiable.  Returns (models, l_cls, l_dis, degenerate_rows).
+    still classifiable.  Returns per-client (l_cls, l_dis, degenerate_rows);
+    clients that diverge are recorded in stack.errors.
     """
     ce, dis, bad, grad, _ = generator_grad(
-        models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo, hi
+        stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo, hi
     )
-    try:
-        new_gen, new_opt = sgd_step(
-            models.generator,
-            ParamVector(grad),
-            hyper.lr,
-            hyper.momentum,
-            hyper.weight_decay,
-            models.gen_opt,
-        )
-    except NonFiniteValues as exc:
-        raise DivergenceError(f"generator step: {exc}") from exc
-    l_cls = _check_finite("generator l_cls", float(ce))
-    l_dis = _check_finite("l_dis", float(dis))
-    return replace(models, generator=new_gen, gen_opt=new_opt), l_cls, l_dis, bad
+    ok = sgd_step(stack.generator, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
+    stack.check(ok, "generator step: ParamVector entries must be finite")
+    stack.check(np.isfinite(ce), "generator l_cls is non-finite")
+    stack.check(np.isfinite(dis), "l_dis is non-finite")
+    return ce, dis, bad
 
 
 def student_grad(
-    models: ClientModels,
+    stack: ClientStack,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
     lo: float = 0.0,
@@ -246,107 +337,133 @@ def student_grad(
 ):
     """Student objective mean L_cls + mean L_sim on the freshly perturbed batch.
 
-    Returns (l_cls, l_sim, degenerate_rows, grad) with grad the flat student
-    gradient in pack order.
+    Shapes as in generator_grad.  Returns (l_cls, l_sim, degenerate_rows,
+    grad) with grad the flat student gradient (C, P) in pack order.
     """
-    n = x_batch.shape[0]
-    x_hat = generate(models.generator, gen_arch, x_batch, hyper.alpha, lo, hi)
-    stu_layers = nets.split_layers(models.student.values, task_arch.layer_dims())
+    n = x.shape[1]
+    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha, lo, hi)
+    stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
     acts, masks, logits = nets.mlp_forward(stu_layers, x_hat)
-    ce, g_logits = _cross_entropy(logits, y_batch)
+    ce, g_logits = _cross_entropy(logits, y)
     dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
-    bad = _collapse_guard(valid)
+    bad = _collapse_guard(stack, valid)
     weights = np.full(n, 1.0 / n)
     grad = nets.mlp_backward(stu_layers, acts, masks, g_logits, dist_grad(weights))
-    return ce, dist @ weights, bad, grad
+    return ce, _row_dot(dist, weights), bad, grad
 
 
 def student_step(
-    models: ClientModels,
+    stack: ClientStack,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
     lo: float = 0.0,
     hi: float = 1.0,
-) -> tuple[ClientModels, ParamVector, float, float, int]:
-    """One student step on the freshly perturbed batch.
+):
+    """One step on every client's student, in place, on the freshly perturbed batch.
 
     Minimizes mean L_cls + mean L_sim (uncapped discrepancy to the teacher).
-    Returns (models, grad, l_cls, l_sim, degenerate_rows); grad is the flat
-    student gradient, kept for sharpness probing at aggregation time.
+    Returns (grad, l_cls, l_sim, degenerate_rows); grad is the flat student
+    gradient (C, P), kept for sharpness probing at aggregation time.
     """
-    ce, sim, bad, flat = student_grad(
-        models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo, hi
+    ce, sim, bad, grad = student_grad(
+        stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo, hi
     )
-    try:
-        grad = ParamVector(flat)
-        new_student, new_opt = sgd_step(
-            models.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay, models.student_opt
-        )
-    except NonFiniteValues as exc:
-        raise DivergenceError(f"student step: {exc}") from exc
-    l_cls = _check_finite("student l_cls", float(ce))
-    l_sim = _check_finite("l_sim", float(sim))
-    return replace(models, student=new_student, student_opt=new_opt), grad, l_cls, l_sim, bad
+    ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
+    stack.check(ok, "student step: ParamVector entries must be finite")
+    stack.check(np.isfinite(ce), "student l_cls is non-finite")
+    stack.check(np.isfinite(sim), "l_sim is non-finite")
+    return grad, ce, sim, bad
 
 
-def plain_grad(models: ClientModels, task_arch: nets.TaskArch, x_batch, y_batch):
-    """Mean L_cls of the student on the raw batch; returns (l_cls, grad)."""
-    stu_layers = nets.split_layers(models.student.values, task_arch.layer_dims())
-    acts, masks, logits = nets.mlp_forward(stu_layers, np.asarray(x_batch, dtype=np.float64))
-    ce, g_logits = _cross_entropy(logits, y_batch)
+def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: np.ndarray):
+    """Mean L_cls of each student on its raw batch; returns (l_cls, grad)."""
+    stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
+    acts, masks, logits = nets.mlp_forward(stu_layers, x)
+    ce, g_logits = _cross_entropy(logits, y)
     grad = nets.mlp_backward(stu_layers, acts, masks, g_logits)
     return ce, grad
 
 
 def plain_step(
-    models: ClientModels,
+    stack: ClientStack,
     task_arch: nets.TaskArch,
-    x_batch: np.ndarray,
-    y_batch: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
     hyper: NdagHyper,
-) -> tuple[ClientModels, ParamVector, float]:
-    """Classification-only student step on the raw batch (warmup, baselines)."""
-    ce, flat = plain_grad(models, task_arch, x_batch, y_batch)
-    try:
-        grad = ParamVector(flat)
-        new_student, new_opt = sgd_step(
-            models.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay, models.student_opt
-        )
-    except NonFiniteValues as exc:
-        raise DivergenceError(f"plain step: {exc}") from exc
-    l_cls = _check_finite("l_cls", float(ce))
-    return replace(models, student=new_student, student_opt=new_opt), grad, l_cls
+):
+    """Classification-only student step on the raw batch (warmup, baselines).
+
+    Returns (grad, l_cls).
+    """
+    ce, grad = plain_grad(stack, task_arch, x, y)
+    ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
+    stack.check(ok, "plain step: ParamVector entries must be finite")
+    stack.check(np.isfinite(ce), "l_cls is non-finite")
+    return grad, ce
 
 
-def ema_update(teacher: ParamVector, student: ParamVector, decay: float) -> ParamVector:
-    """Teacher trails the student: T' = decay * T + (1 - decay) * omega.
+def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.ndarray:
+    """Teachers trail their students, in place: T' = decay * T + (1 - decay) * omega.
 
-    The direct convex form keeps the endpoints exact: decay 1 returns the
-    teacher unchanged, decay 0 returns the student.
+    teacher and student are stacked rows (C, P).  The direct convex form
+    keeps the endpoints exact: decay 1 leaves a teacher unchanged, decay 0
+    copies the student.  Returns the rows that stayed finite.
     """
     if not 0.0 <= decay <= 1.0:
         raise ValueError(f"decay must be in [0, 1], got {decay}")
-    return param_axpy(decay, teacher, param_scale(1.0 - decay, student))
+    if teacher.shape != student.shape:
+        raise DimensionMismatch(f"teacher shape {teacher.shape} != student {student.shape}")
+    teacher *= decay
+    teacher += (1.0 - decay) * student
+    return np.isfinite(teacher).all(axis=1)
+
+
+def _local_step(part, task_arch, gen_arch, x, y, hyper, ndag_enabled, lo, hi):
+    """One batch step for a stack of clients, in place.
+
+    Returns the student gradients and, per client, (l_cls_g, l_dis, l_cls_s,
+    l_sim, degenerate_rows), the NDAG entries None without NDAG.
+    """
+    if not ndag_enabled:
+        grad, l_cls = plain_step(part, task_arch, x, y, hyper)
+        return grad, [(None, None, l, None, 0) for l in l_cls.tolist()]
+    t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
+    l_cls_g, l_dis, bad_g = generator_step(
+        part, task_arch, gen_arch, x, y, hyper, t_feats, lo, hi
+    )
+    grad, l_cls_s, l_sim, bad_s = student_step(
+        part, task_arch, gen_arch, x, y, hyper, t_feats, lo, hi
+    )
+    part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
+               "teacher is non-finite")
+    columns = (l_cls_g, l_dis, l_cls_s, l_sim, bad_g + bad_s)
+    return grad, list(zip(*(col.tolist() for col in columns)))
 
 
 def client_round(
-    models: ClientModels,
+    models: list[ClientModels],
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    xs: np.ndarray,
-    ys: np.ndarray,
+    xs: list[np.ndarray],
+    ys: list[np.ndarray],
     hyper: NdagHyper,
     ndag_enabled: bool,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     local_epochs: int = 1,
     lo: float = 0.0,
     hi: float = 1.0,
-) -> ClientRoundResult:
-    """One local round over shuffled mini-batches.
+) -> list[ClientRoundResult]:
+    """One local round over shuffled mini-batches for each client, in lockstep.
+
+    Client c trains on (xs[c], ys[c]) and shuffles with rngs[c], drawing
+    one permutation per local epoch, so it sees exactly the batches it
+    would see alone.  At local step k the clients that still have a batch
+    are grouped by batch size, and each group trains as stacks of at most
+    MAX_STACK_ROWS rows (a batch is never padded).
 
     With ndag_enabled the order per batch is: perturb, generator step,
     re-perturb, student step, EMA the teacher.  Teacher features are
@@ -356,52 +473,82 @@ def client_round(
     and training degenerates to plain classification.  Without
     ndag_enabled the student just trains on clean batches and is itself
     the upload.
+
+    Every client runs each local step to its end.  If any failed, the
+    DivergenceError of the lowest-position client among them is raised,
+    with its position as the error's client.
     """
-    n = xs.shape[0]
-    if n == 0:
-        raise ValueError("client_round needs a nonempty training set")
-    if ys.shape != (n,):
-        raise ValueError(f"target shape {ys.shape} does not match {n} inputs")
     if local_epochs < 1:
         raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
-    if ndag_enabled and models.teacher is None:
-        raise ValueError("ndag round requires an initialized teacher")
+    if not len(models) == len(xs) == len(ys) == len(rngs) >= 1:
+        raise ValueError("client_round needs one model, data set and rng per client")
+    xs = [np.asarray(x, dtype=np.float64) for x in xs]
+    sizes = [x.shape[0] for x in xs]
+    for n, labels in zip(sizes, ys):
+        if n == 0:
+            raise ValueError("client_round needs a nonempty training set")
+        if labels.shape != (n,):
+            raise ValueError(f"target shape {labels.shape} does not match {n} inputs")
 
-    trace: list[BatchTrace] = []
-    cls_losses: list[float] = []
-    last_grad: ParamVector | None = None
-    degenerate = 0
-    batch_idx = 0
-    for _ in range(local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            xb, yb = xs[idx], ys[idx]
-            if ndag_enabled:
-                t_feats, _ = nets.task_apply(models.teacher, task_arch, xb)
-                models, l_cls_g, l_dis, bad_g = generator_step(
-                    models, task_arch, gen_arch, xb, yb, hyper, t_feats, lo, hi
-                )
-                models, last_grad, l_cls_s, l_sim, bad_s = student_step(
-                    models, task_arch, gen_arch, xb, yb, hyper, t_feats, lo, hi
-                )
-                models = replace(
-                    models, teacher=ema_update(models.teacher, models.student, hyper.ema_decay)
-                )
-                degenerate += bad_g + bad_s
-                trace.append(BatchTrace(batch_idx, l_cls_g, l_dis, l_cls_s, l_sim))
-            else:
-                models, last_grad, l_cls_s = plain_step(models, task_arch, xb, yb, hyper)
-                trace.append(BatchTrace(batch_idx, None, None, l_cls_s, None))
-            cls_losses.append(l_cls_s)
-            batch_idx += 1
+    stack = ClientStack.of(models, ndag_enabled)
+    batch = hyper.batch_size
+    n_batches = [-(-n // batch) for n in sizes]
+    orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]
+    batch_idx = [None] * len(models)  # sample indices of each client's current batch
+    traces: list[list[BatchTrace]] = [[] for _ in models]
+    cls_losses: list[list[float]] = [[] for _ in models]
+    degenerate = [0] * len(models)
+    last_grads = [None] * len(models)
 
-    upload = models.teacher if ndag_enabled else models.student
-    return ClientRoundResult(
-        models=models,
-        upload=upload,
-        last_grad=last_grad,
-        mean_train_loss=float(np.mean(cls_losses)),
-        trace=trace,
-        degenerate_rows=degenerate,
-    )
+    for k in range(local_epochs * max(n_batches)):
+        groups: dict[int, list[int]] = {}
+        for c, nb in enumerate(n_batches):
+            epoch, j = divmod(k, nb)
+            if epoch >= local_epochs:
+                continue
+            batch_idx[c] = orders[c][epoch][j * batch : (j + 1) * batch]
+            groups.setdefault(len(batch_idx[c]), []).append(c)
+        for size, clients in groups.items():
+            per_stack = max(1, MAX_STACK_ROWS // size)
+            for s in range(0, len(clients), per_stack):
+                members = clients[s : s + per_stack]
+                part = stack.take(members)
+                xb = np.concatenate([xs[c][batch_idx[c]] for c in members])
+                yb = np.concatenate([ys[c][batch_idx[c]] for c in members])
+                xb = xb.reshape(len(members), size, -1)
+                yb = yb.reshape(len(members), size)
+                grad, rows = _local_step(
+                    part, task_arch, gen_arch, xb, yb, hyper, ndag_enabled, lo, hi
+                )
+                stack.put(members, part)
+                for j, (c, (l_cls_g, l_dis, l_cls_s, l_sim, bad)) in enumerate(zip(members, rows)):
+                    traces[c].append(BatchTrace(k, l_cls_g, l_dis, l_cls_s, l_sim))
+                    cls_losses[c].append(l_cls_s)
+                    degenerate[c] += bad
+                    last_grads[c] = grad[j]
+        if k == 0:
+            # Every client has taken its first step: the buffers hold momentum now.
+            stack.student.fresh = False
+            if stack.generator is not None:
+                stack.generator.fresh = False
+        stack.raise_failure()
+
+    results = []
+    for c, base in enumerate(models):
+        student, student_opt = stack.student.row(c)
+        new = replace(base, student=student, student_opt=student_opt)
+        if ndag_enabled:
+            generator, gen_opt = stack.generator.row(c)
+            teacher = ParamVector(stack.teacher[c])
+            new = replace(new, generator=generator, gen_opt=gen_opt, teacher=teacher)
+        results.append(
+            ClientRoundResult(
+                models=new,
+                upload=new.teacher if ndag_enabled else new.student,
+                last_grad=ParamVector(last_grads[c]),
+                mean_train_loss=float(np.mean(cls_losses[c])),
+                trace=traces[c],
+                degenerate_rows=degenerate[c],
+            )
+        )
+    return results

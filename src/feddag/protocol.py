@@ -200,32 +200,36 @@ def run_round(
     gen_arch: nets.GenArch,
     trace: list[TraceRow] | None = None,
 ) -> RoundMetrics:
-    """One communication round; mutates server and clients in place."""
+    """One communication round; mutates server and clients in place.
+
+    The clients' local rounds run in lockstep (ndag.client_round): every
+    client finishes local step k before any client starts step k + 1.  If
+    training diverges, the ClientRoundError names the lowest-index client
+    among those that fail at the earliest failing local step.
+    """
     round_idx = server.round
     warmup = round_idx < config.warmup_rounds
     ndag_on = config.ndag_active and not warmup
 
     distribute(server, clients, config)
 
-    uploads: list[ndag.ClientRoundResult] = []
-    for client in clients:
-        rng = np.random.default_rng([config.seed, _BATCH_TAG, round_idx, client.index])
-        try:
-            result = ndag.client_round(
-                client.models,
-                task_arch,
-                gen_arch,
-                client.train_x,
-                client.train_y,
-                config.ndag,
-                ndag_on,
-                rng,
-                config.local_epochs,
-            )
-        except ndag.DivergenceError as exc:
-            raise ClientRoundError(client.index, exc) from exc
+    rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c.index]) for c in clients]
+    try:
+        uploads = ndag.client_round(
+            [c.models for c in clients],
+            task_arch,
+            gen_arch,
+            [c.train_x for c in clients],
+            [c.train_y for c in clients],
+            config.ndag,
+            ndag_on,
+            rngs,
+            config.local_epochs,
+        )
+    except ndag.DivergenceError as exc:
+        raise ClientRoundError(clients[exc.client].index, exc) from exc
+    for client, result in zip(clients, uploads):
         client.models = result.models
-        uploads.append(result)
         if trace is not None:
             for row in result.trace:
                 trace.append(

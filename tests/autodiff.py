@@ -254,42 +254,61 @@ def flat_grad(layers: list[tuple[Tensor, Tensor]]) -> ParamVector:
 
 
 # ------------------------- tape routes of the ndag objective functions
+# The package computes each objective for a whole stack of clients at once;
+# the tape routes build one client's graph at a time and stack the results,
+# so they take and return exactly what the ndag functions do.
 
 
-def generator_grad(models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo=0.0, hi=1.0):
+def _stacked(rows):
+    """Per-client result tuples -> one stacked array per position."""
+    return [np.array(col) for col in zip(*rows)]
+
+
+def generator_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo=0.0, hi=1.0):
     """Tape route of ndag.generator_grad: same arguments, same returns."""
-    n = x_batch.shape[0]
-    gen_layers = layer_tensors(models.generator, gen_arch, trainable=True)
-    stu_layers = layer_tensors(models.student, task_arch, trainable=False)
-    x = Tensor(x_batch)
-    x_hat = clip(add(x, scale(gen_graph(gen_layers, x), hyper.alpha)), lo, hi)
-    feats, logits = task_graph(stu_layers, x_hat)
-    ce = cross_entropy_mean(logits, y_batch)
-    dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats), feats)
-    bad = ndag._collapse_guard(valid)
-    dis = weighted_sum(minimum_const(dist, hyper.m), np.full(n, 1.0 / n))
-    backward(sub(ce, dis))
-    return ce.value, dis.value, bad, flat_grad(gen_layers).values, x_hat.grad
+    n = x.shape[1]
+    rows = []
+    for c in range(x.shape[0]):
+        gen_layers = layer_tensors(ParamVector(stack.generator.params[c]), gen_arch, True)
+        stu_layers = layer_tensors(ParamVector(stack.student.params[c]), task_arch, False)
+        xc = Tensor(x[c])
+        x_hat = clip(add(xc, scale(gen_graph(gen_layers, xc), hyper.alpha)), lo, hi)
+        feats, logits = task_graph(stu_layers, x_hat)
+        ce = cross_entropy_mean(logits, y[c])
+        dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats[c]), feats)
+        dis = weighted_sum(minimum_const(dist, hyper.m), np.full(n, 1.0 / n))
+        backward(sub(ce, dis))
+        rows.append((ce.value, dis.value, valid, flat_grad(gen_layers).values, x_hat.grad))
+    ce, dis, valid, grad, x_hat_grad = _stacked(rows)
+    bad = ndag._collapse_guard(stack, valid)
+    return ce, dis, bad, grad, x_hat_grad
 
 
-def student_grad(models, task_arch, gen_arch, x_batch, y_batch, hyper, teacher_feats, lo=0.0, hi=1.0):
+def student_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo=0.0, hi=1.0):
     """Tape route of ndag.student_grad: same arguments, same returns."""
-    n = x_batch.shape[0]
-    x_hat = ndag.generate(models.generator, gen_arch, x_batch, hyper.alpha, lo, hi)
-    stu_layers = layer_tensors(models.student, task_arch, trainable=True)
-    feats, logits = task_graph(stu_layers, Tensor(x_hat))
-    ce = cross_entropy_mean(logits, y_batch)
-    dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats), feats)
-    bad = ndag._collapse_guard(valid)
-    sim = weighted_sum(dist, np.full(n, 1.0 / n))
-    backward(add(ce, sim))
-    return ce.value, sim.value, bad, flat_grad(stu_layers).values
+    n = x.shape[1]
+    rows = []
+    for c in range(x.shape[0]):
+        x_hat = ndag.generate(stack.generator.params[c], gen_arch, x[c], hyper.alpha, lo, hi)
+        stu_layers = layer_tensors(ParamVector(stack.student.params[c]), task_arch, True)
+        feats, logits = task_graph(stu_layers, Tensor(x_hat))
+        ce = cross_entropy_mean(logits, y[c])
+        dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats[c]), feats)
+        sim = weighted_sum(dist, np.full(n, 1.0 / n))
+        backward(add(ce, sim))
+        rows.append((ce.value, sim.value, valid, flat_grad(stu_layers).values))
+    ce, sim, valid, grad = _stacked(rows)
+    bad = ndag._collapse_guard(stack, valid)
+    return ce, sim, bad, grad
 
 
-def plain_grad(models, task_arch, x_batch, y_batch):
+def plain_grad(stack, task_arch, x, y):
     """Tape route of ndag.plain_grad: same arguments, same returns."""
-    stu_layers = layer_tensors(models.student, task_arch, trainable=True)
-    _, logits = task_graph(stu_layers, Tensor(np.asarray(x_batch, dtype=np.float64)))
-    ce = cross_entropy_mean(logits, y_batch)
-    backward(ce)
-    return ce.value, flat_grad(stu_layers).values
+    rows = []
+    for c in range(x.shape[0]):
+        stu_layers = layer_tensors(ParamVector(stack.student.params[c]), task_arch, True)
+        _, logits = task_graph(stu_layers, Tensor(x[c]))
+        ce = cross_entropy_mean(logits, y[c])
+        backward(ce)
+        rows.append((ce.value, flat_grad(stu_layers).values))
+    return tuple(_stacked(rows))

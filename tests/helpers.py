@@ -5,11 +5,17 @@ loops, hand-rolled backprop, a standalone federated-averaging loop) so tests
 cross-check the package against an independent code path instead of against
 itself.  The only thing shared with the package is the flat parameter layout
 (W row-major then b, layer by layer), which is the documented contract.
+The exception is one_client, which puts one client into the stacked form the
+package trains in, so tests drive the code every federation round runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+
+from feddag import ndag
 
 
 # ---------------------------------------------------------------- layouts
@@ -263,3 +269,19 @@ def reference_fedavg(
             acc += u
         theta = acc / len(uploads)
     return theta
+
+
+# ------------------------------------------------------ one-client stacks
+
+
+def one_client(models, *arrays, ndag_enabled=True):
+    """models as a ClientStack of one row, then each array with a client axis.
+
+    The stacked ndag steps update the stack in place and record failures in
+    stack.errors; stack.raise_failure() raises them as client_round would.
+    The objectives take teacher features as an argument, so a fixture
+    without a teacher gets its student in that row.
+    """
+    if models.teacher is None:
+        models = replace(models, teacher=models.student)
+    return (ndag.ClientStack.of([models], ndag_enabled), *(np.asarray(a)[None] for a in arrays))

@@ -8,13 +8,12 @@ invariant criteria run in milliseconds; the two bench-level criteria (7,
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import autodiff as ad
 import fixtures
@@ -79,8 +78,10 @@ def test_criterion_01_gradient_check(capsys):
             stu, gen, X, y, t_feats = clean_fixture(seed)
             objective, gen_layers = gen_objective_graph(gen, stu, X, y, t_feats, 0.3, 0.5)
             ad.backward(objective)
-            models = ndag.ClientModels(student=stu, generator=gen)
-            fused = ndag.generator_grad(models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats)[3]
+            stack, X1, y1, t1 = helpers.one_client(
+                ndag.ClientModels(student=stu, generator=gen), X, y, t_feats
+            )
+            fused = ndag.generator_grad(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)[3][0]
 
             def f_gen(phi):
                 return helpers.gen_objective_ref(
@@ -96,8 +97,10 @@ def test_criterion_01_gradient_check(capsys):
             x_hat = np.clip(X + 0.3 * nets.gen_apply(gen, GEN_ARCH, X), 0.0, 1.0)
             objective, stu_layers = student_objective_graph(stu, x_hat, y, t_feats)
             ad.backward(objective)
-            models = ndag.ClientModels(student=stu, generator=gen)
-            fused = ndag.student_grad(models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats)[3]
+            stack, X1, y1, t1 = helpers.one_client(
+                ndag.ClientModels(student=stu, generator=gen), X, y, t_feats
+            )
+            fused = ndag.student_grad(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)[3][0]
 
             def f_stu(omega):
                 return helpers.student_objective_ref(omega, TASK_ARCH, x_hat, y, t_feats)
@@ -167,9 +170,11 @@ def test_criterion_03_cap_invariant(capsys):
         assert np.array_equal(gen_grad(m_tiny), ce_only)
         # The fused route takes the same flat branch, and central differences
         # of the capped objective agree with it.
-        models = ndag.ClientModels(student=stu, generator=gen)
+        stack, X1, y1, t1 = helpers.one_client(
+            ndag.ClientModels(student=stu, generator=gen), X, y, t_feats
+        )
         hyper = ndag.NdagHyper(alpha=0.3, m=m_tiny)
-        fused = ndag.generator_grad(models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats)[3]
+        fused = ndag.generator_grad(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)[3][0]
         assert np.array_equal(fused, ce_only)
 
         def f_gen(phi):
@@ -239,22 +244,23 @@ def test_criterion_05_simplex_and_reductions(capsys):
 def test_criterion_06_ema_contraction(capsys):
     with criterion(capsys, 6, "EMA gap contracts exactly as decay^t for t <= 20"):
         rng = np.random.default_rng(6)
-        omega = ParamVector(rng.integers(-3, 4, size=41).astype(np.float64))
-        theta0 = ParamVector(rng.integers(-8, 9, size=41).astype(np.float64))
-        base = float(np.max(np.abs(theta0.values - omega.values)))
+        # One-client stacks: the in-place update every NDAG round runs.
+        omega = rng.integers(-3, 4, size=(1, 41)).astype(np.float64)
+        theta0 = rng.integers(-8, 9, size=(1, 41)).astype(np.float64)
+        base = float(np.max(np.abs(theta0 - omega)))
         assert base > 0.0
         # Integer starting points and dyadic decays keep every intermediate
         # exactly representable, so the identity holds bit for bit.
         for decay in (0.5, 0.25):
-            theta = theta0
+            theta = theta0.copy()
             for t in range(1, 21):
-                theta = ndag.ema_update(theta, omega, decay)
-                gap = float(np.max(np.abs(theta.values - omega.values)))
+                ndag.ema_update(theta, omega, decay)
+                gap = float(np.max(np.abs(theta - omega)))
                 assert gap == decay**t * base, (decay, t)
-        theta = theta0
+        theta = theta0.copy()
         for t in range(1, 21):
-            theta = ndag.ema_update(theta, omega, 0.999)
-            gap = float(np.max(np.abs(theta.values - omega.values)))
+            ndag.ema_update(theta, omega, 0.999)
+            gap = float(np.max(np.abs(theta - omega)))
             assert abs(gap - 0.999**t * base) <= 1e-12 * base
 
 
@@ -326,9 +332,9 @@ def test_criterion_10_single_step_directions(capsys, monkeypatch):
             t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
             pre = raw_dis(models.student, models.generator, models.teacher, X)
             assert pre < hyper.m, f"seed {seed} starts above the cap"
-            after_g, _, _, _ = ndag.generator_step(
-                models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-            )
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+            ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+            after_g = replace(models, generator=ParamVector(stack.generator.params[0]))
             post = raw_dis(models.student, after_g.generator, models.teacher, X)
             assert post >= pre, f"seed {seed}: generator step lowered discrepancy"
 
@@ -339,10 +345,8 @@ def test_criterion_10_single_step_directions(capsys, monkeypatch):
                 return float(helpers.nsd_rows_ref(t_feats, feats).mean())
 
             pre_sim = l_sim(after_g.student)
-            after_s, _, _, _, _ = ndag.student_step(
-                after_g, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-            )
-            assert l_sim(after_s.student) <= pre_sim, (
+            ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+            assert l_sim(stack.student.params[0]) <= pre_sim, (
                 f"seed {seed}: student step raised similarity loss"
             )
 
@@ -350,14 +354,11 @@ def test_criterion_10_single_step_directions(capsys, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ndag, "generator_grad", ad.generator_grad)
                 patch.setattr(ndag, "student_grad", ad.student_grad)
-                tape_g, _, _, _ = ndag.generator_step(
-                    models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-                )
-                tape_s, _, _, _, _ = ndag.student_step(
-                    after_g, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-                )
-            assert np.array_equal(tape_g.generator.values, after_g.generator.values)
-            assert np.array_equal(tape_s.student.values, after_s.student.values)
+                tape = helpers.one_client(models)[0]
+                ndag.generator_step(tape, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+                ndag.student_step(tape, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+            assert np.array_equal(tape.generator.params, stack.generator.params)
+            assert np.array_equal(tape.student.params, stack.student.params)
 
             # The fused gradients behind both steps match central differences
             # wherever no kink lies within the probe radius.
@@ -369,10 +370,11 @@ def test_criterion_10_single_step_directions(capsys, monkeypatch):
                 if min(margins.values()) <= 2e-3:
                     continue
                 fd_checked[phase] += 1
+                one, X1, y1, t1 = helpers.one_client(state, X, y, t_feats)
                 if phase == "generator":
                     analytic = ndag.generator_grad(
-                        state, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-                    )[3]
+                        one, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1
+                    )[3][0]
                     at = state.generator.values
 
                     def f(phi):
@@ -382,8 +384,8 @@ def test_criterion_10_single_step_directions(capsys, monkeypatch):
                         )
                 else:
                     analytic = ndag.student_grad(
-                        state, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-                    )[3]
+                        one, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1
+                    )[3][0]
                     at = state.student.values
 
                     def f(omega):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 
 import numpy as np
 import pytest

@@ -18,6 +18,7 @@ import pytest
 
 import autodiff as ad
 import feddag
+import helpers
 from feddag import ndag, nets
 from feddag.params import ParamVector
 from test_autodiff import GEN_ARCH, TASK_ARCH, clean_fixture
@@ -34,23 +35,27 @@ def assert_bitwise(fused, tape):
 
 
 def check_generator(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
-    args = (models, task_arch, gen_arch, X, y, hyper, t_feats, lo, hi)
+    """Both routes on a one-client stack; returns the fused values of that client."""
+    stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+    args = (stack, task_arch, gen_arch, X1, y1, hyper, t1, lo, hi)
     fused = ndag.generator_grad(*args)
     assert_bitwise(fused, ad.generator_grad(*args))
-    return fused
+    return [value[0] for value in fused]
 
 
 def check_student(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
-    args = (models, task_arch, gen_arch, X, y, hyper, t_feats, lo, hi)
+    stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+    args = (stack, task_arch, gen_arch, X1, y1, hyper, t1, lo, hi)
     fused = ndag.student_grad(*args)
     assert_bitwise(fused, ad.student_grad(*args))
-    return fused
+    return [value[0] for value in fused]
 
 
 def check_plain(models, task_arch, X, y):
-    fused = ndag.plain_grad(models, task_arch, X, y)
-    assert_bitwise(fused, ad.plain_grad(models, task_arch, X, y))
-    return fused
+    stack, X1, y1 = helpers.one_client(models, X, y, ndag_enabled=False)
+    fused = ndag.plain_grad(stack, task_arch, X1, y1)
+    assert_bitwise(fused, ad.plain_grad(stack, task_arch, X1, y1))
+    return [value[0] for value in fused]
 
 
 def check_all(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
@@ -114,11 +119,11 @@ class TestEdgeCases:
 
     def test_majority_collapse_raises_on_both_routes(self):
         models, X, y, t_feats = random_case(TASK_ARCH, GEN_ARCH, 3, 2)
-        t_feats = np.zeros_like(t_feats)
-        args = (models, TASK_ARCH, GEN_ARCH, X, y, HYPER, t_feats)
         for fn in (ndag.generator_grad, ad.generator_grad, ndag.student_grad, ad.student_grad):
-            with pytest.raises(ndag.FeatureCollapse):
-                fn(*args)
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, np.zeros_like(t_feats))
+            fn(stack, TASK_ARCH, GEN_ARCH, X1, y1, HYPER, t1)
+            with pytest.raises(ndag.FeatureCollapse, match="3/3 feature rows"):
+                stack.raise_failure()
 
     def test_distance_exactly_at_cap(self):
         models, X, y, t_feats = random_case(TASK_ARCH, GEN_ARCH, 4, 3)
@@ -198,9 +203,9 @@ def test_client_round_with_ragged_last_batch(monkeypatch, ndag_enabled):
 
     def run():
         return ndag.client_round(
-            models, WIDE_TASK, WIDE_GEN, X, y, hyper, ndag_enabled,
-            np.random.default_rng(0), local_epochs=2,
-        )
+            [models], WIDE_TASK, WIDE_GEN, [X], [y], hyper, ndag_enabled,
+            [np.random.default_rng(0)], local_epochs=2,
+        )[0]
 
     fused = run()
     with monkeypatch.context() as patch:

@@ -98,20 +98,18 @@ class TestGeneratorStep:
             expected = models.generator.values - hyper.lr * helpers.fd_grad(
                 fn, models.generator.values
             )
-            out, _, _, _ = ndag.generator_step(
-                models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-            )
-            assert np.abs(out.generator.values - expected).max() < 1e-6
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+            ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+            assert np.abs(stack.generator.params[0] - expected).max() < 1e-6
 
     def test_touches_only_the_generator(self):
         models, X, y, t_feats = clean_fixture(20)
-        out, _, _, _ = ndag.generator_step(
-            models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(), t_feats
-        )
-        assert out.student is models.student
-        assert out.teacher is models.teacher
-        assert out.student_opt is models.student_opt
-        assert not np.array_equal(out.generator.values, models.generator.values)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
+        assert np.array_equal(stack.student.params[0], models.student.values)
+        assert np.array_equal(stack.teacher[0], models.teacher.values)
+        assert stack.student.fresh and not stack.generator.fresh
+        assert not np.array_equal(stack.generator.params[0], models.generator.values)
 
     def test_fully_capped_batch_is_a_pure_classification_step(self):
         # with every raw discrepancy above the cap the -L_dis branch carries
@@ -134,60 +132,61 @@ class TestGeneratorStep:
             if raw.min() < 1e-4:
                 continue
             models = ndag.ClientModels(student=stu, generator=gen, teacher=tea)
-            out, _, l_dis, _ = ndag.generator_step(
-                models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-            )
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+            _, l_dis, _ = ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
             gen_layers = ad.layer_tensors(gen, GEN_ARCH, trainable=True)
             stu_layers = ad.layer_tensors(stu, TASK_ARCH, trainable=False)
             x = ad.Tensor(X)
             xh = ad.clip(ad.add(x, ad.scale(ad.gen_graph(gen_layers, x), hyper.alpha)), 0.0, 1.0)
             _, logits = ad.task_graph(stu_layers, xh)
             ad.backward(ad.cross_entropy_mean(logits, y))
-            from feddag.params import sgd_step
-            ref, _ = sgd_step(gen, ad.flat_grad(gen_layers), hyper.lr,
-                              hyper.momentum, hyper.weight_decay, models.gen_opt)
-            assert np.array_equal(out.generator.values, ref.values)
-            assert l_dis == pytest.approx(hyper.m, rel=1e-12)
+            ref, _ = helpers.mirror_sgd(gen.values, ad.flat_grad(gen_layers).values, None,
+                                        hyper.lr, hyper.momentum, hyper.weight_decay)
+            assert np.array_equal(stack.generator.params[0], ref)
+            assert l_dis[0] == pytest.approx(hyper.m, rel=1e-12)
             return
         raise RuntimeError("no fully capped fixture found")
 
     def test_alpha_zero_leaves_generator_unchanged(self):
         hyper = step_hyper(alpha=0.0)
         models, X, y, t_feats = clean_fixture(21, n_lo=3, n_hi=3)
-        out, _, _, _ = ndag.generator_step(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-        )
-        assert np.array_equal(out.generator.values, models.generator.values)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+        assert np.array_equal(stack.generator.params[0], models.generator.values)
 
     def test_majority_collapse_raises(self):
         models, X, y, _ = clean_fixture(22, n_lo=3, n_hi=3)
         models = replace(models, student=ParamVector(np.zeros(TASK_ARCH.param_count())))
         t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
         with pytest.raises(ndag.FeatureCollapse):
-            ndag.generator_step(models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(), t_feats)
+            stack.raise_failure()
 
     def test_minority_degenerate_rows_counted_and_skipped(self):
         hyper = step_hyper()
         models, X, y, t_feats = clean_fixture(23, n_lo=3, n_hi=3)
         t_feats = t_feats.copy()
         t_feats[0] = 0.0
-        out, _, l_dis, bad = ndag.generator_step(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-        )
-        assert bad == 1
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        _, l_dis, bad = ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+        assert bad.tolist() == [1]
+        assert stack.errors == {}
         x_hat = ndag.generate(models.generator, GEN_ARCH, X, hyper.alpha)
         s_feats, _ = nets.task_apply(models.student, TASK_ARCH, x_hat)
         live = helpers.nsd_rows_ref(t_feats[1:], s_feats[1:])
         expected = float(np.minimum(live, hyper.m).sum()) / 3.0
-        assert l_dis == pytest.approx(expected, rel=1e-12)
+        assert l_dis[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_forward_raises_divergence(self):
         models, X, y, t_feats = clean_fixture(24, n_lo=2, n_hi=2)
         huge = ParamVector(np.full(TASK_ARCH.param_count(), 1e200))
         models = replace(models, student=huge)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
         with pytest.raises(ndag.DivergenceError):
-            ndag.generator_step(models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(), t_feats)
+            stack.raise_failure()
 
 
 class TestStudentStep:
@@ -200,20 +199,18 @@ class TestStudentStep:
             expected = models.student.values - hyper.lr * helpers.fd_grad(
                 fn, models.student.values
             )
-            out, _, _, _, _ = ndag.student_step(
-                models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-            )
-            assert np.abs(out.student.values - expected).max() < 1e-6
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+            ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+            assert np.abs(stack.student.params[0] - expected).max() < 1e-6
 
     def test_touches_only_the_student(self):
         models, X, y, t_feats = clean_fixture(120)
-        out, _, _, _, _ = ndag.student_step(
-            models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(), t_feats
-        )
-        assert out.generator is models.generator
-        assert out.teacher is models.teacher
-        assert out.gen_opt is models.gen_opt
-        assert not np.array_equal(out.student.values, models.student.values)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
+        assert np.array_equal(stack.generator.params[0], models.generator.values)
+        assert np.array_equal(stack.teacher[0], models.teacher.values)
+        assert stack.generator.fresh and not stack.student.fresh
+        assert not np.array_equal(stack.student.params[0], models.student.values)
 
     def test_reduces_to_plain_classification_at_self_teacher(self):
         # teacher == student and alpha = 0 put L_sim exactly at its zero
@@ -226,13 +223,13 @@ class TestStudentStep:
         y = rng.integers(0, 3, size=4)
         models = ndag.ClientModels(student=stu, generator=gen, teacher=stu)
         t_feats, _ = nets.task_apply(stu, TASK_ARCH, X)
-        out, _, _, l_sim, _ = ndag.student_step(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-        )
-        plain, _, _ = ndag.plain_step(models, TASK_ARCH, X, y, hyper)
-        assert l_sim == 0.0
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        _, _, l_sim, _ = ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+        plain = helpers.one_client(models, ndag_enabled=False)[0]
+        ndag.plain_step(plain, TASK_ARCH, X1, y1, hyper)
+        assert l_sim.tolist() == [0.0]
         np.testing.assert_allclose(
-            out.student.values, plain.student.values, rtol=0.0, atol=1e-14
+            stack.student.params, plain.student.params, rtol=0.0, atol=1e-14
         )
 
     def test_identical_samples_mean_invariance(self):
@@ -241,50 +238,53 @@ class TestStudentStep:
         Xk = np.tile(X, (4, 1))
         yk = np.tile(y, 4)
         tk = np.tile(t_feats, (4, 1))
-        _, g1, _, _, _ = ndag.student_step(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, t_feats
-        )
-        _, gk, _, _, _ = ndag.student_step(
-            models, TASK_ARCH, GEN_ARCH, Xk, yk, hyper, tk
-        )
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        g1, _, _, _ = ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
+        stack, Xk1, yk1, tk1 = helpers.one_client(models, Xk, yk, tk)
+        gk, _, _, _ = ndag.student_step(stack, TASK_ARCH, GEN_ARCH, Xk1, yk1, hyper, tk1)
         # averaging k copies is the same objective; only BLAS kernel choice
         # for the wider batch can move the last ulp
-        np.testing.assert_allclose(gk.values, g1.values, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(gk, g1, rtol=1e-15, atol=1e-15)
+
+
+def ema(teacher, student, decay):
+    """One EMA step on a one-client stack; returns the new teacher row."""
+    stack = teacher.reshape(1, -1).copy()
+    assert ndag.ema_update(stack, student.reshape(1, -1), decay).tolist() == [True]
+    return stack[0]
 
 
 class TestEmaUpdate:
     def test_decay_one_keeps_teacher(self):
         rng = np.random.default_rng(30)
-        t = ParamVector(rng.normal(size=17))
-        s = ParamVector(rng.normal(size=17))
-        assert np.array_equal(ndag.ema_update(t, s, 1.0).values, t.values)
+        t = rng.normal(size=17)
+        s = rng.normal(size=17)
+        assert np.array_equal(ema(t, s, 1.0), t)
 
     def test_decay_zero_copies_student(self):
         rng = np.random.default_rng(31)
-        t = ParamVector(rng.normal(size=17))
-        s = ParamVector(rng.normal(size=17))
-        assert np.array_equal(ndag.ema_update(t, s, 0.0).values, s.values)
+        t = rng.normal(size=17)
+        s = rng.normal(size=17)
+        assert np.array_equal(ema(t, s, 0.0), s)
 
     def test_worked_example_hundredth_step(self):
-        t = ParamVector(np.zeros(9))
-        s = ParamVector(np.ones(9))
-        out = ndag.ema_update(t, s, 0.99)
-        np.testing.assert_allclose(out.values, 0.01, rtol=0.0, atol=1e-15)
+        out = ema(np.zeros(9), np.ones(9), 0.99)
+        np.testing.assert_allclose(out, 0.01, rtol=0.0, atol=1e-15)
 
     def test_dyadic_contraction_is_exact(self):
         # dyadic decay on small-integer weights stays exactly representable,
         # so the gap must track decay^t with zero rounding for t <= 20
         rng = np.random.default_rng(32)
         for decay in (0.5, 0.75):
-            theta = ParamVector(rng.integers(-8, 9, size=12).astype(np.float64))
-            omega = ParamVector(rng.integers(-8, 9, size=12).astype(np.float64))
-            gap0 = np.abs(theta.values - omega.values).max()
+            theta = rng.integers(-8, 9, size=(1, 12)).astype(np.float64)
+            omega = rng.integers(-8, 9, size=(1, 12)).astype(np.float64)
+            gap0 = np.abs(theta - omega).max()
             assert gap0 > 0
             expected = gap0
             for t in range(1, 21):
-                theta = ndag.ema_update(theta, omega, decay)
+                ndag.ema_update(theta, omega, decay)
                 expected *= decay
-                gap = np.abs(theta.values - omega.values).max()
+                gap = np.abs(theta - omega).max()
                 assert gap == expected
                 assert gap == decay**t * gap0
 
@@ -292,18 +292,17 @@ class TestEmaUpdate:
         rng = np.random.default_rng(33)
         t = rng.normal(size=25)
         s = rng.normal(size=25)
-        out = ndag.ema_update(ParamVector(t), ParamVector(s), 0.95)
-        assert np.array_equal(out.values, 0.95 * t + (1.0 - 0.95) * s)
+        assert np.array_equal(ema(t, s, 0.95), 0.95 * t + (1.0 - 0.95) * s)
 
     def test_contraction_never_expands(self):
         rng = np.random.default_rng(34)
         for decay in (0.3, 0.9, 0.999):
-            theta = ParamVector(rng.normal(size=10))
-            omega = ParamVector(rng.normal(size=10))
-            gap0 = np.abs(theta.values - omega.values).max()
+            theta = rng.normal(size=(1, 10))
+            omega = rng.normal(size=(1, 10))
+            gap0 = np.abs(theta - omega).max()
             for t in range(1, 13):
-                theta = ndag.ema_update(theta, omega, decay)
-                gap = np.abs(theta.values - omega.values).max()
+                ndag.ema_update(theta, omega, decay)
+                gap = np.abs(theta - omega).max()
                 bound = decay**t * gap0
                 # each step rounds against the O(1) student weights, so the
                 # drift is absolute (~t ulps), not relative to the shrinking gap
@@ -311,15 +310,31 @@ class TestEmaUpdate:
                 assert gap == pytest.approx(bound, abs=1e-13 * t)
 
     def test_decay_out_of_range_rejected(self):
-        t = ParamVector(np.ones(3))
+        t = np.ones((1, 3))
         with pytest.raises(ValueError):
-            ndag.ema_update(t, t, -0.1)
+            ndag.ema_update(t, t.copy(), -0.1)
         with pytest.raises(ValueError):
-            ndag.ema_update(t, t, 1.1)
+            ndag.ema_update(t, t.copy(), 1.1)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            ndag.ema_update(ParamVector(np.ones(3)), ParamVector(np.ones(4)), 0.5)
+            ndag.ema_update(np.ones((1, 3)), np.ones((1, 4)), 0.5)
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(35)
+        t = rng.normal(size=(3, 8))
+        s = rng.normal(size=(3, 8))
+        rows = [ema(t[c], s[c], 0.9) for c in range(3)]
+        ndag.ema_update(t, s, 0.9)
+        assert all(np.array_equal(t[c], rows[c]) for c in range(3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_flagged(self):
+        t = np.array([[1.7e308], [1.0]])
+        s = np.array([[1.7e308], [2.0]])
+        assert ndag.ema_update(t, s, 0.5).tolist() == [True, True]
+        t = np.array([[np.inf], [1.0]])
+        assert ndag.ema_update(t, s, 0.5).tolist() == [False, True]
 
 
 def round_fixture(seed, n=8):
@@ -345,9 +360,9 @@ class TestClientRound:
         hyper = ndag.NdagHyper(batch_size=3)
         models, X, y = round_fixture(0)
         result = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, ndag_enabled=False,
-            rng=np.random.default_rng(11), local_epochs=2,
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=False,
+            rngs=[np.random.default_rng(11)], local_epochs=2,
+        )[0]
         ref = helpers.reference_local_round(
             models.student.values, TASK_ARCH, X, y, hyper.lr, hyper.momentum,
             hyper.weight_decay, hyper.batch_size, np.random.default_rng(11), epochs=2,
@@ -357,54 +372,55 @@ class TestClientRound:
     def test_plain_path_uploads_the_student(self):
         models, X, y = round_fixture(1)
         result = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, ndag.NdagHyper(), ndag_enabled=False,
-            rng=np.random.default_rng(1),
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(), ndag_enabled=False,
+            rngs=[np.random.default_rng(1)],
+        )[0]
         assert result.upload is result.models.student
 
     def test_ndag_path_uploads_the_teacher(self):
         models, X, y = round_fixture(2)
         result = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(), ndag_enabled=True,
-            rng=np.random.default_rng(2),
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(), ndag_enabled=True,
+            rngs=[np.random.default_rng(2)],
+        )[0]
         assert result.upload is result.models.teacher
 
     def test_single_batch_composition_matches_manual_steps(self):
         hyper = step_hyper(weight_decay=5e-4)
         models, X, y = round_fixture(3, n=6)
         result = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, ndag_enabled=True,
-            rng=np.random.default_rng(9),
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=True,
+            rngs=[np.random.default_rng(9)],
+        )[0]
         order = np.random.default_rng(9).permutation(6)
         xb, yb = X[order], y[order]
         t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, xb)
-        m1, l_cls_g, l_dis, _ = ndag.generator_step(
-            models, TASK_ARCH, GEN_ARCH, xb, yb, hyper, t_feats
+        stack, xb1, yb1, t1 = helpers.one_client(models, xb, yb, t_feats)
+        l_cls_g, l_dis, _ = ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, xb1, yb1, hyper, t1)
+        grad, l_cls_s, l_sim, _ = ndag.student_step(
+            stack, TASK_ARCH, GEN_ARCH, xb1, yb1, hyper, t1
         )
-        m2, grad, l_cls_s, l_sim, _ = ndag.student_step(
-            m1, TASK_ARCH, GEN_ARCH, xb, yb, hyper, t_feats
-        )
-        teacher = ndag.ema_update(m2.teacher, m2.student, hyper.ema_decay)
-        assert np.array_equal(result.models.student.values, m2.student.values)
-        assert np.array_equal(result.models.generator.values, m2.generator.values)
-        assert np.array_equal(result.models.teacher.values, teacher.values)
-        assert np.array_equal(result.last_grad.values, grad.values)
-        assert result.trace == [ndag.BatchTrace(0, l_cls_g, l_dis, l_cls_s, l_sim)]
+        ndag.ema_update(stack.teacher, stack.student.params, hyper.ema_decay)
+        assert np.array_equal(result.models.student.values, stack.student.params[0])
+        assert np.array_equal(result.models.generator.values, stack.generator.params[0])
+        assert np.array_equal(result.models.teacher.values, stack.teacher[0])
+        assert np.array_equal(result.last_grad.values, grad[0])
+        losses = (l_cls_g[0], l_dis[0], l_cls_s[0], l_sim[0])
+        assert result.trace == [ndag.BatchTrace(0, *losses)]
 
     def test_alpha_zero_decay_zero_degenerates_to_plain_sgd(self):
         hyper = step_hyper(alpha=0.0, ema_decay=0.0, weight_decay=5e-4)
         models, X, y = round_fixture(4, n=5)
         models = replace(models, teacher=models.student)
         result = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, hyper, ndag_enabled=True,
-            rng=np.random.default_rng(5),
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=True,
+            rngs=[np.random.default_rng(5)],
+        )[0]
         order = np.random.default_rng(5).permutation(5)
-        plain, _, _ = ndag.plain_step(models, TASK_ARCH, X[order], y[order], hyper)
+        plain, X1, y1 = helpers.one_client(models, X[order], y[order], ndag_enabled=False)
+        ndag.plain_step(plain, TASK_ARCH, X1, y1, hyper)
         np.testing.assert_allclose(
-            result.models.student.values, plain.student.values, rtol=0.0, atol=1e-14
+            result.models.student.values, plain.student.params[0], rtol=0.0, atol=1e-14
         )
         assert np.array_equal(
             result.models.teacher.values, result.models.student.values
@@ -415,9 +431,9 @@ class TestClientRound:
         models, X, y = round_fixture(6)
         runs = [
             ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, X, y, hyper, ndag_enabled=True,
-                rng=np.random.default_rng(77), local_epochs=2,
-            )
+                [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=True,
+                rngs=[np.random.default_rng(77)], local_epochs=2,
+            )[0]
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].models.teacher.values, runs[1].models.teacher.values)
@@ -429,18 +445,18 @@ class TestClientRound:
     def test_trace_rows_cover_both_paths(self):
         models, X, y = round_fixture(7)
         plain = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, ndag.NdagHyper(batch_size=4),
-            ndag_enabled=False, rng=np.random.default_rng(3), local_epochs=2,
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(batch_size=4),
+            ndag_enabled=False, rngs=[np.random.default_rng(3)], local_epochs=2,
+        )[0]
         assert [t.batch for t in plain.trace] == [0, 1, 2, 3]
         assert all(
             t.l_cls_g is None and t.l_dis is None and t.l_sim is None
             for t in plain.trace
         )
         full = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(batch_size=4),
-            ndag_enabled=True, rng=np.random.default_rng(3),
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(batch_size=4),
+            ndag_enabled=True, rngs=[np.random.default_rng(3)],
+        )[0]
         for t in full.trace:
             for value in (t.l_cls_g, t.l_dis, t.l_cls_s, t.l_sim):
                 assert isinstance(value, float) and np.isfinite(value)
@@ -449,34 +465,34 @@ class TestClientRound:
         models, X, y = round_fixture(8)
         with pytest.raises(ValueError):
             ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, X[:0], y[:0], ndag.NdagHyper(),
-                ndag_enabled=False, rng=np.random.default_rng(0),
-            )
+                [models], TASK_ARCH, GEN_ARCH, [X[:0]], [y[:0]], ndag.NdagHyper(),
+                ndag_enabled=False, rngs=[np.random.default_rng(0)],
+            )[0]
 
     def test_label_shape_mismatch_rejected(self):
         models, X, y = round_fixture(9)
         with pytest.raises(ValueError):
             ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, X, y[:-1], ndag.NdagHyper(),
-                ndag_enabled=False, rng=np.random.default_rng(0),
-            )
+                [models], TASK_ARCH, GEN_ARCH, [X], [y[:-1]], ndag.NdagHyper(),
+                ndag_enabled=False, rngs=[np.random.default_rng(0)],
+            )[0]
 
     def test_zero_epochs_rejected(self):
         models, X, y = round_fixture(10)
         with pytest.raises(ValueError):
             ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, X, y, ndag.NdagHyper(),
-                ndag_enabled=False, rng=np.random.default_rng(0), local_epochs=0,
-            )
+                [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(),
+                ndag_enabled=False, rngs=[np.random.default_rng(0)], local_epochs=0,
+            )[0]
 
     def test_ndag_without_teacher_rejected(self):
         models, X, y = round_fixture(11)
         models = replace(models, teacher=None)
         with pytest.raises(ValueError):
             ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, X, y, step_hyper(), ndag_enabled=True,
-                rng=np.random.default_rng(0),
-            )
+                [models], TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(), ndag_enabled=True,
+                rngs=[np.random.default_rng(0)],
+            )[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_lr_aborts_with_diagnostic(self):
@@ -484,16 +500,16 @@ class TestClientRound:
         hyper = ndag.NdagHyper(lr=1e12, batch_size=2)
         with pytest.raises(ndag.DivergenceError):
             ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, X, y, hyper, ndag_enabled=False,
-                rng=np.random.default_rng(0), local_epochs=4,
-            )
+                [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=False,
+                rngs=[np.random.default_rng(0)], local_epochs=4,
+            )[0]
 
     def test_last_grad_mirrors_final_batch(self):
         models, X, y = round_fixture(13, n=4)
         result = ndag.client_round(
-            models, TASK_ARCH, GEN_ARCH, X, y, ndag.NdagHyper(batch_size=4),
-            ndag_enabled=False, rng=np.random.default_rng(21),
-        )
+            [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(batch_size=4),
+            ndag_enabled=False, rngs=[np.random.default_rng(21)],
+        )[0]
         order = np.random.default_rng(21).permutation(4)
         g, _ = helpers.mirror_plain_grad(models.student.values, TASK_ARCH, X[order], y[order])
         assert np.array_equal(result.last_grad.values, g)
@@ -520,27 +536,23 @@ class TestDirectionalSteps:
             t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
             pre = self.raw_dis(models.student, models.generator, models.teacher, X)
             assert pre < self.HYPER.m
-            out, _, _, _ = ndag.generator_step(
-                models, TASK_ARCH, GEN_ARCH, X, y, self.HYPER, t_feats
-            )
-            post = self.raw_dis(models.student, out.generator, models.teacher, X)
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+            ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, self.HYPER, t1)
+            post = self.raw_dis(models.student, stack.generator.params[0], models.teacher, X)
             assert post >= pre
 
     def test_student_step_does_not_increase_similarity(self):
         for seed in range(30):
             models, X, y = fixtures.saturated_fixture(seed, TASK_ARCH, GEN_ARCH)
             t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
-            after_g, _, _, _ = ndag.generator_step(
-                models, TASK_ARCH, GEN_ARCH, X, y, self.HYPER, t_feats
-            )
-            x_hat = ndag.generate(after_g.generator, GEN_ARCH, X, 0.3)
+            stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+            ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, self.HYPER, t1)
+            x_hat = ndag.generate(stack.generator.params[0], GEN_ARCH, X, 0.3)
 
             def l_sim(params):
                 f, _ = nets.task_apply(params, TASK_ARCH, x_hat)
                 return float(helpers.nsd_rows_ref(t_feats, f).mean())
 
-            pre = l_sim(after_g.student)
-            out, _, _, _, _ = ndag.student_step(
-                after_g, TASK_ARCH, GEN_ARCH, X, y, self.HYPER, t_feats
-            )
-            assert l_sim(out.student) <= pre
+            pre = l_sim(stack.student.params[0])
+            ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, self.HYPER, t1)
+            assert l_sim(stack.student.params[0]) <= pre

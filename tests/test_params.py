@@ -9,16 +9,25 @@ from feddag.params import (
     DimensionMismatch,
     NonFiniteValues,
     ParamVector,
+    SgdRows,
     SgdState,
     param_axpy,
     param_mean,
-    param_scale,
     sgd_step,
 )
 
 
 def vec(*xs):
     return ParamVector(np.array(xs, dtype=np.float64))
+
+
+def rows(*vectors):
+    """Fresh one-per-row SGD stack of the given parameter vectors."""
+    return SgdRows.stack([vec(*v) for v in vectors], [SgdState() for _ in vectors])
+
+
+def grads(*vectors):
+    return np.array(vectors, dtype=np.float64)
 
 
 class TestParamVector:
@@ -54,9 +63,6 @@ class TestAlgebra:
         out = param_axpy(2.0, vec(1.0, 2.0), vec(3.0, 4.0))
         assert out.values.tolist() == [5.0, 8.0]
 
-    def test_scale(self):
-        assert param_scale(0.5, vec(2.0, 4.0)).values.tolist() == [1.0, 2.0]
-
     def test_mean_single_is_identity(self):
         v = vec(1.5, -2.5)
         assert np.array_equal(param_mean([v]).values, v.values)
@@ -78,49 +84,86 @@ class TestAlgebra:
 
 class TestSgdStep:
     def test_zero_grad_zero_wd_unchanged(self):
-        p = vec(1.0, -2.0)
-        out, _ = sgd_step(p, vec(0.0, 0.0), 0.1, 0.9, 0.0, SgdState())
-        assert np.array_equal(out.values, p.values)
+        p = rows((1.0, -2.0))
+        ok = sgd_step(p, grads((0.0, 0.0)), 0.1, 0.9, 0.0)
+        assert p.params.tolist() == [[1.0, -2.0]]
+        assert ok.tolist() == [True]
 
     def test_plain_gradient_descent(self):
-        out, _ = sgd_step(vec(1.0, 1.0), vec(2.0, -4.0), 0.1, 0.0, 0.0, SgdState())
-        np.testing.assert_allclose(out.values, [0.8, 1.4], rtol=0, atol=1e-15)
+        p = rows((1.0, 1.0), (0.0, 2.0))
+        sgd_step(p, grads((2.0, -4.0), (1.0, 0.0)), 0.1, 0.0, 0.0)
+        np.testing.assert_allclose(p.params, [[0.8, 1.4], [-0.1, 2.0]], rtol=0, atol=1e-15)
 
     def test_two_momentum_steps_displacement(self):
         # constant grad g, momentum 0.9: buf goes g then 1.9 g, so the total
         # displacement after two steps is lr * g * 2.9
-        p = vec(0.0, 0.0)
-        g = vec(1.0, -2.0)
+        p = rows((0.0, 0.0))
+        g = grads((1.0, -2.0))
         lr = 0.01
-        p1, st = sgd_step(p, g, lr, 0.9, 0.0, SgdState())
-        p2, _ = sgd_step(p1, g, lr, 0.9, 0.0, st)
-        np.testing.assert_allclose(
-            p2.values, -lr * 2.9 * g.values, rtol=0, atol=1e-15
-        )
+        sgd_step(p, g, lr, 0.9, 0.0)
+        sgd_step(p, g, lr, 0.9, 0.0)
+        np.testing.assert_allclose(p.params, -lr * 2.9 * g, rtol=0, atol=1e-15)
 
     def test_weight_decay_folded_into_gradient(self):
-        p = vec(10.0)
-        out, _ = sgd_step(p, vec(1.0), 0.1, 0.0, 0.01, SgdState())
+        p = rows((10.0,))
+        sgd_step(p, grads((1.0,)), 0.1, 0.0, 0.01)
         # g_eff = 1 + 0.01 * 10 = 1.1
-        np.testing.assert_allclose(out.values, [10.0 - 0.1 * 1.1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p.params, [[10.0 - 0.1 * 1.1]], rtol=0, atol=1e-15)
 
     def test_state_is_not_aliased(self):
-        p = vec(1.0, 1.0)
-        _, st = sgd_step(p, vec(1.0, 1.0), 0.1, 0.9, 0.0, SgdState())
+        # The caller keeps the gradient (a client's last one is uploaded for
+        # the sharpness probe), so the in-place buffer must not share it.
+        p = rows((1.0, 1.0))
+        g = grads((1.0, 1.0))
+        sgd_step(p, g, 0.1, 0.9, 0.0)
+        assert not np.shares_memory(p.buf, g)
+        sgd_step(p, g, 0.1, 0.9, 0.0)
+        assert g.tolist() == [[1.0, 1.0]]
+        _, state = p.row(0)
         with pytest.raises(ValueError):
-            st.momentum_buf[0] = 7.0
+            state.momentum_buf[0] = 7.0
 
     def test_non_finite_grads_rejected(self):
-        bad = ParamVector.__new__(ParamVector)
-        arr = np.array([1.0, np.nan])
-        arr.flags.writeable = False
-        object.__setattr__(bad, "values", arr)
-        with pytest.raises(NonFiniteValues):
-            sgd_step(vec(1.0, 1.0), bad, 0.1, 0.0, 0.0, SgdState())
+        p = rows((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+        ok = sgd_step(p, grads((1.0, np.nan), (0.0, 0.0), (np.inf, 0.0)), 0.1, 0.0, 0.0)
+        assert ok.tolist() == [False, True, False]
 
     def test_hyper_validation(self):
-        p, g = vec(1.0), vec(1.0)
+        g = grads((1.0,))
         with pytest.raises(ValueError):
-            sgd_step(p, g, 0.0, 0.0, 0.0, SgdState())
+            sgd_step(rows((1.0,)), g, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            sgd_step(p, g, 0.1, 1.0, 0.0, SgdState())
+            sgd_step(rows((1.0,)), g, 0.1, 1.0, 0.0)
+        with pytest.raises(DimensionMismatch):
+            sgd_step(rows((1.0,)), grads((1.0, 2.0)), 0.1, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_flagged(self):
+        p = rows((1e308,), (1.0,))
+        ok = sgd_step(p, grads((-1e308,), (1.0,)), 10.0, 0.0, 0.0)
+        assert ok.tolist() == [False, True]
+
+
+class TestSgdRows:
+    def test_stack_copies_and_round_trips(self):
+        a, b = vec(1.0, 2.0), vec(3.0, 4.0)
+        p = SgdRows.stack([a, b], [SgdState(), SgdState()])
+        p.params += 1.0
+        assert a.values.tolist() == [1.0, 2.0]
+        out, state = p.row(1)
+        assert out.values.tolist() == [4.0, 5.0]
+        assert state.momentum_buf is None
+
+    def test_mixed_buffers_rejected(self):
+        with pytest.raises(ValueError):
+            SgdRows.stack([vec(1.0), vec(2.0)], [SgdState(np.zeros(1)), SgdState()])
+
+    def test_take_slice_is_a_view_and_index_a_copy(self):
+        p = rows((1.0,), (2.0,), (3.0,))
+        sgd_step(p.take(slice(0, 2)), grads((1.0,), (1.0,)), 1.0, 0.0, 0.0)
+        assert p.params.tolist() == [[0.0], [1.0], [3.0]]
+        part = p.take(np.array([0, 2]))
+        sgd_step(part, grads((1.0,), (1.0,)), 1.0, 0.0, 0.0)
+        assert p.params.tolist() == [[0.0], [1.0], [3.0]]
+        p.put(np.array([0, 2]), part)
+        assert p.params.tolist() == [[-1.0], [1.0], [2.0]]

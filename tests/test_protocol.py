@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import helpers
-from feddag import data, ndag, nets, protocol, sha
+from feddag import data, ndag, nets, protocol
 from feddag.ndag import NdagHyper
-from feddag.params import ParamVector
 from feddag.protocol import ClientRoundError, FederationConfig
 from feddag.sha import ShaHyper
 
@@ -268,6 +269,20 @@ class TestRunFederation:
         with pytest.raises(ClientRoundError, match="client 0") as excinfo:
             protocol.run_federation(BENCH[:2], config, TASK_ARCH, GEN_ARCH)
         assert excinfo.value.client == 0
+        assert isinstance(excinfo.value.cause, ndag.DivergenceError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["fedavg", "feddag"])
+    def test_divergence_names_the_failing_client(self, mode):
+        # Only client 1's inputs break training, and client 0 trains in the
+        # same lockstep stacks.  Huge inputs overflow the plain step; NDAG
+        # clips finite perturbed inputs back into range, so it gets infinite ones.
+        x = BENCH[1].train_x
+        broken = replace(BENCH[1], train_x=x * 1e300 if mode == "fedavg" else x + np.inf)
+        config = fed(mode=mode, rounds=1, warmup=0)
+        with pytest.raises(ClientRoundError, match="client 1") as excinfo:
+            protocol.run_federation([BENCH[0], broken], config, TASK_ARCH, GEN_ARCH)
+        assert excinfo.value.client == 1
         assert isinstance(excinfo.value.cause, ndag.DivergenceError)
 
     def test_trace_collection_only_on_request(self):
