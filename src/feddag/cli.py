@@ -17,6 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import metrics, protocol, reporting
+from .atomic import atomic_open
 from .data import export_csv
 from .ndag import DivergenceError
 from .nets import GenArch, TaskArch
@@ -47,7 +48,7 @@ def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index
         "role": role,
         "round": round_index,
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 
@@ -160,7 +161,7 @@ def cmd_ablate(cfg: dict) -> int:
             avg = None if any(v is None for v in avg) else float(np.mean(avg))
             row += [_fmt_cell(v) for v in per_domain] + [_fmt_cell(avg)]
         rows.append(row)
-    with open(os.path.join(out, "ablation.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out, "ablation.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -198,7 +199,7 @@ def cmd_ablate(cfg: dict) -> int:
                         repr(cmp.p_value),
                     ]
                 )
-    with open(os.path.join(out, "ablation_stats.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out, "ablation_stats.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["comparison", "metric", "pairing", "mean_diff", "wins", "losses", "ties", "p_value"]
@@ -219,6 +220,9 @@ def cmd_sweep(cfg: dict) -> int:
     int_params = {"k", "eval_clients_per_round", "n_clients"}
     if param in int_params and not all(float(v).is_integer() for v in values):
         raise cfgmod.ConfigError(f"sweep_values for {param!r} must be integers, got {values}")
+    if param == "n_clients" and cfg["data_csv"]:
+        # A CSV bench fixes its domains, so every point would train the same federation.
+        raise cfgmod.ConfigError("sweep over 'n_clients' needs the synthetic bench, not data_csv")
 
     def cfg_for(value):
         if param in int_params:
@@ -230,7 +234,7 @@ def cmd_sweep(cfg: dict) -> int:
 
     reports = [_lodo_report(cfg_for(v))[0] for v in values]
 
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out, "sweep.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "value", "acc_avg", "f1_avg", "auc_avg"])
         for value, report in zip(values, reports):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
+
 # Internal generation constants: class anchors at unit scale, noise high
 # enough that held-out accuracy stays well below ceiling, rotation wide
 # enough that the cross-domain gap dominates the in-domain variance.
@@ -172,7 +174,7 @@ def make_benchmark(spec: BenchSpec) -> list[DomainDataset]:
 def export_csv(spec: BenchSpec, path: str) -> None:
     """Write the benchmark as one flat CSV: domain,label,f0..f<dim-1>."""
     domains, labels, features = generate_table(spec)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "label"] + [f"f{i}" for i in range(spec.input_dim)])
         for d, y, x in zip(domains, labels, features):

@@ -8,22 +8,26 @@ the perturbed batch to classify it and to re-align its features with the
 teacher.  The teacher trails the student by exponential moving average and
 is what the client uploads.
 
-The clients of a round train in lockstep.  Their weights are rows of
-stacked (C, P) arrays (ClientStack), and each batch step runs once for a
-stack of clients whose batches have the same size, on (C, B, d)
+The clients of a round train in lockstep.  A round takes and returns their
+weights as rows of stacked (C, P) arrays, and each batch step runs once for
+a stack of clients whose batches have the same size, on (C, B, d)
 activations, so numpy dispatches each op once per stack rather than once
 per client.  Every stacked op is bitwise equal to its per-client form, so a
 client's result does not depend on which clients share its stack.
+
+Students and generators start each round from the global models, and their
+momentum buffers start at zero.  The teacher rows are the only per-client
+state that a caller carries from one round to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nets
-from .params import DimensionMismatch, ParamVector, SgdRows, SgdState, sgd_step
+from .params import DimensionMismatch, SgdRows, sgd_step
 
 
 # Feature rows with a smaller norm have no direction to compare.
@@ -78,17 +82,6 @@ class NdagHyper:
 
 
 @dataclass(frozen=True)
-class ClientModels:
-    """Teacher/student/generator weights plus the optimizer buffers."""
-
-    student: ParamVector
-    generator: ParamVector
-    teacher: ParamVector | None = None
-    student_opt: SgdState = SgdState()
-    gen_opt: SgdState = SgdState()
-
-
-@dataclass(frozen=True)
 class BatchTrace:
     batch: int
     l_cls_g: float | None
@@ -98,13 +91,25 @@ class BatchTrace:
 
 
 @dataclass(frozen=True)
-class ClientRoundResult:
-    models: ClientModels
-    upload: ParamVector
-    last_grad: ParamVector
-    mean_train_loss: float
-    trace: list[BatchTrace]
+class RoundResult:
+    """One local round of C clients; every array holds one row per client.
+
+    generator and teacher are None when the round ran without NDAG.
+    degenerate_rows is the round's total over clients and batches.
+    """
+
+    student: np.ndarray
+    generator: np.ndarray | None
+    teacher: np.ndarray | None
+    last_grads: np.ndarray
+    mean_train_losses: list[float]
+    traces: list[list[BatchTrace]]
     degenerate_rows: int
+
+    @property
+    def uploads(self) -> np.ndarray:
+        """What the clients send: the teachers with NDAG, the students without."""
+        return self.student if self.teacher is None else self.teacher
 
 
 def generate(
@@ -137,17 +142,6 @@ class ClientStack:
     generator: SgdRows | None = None
     teacher: np.ndarray | None = None
     errors: dict[int, DivergenceError] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, models: list[ClientModels], ndag_enabled: bool) -> ClientStack:
-        """Copy the clients' weights into rows; NDAG's only when it is on."""
-        student = SgdRows.stack([m.student for m in models], [m.student_opt for m in models])
-        if not ndag_enabled:
-            return cls(student)
-        if any(m.teacher is None for m in models):
-            raise ValueError("ndag round requires an initialized teacher")
-        generator = SgdRows.stack([m.generator for m in models], [m.gen_opt for m in models])
-        return cls(student, generator, np.stack([m.teacher.values for m in models]))
 
     def take(self, positions: list[int]) -> ClientStack:
         """The given rows (ascending) as a stack of their own.
@@ -422,13 +416,13 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.nda
     return np.isfinite(teacher).all(axis=1)
 
 
-def _local_step(part, task_arch, gen_arch, x, y, hyper, ndag_enabled, lo, hi):
-    """One batch step for a stack of clients, in place.
+def _local_step(part, task_arch, gen_arch, x, y, hyper, lo, hi):
+    """One batch step for a stack of clients, in place; NDAG when it has generators.
 
     Returns the student gradients and, per client, (l_cls_g, l_dis, l_cls_s,
     l_sim, degenerate_rows), the NDAG entries None without NDAG.
     """
-    if not ndag_enabled:
+    if part.generator is None:
         grad, l_cls = plain_step(part, task_arch, x, y, hyper)
         return grad, [(None, None, l, None, 0) for l in l_cls.tolist()]
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
@@ -445,19 +439,25 @@ def _local_step(part, task_arch, gen_arch, x, y, hyper, ndag_enabled, lo, hi):
 
 
 def client_round(
-    models: list[ClientModels],
+    student: np.ndarray,
+    generator: np.ndarray | None,
+    teacher: np.ndarray | None,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
     xs: list[np.ndarray],
     ys: list[np.ndarray],
     hyper: NdagHyper,
-    ndag_enabled: bool,
     rngs: list[np.random.Generator],
     local_epochs: int = 1,
     lo: float = 0.0,
     hi: float = 1.0,
-) -> list[ClientRoundResult]:
+) -> RoundResult:
     """One local round over shuffled mini-batches for each client, in lockstep.
+
+    student, generator and teacher hold one row per client and are not
+    modified; the result holds the trained copies.  NDAG runs when the
+    generator and teacher rows are given, and plain classification when
+    both are None.  Momentum buffers start at zero.
 
     Client c trains on (xs[c], ys[c]) and shuffles with rngs[c], drawing
     one permutation per local epoch, so it sees exactly the batches it
@@ -465,14 +465,13 @@ def client_round(
     are grouped by batch size, and each group trains as stacks of at most
     MAX_STACK_ROWS rows (a batch is never padded).
 
-    With ndag_enabled the order per batch is: perturb, generator step,
-    re-perturb, student step, EMA the teacher.  Teacher features are
-    computed once per batch from the teacher as of the end of the previous
-    batch (before this batch's EMA update) and shared by both steps, so
-    with decay = 0 the similarity term stays at its zero-gradient minimum
-    and training degenerates to plain classification.  Without
-    ndag_enabled the student just trains on clean batches and is itself
-    the upload.
+    With NDAG the order per batch is: perturb, generator step, re-perturb,
+    student step, EMA the teacher.  Teacher features are computed once per
+    batch from the teacher as of the end of the previous batch (before this
+    batch's EMA update) and shared by both steps, so with decay = 0 the
+    similarity term stays at its zero-gradient minimum and training
+    degenerates to plain classification.  Without NDAG the student just
+    trains on clean batches and is itself the upload.
 
     Every client runs each local step to its end.  If any failed, the
     DivergenceError of the lowest-position client among them is raised,
@@ -480,8 +479,13 @@ def client_round(
     """
     if local_epochs < 1:
         raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
-    if not len(models) == len(xs) == len(ys) == len(rngs) >= 1:
-        raise ValueError("client_round needs one model, data set and rng per client")
+    n_clients = len(student)
+    if not n_clients == len(xs) == len(ys) == len(rngs) >= 1:
+        raise ValueError("client_round needs one student row, data set and rng per client")
+    if (generator is None) != (teacher is None):
+        raise ValueError("an ndag round needs both generator and teacher rows")
+    if teacher is not None and (len(generator) != n_clients or len(teacher) != n_clients):
+        raise DimensionMismatch("generator and teacher need one row per client")
     xs = [np.asarray(x, dtype=np.float64) for x in xs]
     sizes = [x.shape[0] for x in xs]
     for n, labels in zip(sizes, ys):
@@ -490,15 +494,18 @@ def client_round(
         if labels.shape != (n,):
             raise ValueError(f"target shape {labels.shape} does not match {n} inputs")
 
-    stack = ClientStack.of(models, ndag_enabled)
+    stack = ClientStack(SgdRows(np.array(student, dtype=np.float64)))
+    if teacher is not None:
+        stack.generator = SgdRows(np.array(generator, dtype=np.float64))
+        stack.teacher = np.array(teacher, dtype=np.float64)
     batch = hyper.batch_size
     n_batches = [-(-n // batch) for n in sizes]
     orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]
-    batch_idx = [None] * len(models)  # sample indices of each client's current batch
-    traces: list[list[BatchTrace]] = [[] for _ in models]
-    cls_losses: list[list[float]] = [[] for _ in models]
-    degenerate = [0] * len(models)
-    last_grads = [None] * len(models)
+    batch_idx = [None] * n_clients  # sample indices of each client's current batch
+    traces: list[list[BatchTrace]] = [[] for _ in range(n_clients)]
+    cls_losses: list[list[float]] = [[] for _ in range(n_clients)]
+    degenerate = 0
+    last_grads = np.empty_like(stack.student.params)
 
     for k in range(local_epochs * max(n_batches)):
         groups: dict[int, list[int]] = {}
@@ -517,38 +524,21 @@ def client_round(
                 yb = np.concatenate([ys[c][batch_idx[c]] for c in members])
                 xb = xb.reshape(len(members), size, -1)
                 yb = yb.reshape(len(members), size)
-                grad, rows = _local_step(
-                    part, task_arch, gen_arch, xb, yb, hyper, ndag_enabled, lo, hi
-                )
+                grad, rows = _local_step(part, task_arch, gen_arch, xb, yb, hyper, lo, hi)
                 stack.put(members, part)
                 for j, (c, (l_cls_g, l_dis, l_cls_s, l_sim, bad)) in enumerate(zip(members, rows)):
                     traces[c].append(BatchTrace(k, l_cls_g, l_dis, l_cls_s, l_sim))
                     cls_losses[c].append(l_cls_s)
-                    degenerate[c] += bad
+                    degenerate += bad
                     last_grads[c] = grad[j]
-        if k == 0:
-            # Every client has taken its first step: the buffers hold momentum now.
-            stack.student.fresh = False
-            if stack.generator is not None:
-                stack.generator.fresh = False
         stack.raise_failure()
 
-    results = []
-    for c, base in enumerate(models):
-        student, student_opt = stack.student.row(c)
-        new = replace(base, student=student, student_opt=student_opt)
-        if ndag_enabled:
-            generator, gen_opt = stack.generator.row(c)
-            teacher = ParamVector(stack.teacher[c])
-            new = replace(new, generator=generator, gen_opt=gen_opt, teacher=teacher)
-        results.append(
-            ClientRoundResult(
-                models=new,
-                upload=new.teacher if ndag_enabled else new.student,
-                last_grad=ParamVector(last_grads[c]),
-                mean_train_loss=float(np.mean(cls_losses[c])),
-                trace=traces[c],
-                degenerate_rows=degenerate[c],
-            )
-        )
-    return results
+    return RoundResult(
+        student=stack.student.params,
+        generator=None if stack.generator is None else stack.generator.params,
+        teacher=stack.teacher,
+        last_grads=last_grads,
+        mean_train_losses=[float(np.mean(losses)) for losses in cls_losses],
+        traces=traces,
+        degenerate_rows=degenerate,
+    )

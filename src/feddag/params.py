@@ -1,10 +1,12 @@
 """Flat parameter vectors and the algebra the simulator runs on.
 
-Every model (task net, generator), every gradient and every perturbation is a
-ParamVector: an immutable 1-D float64 array.  Aggregation and the sharpness
-probe are pure functions from vectors to vectors.  Local training is the
-exception: it stacks the clients of a round as rows of (C, P) arrays
-(SgdRows) and sgd_step updates those in place.
+Every global model (task net, generator), every scored upload and every
+perturbation is a ParamVector: an immutable 1-D float64 array.  Aggregation
+and the sharpness probe are pure functions of vectors or of parameter rows.
+Local training stacks the clients of a round as rows of (C, P) arrays
+(SgdRows) and sgd_step updates those in place.  Momentum restarts at zero
+in every local round, since each round starts from the freshly sent global
+model; no optimizer state outlives a round.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class ParamVector:
         return f"ParamVector(dim={self.dim})"
 
 
-def _check_dims(*vectors: ParamVector) -> int:
-    dims = {v.dim for v in vectors}
+def check_dims(*vectors) -> int:
+    """The common length of ParamVectors or 1-D parameter rows."""
+    dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed vector dims: {sorted(dims)}")
     return dims.pop()
@@ -56,71 +59,44 @@ def _check_dims(*vectors: ParamVector) -> int:
 
 def param_axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
     """Elementwise a*x + y."""
-    _check_dims(x, y)
+    check_dims(x, y)
     return ParamVector(a * x.values + y.values)
 
 
-def param_mean(vectors: list[ParamVector]) -> ParamVector:
-    """Elementwise arithmetic mean of one or more same-dim vectors."""
-    if not vectors:
+def param_mean(rows) -> ParamVector:
+    """Elementwise arithmetic mean of one or more same-length parameter rows.
+
+    rows is a (C, P) array or a list of 1-D arrays; they are summed in order.
+    """
+    if len(rows) == 0:
         raise ValueError("param_mean of an empty list")
-    _check_dims(*vectors)
-    acc = np.zeros(vectors[0].dim)
-    for v in vectors:
-        acc += v.values
-    return ParamVector(acc / len(vectors))
-
-
-@dataclass(frozen=True)
-class SgdState:
-    """Momentum buffer; None before the first step."""
-
-    momentum_buf: np.ndarray | None = None
+    acc = np.zeros(check_dims(*rows))
+    for row in rows:
+        acc += row
+    return ParamVector(acc / len(rows))
 
 
 @dataclass
 class SgdRows:
     """Stacked parameter rows (C, P) and their momentum buffer, one client per row.
 
-    sgd_step updates both in place.  fresh marks a buffer no step has
-    written yet: the next step sets it to that step's gradient.
+    The buffer starts at zero; sgd_step updates both in place.
     """
 
     params: np.ndarray
-    buf: np.ndarray
-    fresh: bool
+    buf: np.ndarray | None = None
 
-    @classmethod
-    def stack(cls, vectors: list[ParamVector], states: list[SgdState]) -> SgdRows:
-        """Rows copied from per-client vectors and their optimizer states."""
-        _check_dims(*vectors)
-        params = np.stack([v.values for v in vectors])
-        bufs = [s.momentum_buf for s in states]
-        if all(b is None for b in bufs):
-            return cls(params, np.empty_like(params), True)
-        if any(b is None for b in bufs):
-            raise ValueError("stacked clients must all have momentum buffers or none")
-        return cls(params, np.stack(bufs), False)
+    def __post_init__(self):
+        if self.buf is None:
+            self.buf = np.zeros_like(self.params)
 
     def take(self, rows) -> SgdRows:
         """The given rows: views for a slice, copies for an index array."""
-        return SgdRows(self.params[rows], self.buf[rows], self.fresh)
+        return SgdRows(self.params[rows], self.buf[rows])
 
     def put(self, rows, part: SgdRows) -> None:
         self.params[rows] = part.params
         self.buf[rows] = part.buf
-
-    def row(self, i: int) -> tuple[ParamVector, SgdState]:
-        """Row i as a vector and a read-only optimizer state.
-
-        The state is a view of this stack's buffer, not a copy, so the rows
-        must no longer be updated once they are handed out.
-        """
-        buf = None
-        if not self.fresh:
-            buf = self.buf[i]
-            buf.flags.writeable = False
-        return ParamVector(self.params[i]), SgdState(momentum_buf=buf)
 
 
 def sgd_step(
@@ -129,8 +105,10 @@ def sgd_step(
     """One momentum-SGD step on every row, in place; returns the rows that stayed finite.
 
     grad <- grad + weight_decay * param
-    buf  <- momentum * buf + grad      (buf = grad on the first step)
+    buf  <- momentum * buf + grad
     p    <- p - lr * buf
+
+    A new SgdRows buffer is zero, so a round's first step is plain SGD.
 
     A row whose gradient or new parameters hold NaN or +/-inf comes back
     False: training has diverged there, and continuing would silently
@@ -145,11 +123,7 @@ def sgd_step(
     finite = np.isfinite(grads).all(axis=1)
     g = weight_decay * rows.params
     g += grads
-    if rows.fresh:
-        rows.buf[...] = g
-        rows.fresh = False
-    else:
-        rows.buf *= momentum
-        rows.buf += g
+    rows.buf *= momentum
+    rows.buf += g
     rows.params -= lr * rows.buf
     return finite & np.isfinite(rows.params).all(axis=1)

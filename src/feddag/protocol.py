@@ -1,10 +1,15 @@
 """Four-stage federation orchestration and the leave-one-domain-out harness.
 
-Each round: distribute the global models, run every client's local round,
+Each round: send the global models out, run every client's local round,
 score the uploads on peer validation sets, aggregate.  Warmup rounds train
 plain classifiers and average them uniformly; the adversarial generator and
 the sharpness-aware scoring only switch on afterwards, each independently
 removable for ablations.
+
+A client is its source domain's position in the federation.  Every local
+round starts from the global models with fresh momentum, so the only
+per-client state that persists across rounds is kept by the server: the
+NDAG teacher rows and the SHA snapshot histories.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from . import metrics, ndag, nets, sha
 from .data import DomainDataset
 from .losses import batch_loss_cls
-from .params import ParamVector, SgdState, param_mean
+from .params import ParamVector, param_mean
 
 MODES = ("feddag", "no_ndag", "no_sha", "fedavg")
 
@@ -79,24 +84,19 @@ class FederationConfig:
 
 
 @dataclass
-class ClientRuntime:
-    """One simulated client: its domain data plus local model state."""
-
-    index: int
-    domain: int
-    train_x: np.ndarray
-    train_y: np.ndarray
-    val_x: np.ndarray
-    val_y: np.ndarray
-    models: ndag.ClientModels
-
-
-@dataclass
 class ServerState:
+    """Global models plus the per-client state that outlives a round.
+
+    teachers holds one NDAG teacher row per client (C, P).  It is None
+    until the first adversarial round copies the global task model into it;
+    after that only the clients' EMA updates change it.
+    """
+
     global_task: ParamVector
     global_gen: ParamVector
     round: int
     histories: list[list[sha.ScoredSnapshot]]
+    teachers: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -135,106 +135,74 @@ def init(config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenA
     )
 
 
-def make_clients(domains: list[DomainDataset], server: ServerState) -> list[ClientRuntime]:
-    """One client per source domain, models seeded from the global state."""
-    return [
-        ClientRuntime(
-            index=i,
-            domain=d.domain,
-            train_x=d.train_x,
-            train_y=d.train_y,
-            val_x=d.val_x,
-            val_y=d.val_y,
-            models=ndag.ClientModels(student=server.global_task, generator=server.global_gen),
-        )
-        for i, d in enumerate(domains)
-    ]
-
-
-def distribute(server: ServerState, clients: list[ClientRuntime], config: FederationConfig) -> None:
-    """Stage 1: global task model to every student, generator to every client.
-
-    Local optimizer state resets with the fresh weights.  The teacher is
-    created (as a copy of the just-distributed student) the first time a
-    client enters an adversarial round and is never overwritten afterwards.
-    """
-    main_round = server.round >= config.warmup_rounds
-    for client in clients:
-        models = replace(
-            client.models, student=server.global_task, student_opt=SgdState()
-        )
-        if config.ndag_active and main_round:
-            models = replace(models, generator=server.global_gen, gen_opt=SgdState())
-            if models.teacher is None:
-                models = replace(models, teacher=models.student)
-        client.models = models
-
-
 def _client_val_sets(
-    clients: list[ClientRuntime], config: FederationConfig, round_idx: int
+    sources: list[DomainDataset], config: FederationConfig, round_idx: int
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Validation sets each client's upload is scored on this round."""
-    n = len(clients)
+    """Validation sets each client's upload is scored on this round.
+
+    FederationConfig rejects the settings that could leave a client none.
+    """
+    n = len(sources)
     chosen = list(range(n))
     if 0 < config.eval_clients_per_round < n:
         rng = np.random.default_rng([config.seed, _EVAL_PICK_TAG, round_idx])
         chosen = sorted(rng.choice(n, size=config.eval_clients_per_round, replace=False))
-    per_client = []
-    for i in range(n):
-        sets = [
-            (clients[j].val_x, clients[j].val_y)
-            for j in chosen
-            if config.sha.include_self or j != i
-        ]
-        if not sets:
-            sets = [(clients[j].val_x, clients[j].val_y) for j in chosen]
-        per_client.append(sets)
-    return per_client
+    return [
+        [(sources[j].val_x, sources[j].val_y) for j in chosen if config.sha.include_self or j != i]
+        for i in range(n)
+    ]
 
 
 def run_round(
     server: ServerState,
-    clients: list[ClientRuntime],
+    sources: list[DomainDataset],
     config: FederationConfig,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
     trace: list[TraceRow] | None = None,
 ) -> RoundMetrics:
-    """One communication round; mutates server and clients in place.
+    """One communication round over the clients' source domains; mutates server.
 
-    The clients' local rounds run in lockstep (ndag.client_round): every
-    client finishes local step k before any client starts step k + 1.  If
-    training diverges, the ClientRoundError names the lowest-index client
-    among those that fail at the earliest failing local step.
+    Every client's student starts from the global task model and, in
+    adversarial rounds, its generator from the global generator.  The
+    clients' local rounds run in lockstep (ndag.client_round): every client
+    finishes local step k before any client starts step k + 1.  If training
+    diverges, the ClientRoundError names the lowest-index client among
+    those that fail at the earliest failing local step.
     """
     round_idx = server.round
     warmup = round_idx < config.warmup_rounds
     ndag_on = config.ndag_active and not warmup
+    n = len(sources)
 
-    distribute(server, clients, config)
-
-    rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c.index]) for c in clients]
+    generators = None
+    if ndag_on:
+        generators = np.tile(server.global_gen.values, (n, 1))
+        if server.teachers is None:
+            server.teachers = np.tile(server.global_task.values, (n, 1))
+    rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c]) for c in range(n)]
     try:
-        uploads = ndag.client_round(
-            [c.models for c in clients],
+        result = ndag.client_round(
+            np.tile(server.global_task.values, (n, 1)),
+            generators,
+            server.teachers,
             task_arch,
             gen_arch,
-            [c.train_x for c in clients],
-            [c.train_y for c in clients],
+            [d.train_x for d in sources],
+            [d.train_y for d in sources],
             config.ndag,
-            ndag_on,
             rngs,
             config.local_epochs,
         )
     except ndag.DivergenceError as exc:
-        raise ClientRoundError(clients[exc.client].index, exc) from exc
-    for client, result in zip(clients, uploads):
-        client.models = result.models
-        if trace is not None:
-            for row in result.trace:
+        raise ClientRoundError(exc.client, exc) from exc
+    server.teachers = result.teacher
+    if trace is not None:
+        for domain, rows in zip(sources, result.traces):
+            for row in rows:
                 trace.append(
                     TraceRow(
-                        client=client.domain,
+                        client=domain.domain,
                         round=round_idx,
                         batch=row.batch,
                         l_cls_g=row.l_cls_g,
@@ -246,49 +214,48 @@ def run_round(
 
     raw_scores = scores = None
     if warmup or not config.sha_active:
-        weights = sha.AggregationWeights(np.full(len(clients), 1.0 / len(clients)))
-        server.global_task = param_mean([u.upload for u in uploads])
+        weights = sha.AggregationWeights(np.full(n, 1.0 / n))
+        server.global_task = param_mean(result.uploads)
         if ndag_on:
-            server.global_gen = param_mean([c.models.generator for c in clients])
+            server.global_gen = param_mean(result.generator)
     else:
-        val_sets = _client_val_sets(clients, config, round_idx)
-        merged_models = []
+        val_sets = _client_val_sets(sources, config, round_idx)
+        merged_rows = []
         raw_list, post_list = [], []
-        for client, upload in zip(clients, uploads):
-            theta_hat, _ = sha.perturb_model(upload.upload, upload.last_grad, config.sha.rho)
-            raw = sha.evaluate_score(theta_hat, task_arch, val_sets[client.index])
-            current = sha.ScoredSnapshot(params=upload.upload, score=raw.score, round=round_idx)
-            merged, new_history = sha.within_client_aggregate(
-                current, server.histories[client.index], config.sha.k, config.sha.history_cap
+        for c, row in enumerate(result.uploads):
+            upload = ParamVector(row)
+            last_grad = ParamVector(result.last_grads[c])
+            theta_hat, _ = sha.perturb_model(upload, last_grad, config.sha.rho)
+            raw = sha.evaluate_score(theta_hat, task_arch, val_sets[c])
+            current = sha.ScoredSnapshot(params=upload, score=raw.score, round=round_idx)
+            merged, server.histories[c] = sha.within_client_aggregate(
+                current, server.histories[c], config.sha.k, config.sha.history_cap
             )
-            server.histories[client.index] = new_history
-            merged_models.append(merged.params)
+            merged_rows.append(merged.params.values)
             raw_list.append(raw.score)
             post_list.append(merged.score)
         weights = sha.softmax_weights(post_list, config.sha.beta)
-        generators = [c.models.generator for c in clients]
-        new_task, new_gen = sha.across_client_aggregate(merged_models, generators, weights)
-        server.global_task = new_task
+        server.global_task = sha.across_client_aggregate(merged_rows, weights)
         if ndag_on:
-            server.global_gen = new_gen
+            server.global_gen = sha.across_client_aggregate(result.generator, weights)
         raw_scores = tuple(raw_list)
         scores = tuple(post_list)
 
     server.round = round_idx + 1
 
-    val_x = np.concatenate([c.val_x for c in clients])
-    val_y = np.concatenate([c.val_y for c in clients])
+    val_x = np.concatenate([d.val_x for d in sources])
+    val_y = np.concatenate([d.val_y for d in sources])
     _, logits = nets.task_apply(server.global_task, task_arch, val_x)
     return RoundMetrics(
         round=round_idx,
         warmup=warmup,
-        train_losses=tuple(u.mean_train_loss for u in uploads),
+        train_losses=tuple(result.mean_train_losses),
         source_val_loss=batch_loss_cls(logits, val_y),
         raw_scores=raw_scores,
         scores=scores,
         weights=tuple(weights.values.tolist()),
         target_eval=None,
-        degenerate_rows=sum(u.degenerate_rows for u in uploads),
+        degenerate_rows=result.degenerate_rows,
     )
 
 
@@ -328,13 +295,12 @@ def run_federation(
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
     server = init(config, task_arch, gen_arch)
-    clients = make_clients(sources, server)
     trace: list[TraceRow] = []
     round_log: list[RoundMetrics] = []
     target_xy = _domain_eval_arrays(target) if target is not None else None
     for r in range(config.rounds):
         rm = run_round(
-            server, clients, config, task_arch, gen_arch, trace if collect_trace else None
+            server, sources, config, task_arch, gen_arch, trace if collect_trace else None
         )
         probe = target_xy is not None and (config.probe_every_round or r == config.rounds - 1)
         if probe:

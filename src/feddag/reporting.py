@@ -11,6 +11,7 @@ import csv
 import json
 from typing import Any
 
+from .atomic import atomic_open
 from .metrics import EvalResult
 from .protocol import RunReport
 
@@ -84,13 +85,13 @@ def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
 
 
 def write_report_json(path: str, cfg: dict[str, Any], report: RunReport) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(report_dict(cfg, report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_metrics_csv(path: str, report: RunReport) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for run in report.domains:
@@ -112,7 +113,7 @@ def write_metrics_csv(path: str, report: RunReport) -> None:
 
 def write_sha_log_csv(path: str, report: RunReport) -> None:
     """Scored rounds only: one row per (target, round, client)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SHA_LOG_HEADER)
         for run in report.domains:
@@ -128,7 +129,7 @@ def write_sha_log_csv(path: str, report: RunReport) -> None:
 
 
 def write_trace_csv(path: str, report: RunReport) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for run in report.domains:
@@ -245,7 +246,7 @@ def plot_lines(
         )
         out.append(f'<text x="{right + 35}" y="{ly + 4}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(out) + "\n")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nets
 from .losses import batch_loss_cls
-from .params import ParamVector, param_axpy, param_mean
+from .params import ParamVector, check_dims, param_axpy, param_mean
 
 GRAD_NORM_FLOOR = 1e-12
 SCORE_CAP = 1e9
@@ -137,7 +137,7 @@ def within_client_aggregate(
         return current, new_history
     pool = chosen + [current]
     merged = ScoredSnapshot(
-        params=param_mean([snap.params for snap in pool]),
+        params=param_mean([snap.params.values for snap in pool]),
         score=float(np.mean([snap.score for snap in pool])),
         round=current.round,
     )
@@ -161,18 +161,14 @@ def softmax_weights(scores: list[float], beta: float) -> AggregationWeights:
     return AggregationWeights(powered / powered.sum())
 
 
-def across_client_aggregate(
-    task_models: list[ParamVector],
-    generators: list[ParamVector],
-    weights: AggregationWeights,
-) -> tuple[ParamVector, ParamVector]:
-    """Weighted sums of the clients' task models and generators."""
-    if not (len(task_models) == len(generators) == len(weights)):
-        raise ValueError("models, generators and weights must align")
-    w = weights.values
-    task_acc = np.zeros(task_models[0].dim)
-    gen_acc = np.zeros(generators[0].dim)
-    for wi, tm, gm in zip(w, task_models, generators):
-        task_acc += wi * tm.values
-        gen_acc += wi * gm.values
-    return ParamVector(task_acc), ParamVector(gen_acc)
+def across_client_aggregate(rows, weights: AggregationWeights) -> ParamVector:
+    """Weighted sum of the clients' parameter rows, accumulated client by client.
+
+    rows is a (C, P) array or a list of C same-length 1-D arrays.
+    """
+    if len(rows) != len(weights):
+        raise ValueError("rows and weights must align")
+    acc = np.zeros(check_dims(*rows))
+    for wi, row in zip(weights.values, rows):
+        acc += wi * row
+    return ParamVector(acc)

@@ -15,6 +15,7 @@ discrepancy gradient untouched.
 import numpy as np
 
 import autodiff as ad
+import helpers
 from feddag import ndag, nets
 
 # three 5-bit codes with pairwise Hamming distance >= 3; a random coordinate
@@ -91,7 +92,7 @@ def saturated_fixture(seed, task_arch, gen_arch, alpha=0.3, attempts=80):
         vals[head : head + n_w] = (s * W3).ravel()
         vals[head + n_w :] = s * b3
         stu = type(stu)(vals)
-        models = ndag.ClientModels(student=stu, generator=gen, teacher=stu)
+        models = helpers.Models(student=stu, generator=gen, teacher=stu)
         if dis_grad_norm(models, task_arch, gen_arch, X, alpha) < 1e-4:
             continue
         return models, X, y

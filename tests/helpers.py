@@ -5,17 +5,19 @@ loops, hand-rolled backprop, a standalone federated-averaging loop) so tests
 cross-check the package against an independent code path instead of against
 itself.  The only thing shared with the package is the flat parameter layout
 (W row-major then b, layer by layer), which is the documented contract.
-The exception is one_client, which puts one client into the stacked form the
-package trains in, so tests drive the code every federation round runs.
+The exceptions are one_client and round_rows, which put clients into the
+stacked form the package trains in, so tests drive the code every federation
+round runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from feddag import ndag
+from feddag.params import ParamVector, SgdRows
 
 
 # ---------------------------------------------------------------- layouts
@@ -274,6 +276,15 @@ def reference_fedavg(
 # ------------------------------------------------------ one-client stacks
 
 
+@dataclass(frozen=True)
+class Models:
+    """One client's weights: student, generator and, once NDAG starts, a teacher."""
+
+    student: ParamVector
+    generator: ParamVector
+    teacher: ParamVector | None = None
+
+
 def one_client(models, *arrays, ndag_enabled=True):
     """models as a ClientStack of one row, then each array with a client axis.
 
@@ -282,6 +293,21 @@ def one_client(models, *arrays, ndag_enabled=True):
     The objectives take teacher features as an argument, so a fixture
     without a teacher gets its student in that row.
     """
-    if models.teacher is None:
-        models = replace(models, teacher=models.student)
-    return (ndag.ClientStack.of([models], ndag_enabled), *(np.asarray(a)[None] for a in arrays))
+    stack = ndag.ClientStack(SgdRows(np.array(models.student.values[None])))
+    if ndag_enabled:
+        teacher = models.student if models.teacher is None else models.teacher
+        stack.generator = SgdRows(np.array(models.generator.values[None]))
+        stack.teacher = np.array(teacher.values[None])
+    return (stack, *(np.asarray(a)[None] for a in arrays))
+
+
+def round_rows(clients, ndag_enabled=True):
+    """(student, generator, teacher) rows of a list of Models for ndag.client_round.
+
+    Without NDAG the generator and teacher rows are None.
+    """
+    student = np.stack([m.student.values for m in clients])
+    if not ndag_enabled:
+        return student, None, None
+    generator = np.stack([m.generator.values for m in clients])
+    return student, generator, np.stack([m.teacher.values for m in clients])

@@ -79,7 +79,7 @@ def test_criterion_01_gradient_check(capsys):
             objective, gen_layers = gen_objective_graph(gen, stu, X, y, t_feats, 0.3, 0.5)
             ad.backward(objective)
             stack, X1, y1, t1 = helpers.one_client(
-                ndag.ClientModels(student=stu, generator=gen), X, y, t_feats
+                helpers.Models(student=stu, generator=gen), X, y, t_feats
             )
             fused = ndag.generator_grad(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)[3][0]
 
@@ -98,7 +98,7 @@ def test_criterion_01_gradient_check(capsys):
             objective, stu_layers = student_objective_graph(stu, x_hat, y, t_feats)
             ad.backward(objective)
             stack, X1, y1, t1 = helpers.one_client(
-                ndag.ClientModels(student=stu, generator=gen), X, y, t_feats
+                helpers.Models(student=stu, generator=gen), X, y, t_feats
             )
             fused = ndag.student_grad(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)[3][0]
 
@@ -171,7 +171,7 @@ def test_criterion_03_cap_invariant(capsys):
         # The fused route takes the same flat branch, and central differences
         # of the capped objective agree with it.
         stack, X1, y1, t1 = helpers.one_client(
-            ndag.ClientModels(student=stu, generator=gen), X, y, t_feats
+            helpers.Models(student=stu, generator=gen), X, y, t_feats
         )
         hyper = ndag.NdagHyper(alpha=0.3, m=m_tiny)
         fused = ndag.generator_grad(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)[3][0]

@@ -353,6 +353,18 @@ class TestSweep:
         rows = read_rows(out / "sweep.csv")
         assert [(r[0], r[1]) for r in rows[1:]] == [("n_clients", "2"), ("n_clients", "3")]
 
+    def test_n_clients_sweep_rejects_a_csv_bench(self, tmp_path, capsys):
+        bench_path = tmp_path / "bench.csv"
+        assert cli.main(["export-bench", "--config", write_cfg(tmp_path), "--out", str(bench_path)]) == 0
+        cfg = write_cfg(
+            tmp_path, name="cfg2.json", data_csv=str(bench_path),
+            sweep_param="n_clients", sweep_values=[1, 2],
+        )
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "needs the synthetic bench" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestExportBench:
     def test_default_location(self, tmp_path, capsys):

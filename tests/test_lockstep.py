@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import helpers
 from feddag import ndag, nets
 
 # Wide enough that no client's random features collapse.
@@ -24,7 +25,7 @@ def make_clients(sizes, seed):
     models, xs, ys = [], [], []
     for n in sizes:
         models.append(
-            ndag.ClientModels(
+            helpers.Models(
                 student=nets.init_params(TASK_ARCH, rng),
                 generator=nets.init_params(GEN_ARCH, rng),
                 teacher=nets.init_params(TASK_ARCH, rng),
@@ -39,34 +40,42 @@ def rngs(count, seed):
     return [np.random.default_rng([seed, c]) for c in range(count)]
 
 
-def stacked_and_alone(sizes, hyper, ndag_enabled, local_epochs, seed=0):
-    models, xs, ys = make_clients(sizes, seed)
-    args = (TASK_ARCH, GEN_ARCH)
-    together = ndag.client_round(
-        models, *args, xs, ys, hyper, ndag_enabled, rngs(len(sizes), seed), local_epochs
-    )
+def train(models, xs, ys, hyper, ndag_enabled, streams, local_epochs=1):
+    rows = helpers.round_rows(models, ndag_enabled)
+    return ndag.client_round(*rows, TASK_ARCH, GEN_ARCH, xs, ys, hyper, streams, local_epochs)
+
+
+def together_and_alone(models, xs, ys, hyper, ndag_enabled, local_epochs, seed):
+    """One round of all clients together, and each client's round alone."""
+    together = train(models, xs, ys, hyper, ndag_enabled, rngs(len(xs), seed), local_epochs)
     alone = [
-        ndag.client_round(
-            [models[c]], *args, [xs[c]], [ys[c]], hyper, ndag_enabled, [rng], local_epochs
-        )[0]
-        for c, rng in enumerate(rngs(len(sizes), seed))
+        train([models[c]], [xs[c]], [ys[c]], hyper, ndag_enabled, [rng], local_epochs)
+        for c, rng in enumerate(rngs(len(xs), seed))
     ]
     return together, alone
 
 
-def assert_same_result(a: ndag.ClientRoundResult, b: ndag.ClientRoundResult):
-    for role in ("student", "generator", "teacher"):
-        assert np.array_equal(getattr(a.models, role).values, getattr(b.models, role).values), role
-    for opt in ("student_opt", "gen_opt"):
-        buf_a, buf_b = getattr(a.models, opt).momentum_buf, getattr(b.models, opt).momentum_buf
-        assert (buf_a is None) == (buf_b is None), opt
-        if buf_a is not None:
-            assert np.array_equal(buf_a, buf_b), opt
-    assert np.array_equal(a.upload.values, b.upload.values)
-    assert np.array_equal(a.last_grad.values, b.last_grad.values)
-    assert a.trace == b.trace
-    assert a.mean_train_loss == b.mean_train_loss
-    assert a.degenerate_rows == b.degenerate_rows
+def stacked_and_alone(sizes, hyper, ndag_enabled, local_epochs, seed=0):
+    models, xs, ys = make_clients(sizes, seed)
+    return together_and_alone(models, xs, ys, hyper, ndag_enabled, local_epochs, seed)
+
+
+def assert_same_client(a: ndag.RoundResult, c: int, b: ndag.RoundResult, d: int = 0):
+    """Client c of round a equals client d of round b, bit for bit."""
+    for role in ("student", "generator", "teacher", "uploads", "last_grads"):
+        rows_a, rows_b = getattr(a, role), getattr(b, role)
+        assert (rows_a is None) == (rows_b is None), role
+        if rows_a is not None:
+            assert np.array_equal(rows_a[c], rows_b[d]), role
+    assert a.traces[c] == b.traces[d]
+    assert a.mean_train_losses[c] == b.mean_train_losses[d]
+
+
+def assert_same_round(together: ndag.RoundResult, alone: list[ndag.RoundResult]):
+    assert len(together.student) == len(alone)
+    for c, result in enumerate(alone):
+        assert_same_client(together, c, result)
+    assert together.degenerate_rows == sum(result.degenerate_rows for result in alone)
 
 
 @pytest.mark.parametrize("local_epochs", [1, 2])
@@ -78,8 +87,8 @@ def test_unequal_clients_match_stacks_of_one(ndag_enabled, local_epochs):
     hyper = ndag.NdagHyper(batch_size=4, lr=0.05, ema_decay=0.9)
     together, alone = stacked_and_alone(sizes, hyper, ndag_enabled, local_epochs)
     for c, n in enumerate(sizes):
-        assert len(together[c].trace) == local_epochs * -(-n // 4)
-        assert_same_result(together[c], alone[c])
+        assert len(together.traces[c]) == local_epochs * -(-n // 4)
+    assert_same_round(together, alone)
 
 
 @pytest.mark.parametrize("ndag_enabled", [True, False])
@@ -100,20 +109,33 @@ def test_group_over_the_row_cap_splits_into_stacks(monkeypatch, ndag_enabled):
     hyper = ndag.NdagHyper(batch_size=32, lr=0.05, ema_decay=0.9)
     together, alone = stacked_and_alone([40] * 10, hyper, ndag_enabled, 1, seed=3)
     assert shapes[:3] == [8, 2, 10]
-    for a, b in zip(together, alone):
-        assert_same_result(a, b)
+    assert_same_round(together, alone)
 
 
 def test_stack_of_one_matches_a_round_without_peers():
     """A client's result does not depend on who else trains in the round."""
     hyper = ndag.NdagHyper(batch_size=4, lr=0.05, ema_decay=0.9)
     models, xs, ys = make_clients([9, 9, 9], 7)
-    full = ndag.client_round(models, TASK_ARCH, GEN_ARCH, xs, ys, hyper, True, rngs(3, 7))
-    pair = ndag.client_round(
-        models[1:], TASK_ARCH, GEN_ARCH, xs[1:], ys[1:], hyper, True, rngs(3, 7)[1:]
-    )
-    for a, b in zip(full[1:], pair):
-        assert_same_result(a, b)
+    full = train(models, xs, ys, hyper, True, rngs(3, 7))
+    pair = train(models[1:], xs[1:], ys[1:], hyper, True, rngs(3, 7)[1:])
+    for c in range(2):
+        assert_same_client(full, c + 1, pair, c)
+
+
+def test_degenerate_rows_are_totalled_over_the_round():
+    # The teachers keep their zero biases (decay 1), so an all-zero input
+    # gives a zero teacher-feature row in every batch it lands in: one
+    # degenerate row for the generator step and one for the student step.
+    # Every batch has at least 3 rows, so that row never collapses a batch.
+    sizes = [8, 11, 7, 12]
+    hyper = ndag.NdagHyper(batch_size=4, lr=0.05, ema_decay=1.0)
+    models, xs, ys = make_clients(sizes, 9)
+    for x in xs:
+        x[0] = 0.0
+    together, alone = together_and_alone(models, xs, ys, hyper, True, 2, 9)
+    assert type(together.degenerate_rows) is int
+    assert together.degenerate_rows == 2 * 2 * len(sizes)
+    assert_same_round(together, alone)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -129,10 +151,7 @@ class TestDivergenceAttribution:
 
     def failing_client(self, xs, ys, models, seed, ndag_enabled=False):
         with pytest.raises(ndag.DivergenceError) as info:
-            ndag.client_round(
-                models, TASK_ARCH, GEN_ARCH, xs, ys, self.HYPER, ndag_enabled,
-                rngs(len(xs), seed),
-            )
+            train(models, xs, ys, self.HYPER, ndag_enabled, rngs(len(xs), seed))
         return info.value.client
 
     def test_lowest_client_at_the_same_step(self):

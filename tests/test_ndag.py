@@ -39,7 +39,7 @@ def clean_fixture(seed, n_lo=1, n_hi=2, margin=2e-3):
             stu.values, TASK_ARCH, gen.values, GEN_ARCH, X, y, t_feats, alpha=0.3, m=0.5
         )
         if min(mins.values()) > margin:
-            models = ndag.ClientModels(student=stu, generator=gen, teacher=tea)
+            models = helpers.Models(student=stu, generator=gen, teacher=tea)
             return models, X, y, t_feats
     raise RuntimeError(f"no kink-free fixture for seed {seed}")
 
@@ -108,7 +108,7 @@ class TestGeneratorStep:
         ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
         assert np.array_equal(stack.student.params[0], models.student.values)
         assert np.array_equal(stack.teacher[0], models.teacher.values)
-        assert stack.student.fresh and not stack.generator.fresh
+        assert not stack.student.buf.any() and stack.generator.buf.any()
         assert not np.array_equal(stack.generator.params[0], models.generator.values)
 
     def test_fully_capped_batch_is_a_pure_classification_step(self):
@@ -131,7 +131,7 @@ class TestGeneratorStep:
             raw = helpers.nsd_rows_ref(t_feats, s_feats)
             if raw.min() < 1e-4:
                 continue
-            models = ndag.ClientModels(student=stu, generator=gen, teacher=tea)
+            models = helpers.Models(student=stu, generator=gen, teacher=tea)
             stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
             _, l_dis, _ = ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
             gen_layers = ad.layer_tensors(gen, GEN_ARCH, trainable=True)
@@ -209,7 +209,7 @@ class TestStudentStep:
         ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
         assert np.array_equal(stack.generator.params[0], models.generator.values)
         assert np.array_equal(stack.teacher[0], models.teacher.values)
-        assert stack.generator.fresh and not stack.student.fresh
+        assert not stack.generator.buf.any() and stack.student.buf.any()
         assert not np.array_equal(stack.student.params[0], models.student.values)
 
     def test_reduces_to_plain_classification_at_self_teacher(self):
@@ -221,7 +221,7 @@ class TestStudentStep:
         gen = nets.init_params(GEN_ARCH, rng)
         X = rng.uniform(0.1, 0.9, size=(4, 5))
         y = rng.integers(0, 3, size=4)
-        models = ndag.ClientModels(student=stu, generator=gen, teacher=stu)
+        models = helpers.Models(student=stu, generator=gen, teacher=stu)
         t_feats, _ = nets.task_apply(stu, TASK_ARCH, X)
         stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
         _, _, l_sim, _ = ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, hyper, t1)
@@ -351,47 +351,44 @@ def round_fixture(seed, n=8):
         s_feats, _ = nets.task_apply(stu, TASK_ARCH, x_hat)
         if min(np.linalg.norm(t_feats, axis=1).min(),
                np.linalg.norm(s_feats, axis=1).min()) > 1e-2:
-            return ndag.ClientModels(student=stu, generator=gen, teacher=tea), X, y
+            return helpers.Models(student=stu, generator=gen, teacher=tea), X, y
     raise RuntimeError(f"no round fixture for seed {seed}")
+
+
+def one_round(models, hyper, seed, ndag_enabled, X, y, **kw):
+    """ndag.client_round for the single client models."""
+    return ndag.client_round(
+        *helpers.round_rows([models], ndag_enabled), TASK_ARCH, GEN_ARCH, [X], [y], hyper,
+        rngs=[np.random.default_rng(seed)], **kw,
+    )
 
 
 class TestClientRound:
     def test_plain_path_matches_standalone_sgd_reference(self):
         hyper = ndag.NdagHyper(batch_size=3)
         models, X, y = round_fixture(0)
-        result = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=False,
-            rngs=[np.random.default_rng(11)], local_epochs=2,
-        )[0]
+        result = one_round(models, hyper, 11, False, X, y, local_epochs=2)
         ref = helpers.reference_local_round(
             models.student.values, TASK_ARCH, X, y, hyper.lr, hyper.momentum,
             hyper.weight_decay, hyper.batch_size, np.random.default_rng(11), epochs=2,
         )
-        assert np.array_equal(result.models.student.values, ref)
+        assert np.array_equal(result.student[0], ref)
 
     def test_plain_path_uploads_the_student(self):
         models, X, y = round_fixture(1)
-        result = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(), ndag_enabled=False,
-            rngs=[np.random.default_rng(1)],
-        )[0]
-        assert result.upload is result.models.student
+        result = one_round(models, ndag.NdagHyper(), 1, False, X, y)
+        assert result.generator is None and result.teacher is None
+        assert result.uploads is result.student
 
     def test_ndag_path_uploads_the_teacher(self):
         models, X, y = round_fixture(2)
-        result = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(), ndag_enabled=True,
-            rngs=[np.random.default_rng(2)],
-        )[0]
-        assert result.upload is result.models.teacher
+        result = one_round(models, step_hyper(), 2, True, X, y)
+        assert result.uploads is result.teacher
 
     def test_single_batch_composition_matches_manual_steps(self):
         hyper = step_hyper(weight_decay=5e-4)
         models, X, y = round_fixture(3, n=6)
-        result = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=True,
-            rngs=[np.random.default_rng(9)],
-        )[0]
+        result = one_round(models, hyper, 9, True, X, y)
         order = np.random.default_rng(9).permutation(6)
         xb, yb = X[order], y[order]
         t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, xb)
@@ -401,118 +398,96 @@ class TestClientRound:
             stack, TASK_ARCH, GEN_ARCH, xb1, yb1, hyper, t1
         )
         ndag.ema_update(stack.teacher, stack.student.params, hyper.ema_decay)
-        assert np.array_equal(result.models.student.values, stack.student.params[0])
-        assert np.array_equal(result.models.generator.values, stack.generator.params[0])
-        assert np.array_equal(result.models.teacher.values, stack.teacher[0])
-        assert np.array_equal(result.last_grad.values, grad[0])
+        assert np.array_equal(result.student, stack.student.params)
+        assert np.array_equal(result.generator, stack.generator.params)
+        assert np.array_equal(result.teacher, stack.teacher)
+        assert np.array_equal(result.last_grads, grad)
         losses = (l_cls_g[0], l_dis[0], l_cls_s[0], l_sim[0])
-        assert result.trace == [ndag.BatchTrace(0, *losses)]
+        assert result.traces == [[ndag.BatchTrace(0, *losses)]]
 
     def test_alpha_zero_decay_zero_degenerates_to_plain_sgd(self):
         hyper = step_hyper(alpha=0.0, ema_decay=0.0, weight_decay=5e-4)
         models, X, y = round_fixture(4, n=5)
         models = replace(models, teacher=models.student)
-        result = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=True,
-            rngs=[np.random.default_rng(5)],
-        )[0]
+        result = one_round(models, hyper, 5, True, X, y)
         order = np.random.default_rng(5).permutation(5)
         plain, X1, y1 = helpers.one_client(models, X[order], y[order], ndag_enabled=False)
         ndag.plain_step(plain, TASK_ARCH, X1, y1, hyper)
         np.testing.assert_allclose(
-            result.models.student.values, plain.student.params[0], rtol=0.0, atol=1e-14
+            result.student, plain.student.params, rtol=0.0, atol=1e-14
         )
-        assert np.array_equal(
-            result.models.teacher.values, result.models.student.values
-        )
+        assert np.array_equal(result.teacher, result.student)
 
     def test_round_trace_is_reproducible(self):
         hyper = step_hyper(batch_size=2, weight_decay=5e-4)
         models, X, y = round_fixture(6)
-        runs = [
-            ndag.client_round(
-                [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=True,
-                rngs=[np.random.default_rng(77)], local_epochs=2,
-            )[0]
-            for _ in range(2)
-        ]
-        assert np.array_equal(runs[0].models.teacher.values, runs[1].models.teacher.values)
-        assert np.array_equal(runs[0].models.student.values, runs[1].models.student.values)
-        assert np.array_equal(runs[0].upload.values, runs[1].upload.values)
-        assert runs[0].trace == runs[1].trace
-        assert runs[0].mean_train_loss == runs[1].mean_train_loss
+        runs = [one_round(models, hyper, 77, True, X, y, local_epochs=2) for _ in range(2)]
+        assert np.array_equal(runs[0].teacher, runs[1].teacher)
+        assert np.array_equal(runs[0].student, runs[1].student)
+        assert np.array_equal(runs[0].uploads, runs[1].uploads)
+        assert runs[0].traces == runs[1].traces
+        assert runs[0].mean_train_losses == runs[1].mean_train_losses
 
     def test_trace_rows_cover_both_paths(self):
         models, X, y = round_fixture(7)
-        plain = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(batch_size=4),
-            ndag_enabled=False, rngs=[np.random.default_rng(3)], local_epochs=2,
-        )[0]
-        assert [t.batch for t in plain.trace] == [0, 1, 2, 3]
+        plain = one_round(models, ndag.NdagHyper(batch_size=4), 3, False, X, y, local_epochs=2)
+        assert [t.batch for t in plain.traces[0]] == [0, 1, 2, 3]
         assert all(
             t.l_cls_g is None and t.l_dis is None and t.l_sim is None
-            for t in plain.trace
+            for t in plain.traces[0]
         )
-        full = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(batch_size=4),
-            ndag_enabled=True, rngs=[np.random.default_rng(3)],
-        )[0]
-        for t in full.trace:
+        full = one_round(models, step_hyper(batch_size=4), 3, True, X, y)
+        for t in full.traces[0]:
             for value in (t.l_cls_g, t.l_dis, t.l_cls_s, t.l_sim):
                 assert isinstance(value, float) and np.isfinite(value)
 
     def test_empty_dataset_rejected(self):
         models, X, y = round_fixture(8)
         with pytest.raises(ValueError):
-            ndag.client_round(
-                [models], TASK_ARCH, GEN_ARCH, [X[:0]], [y[:0]], ndag.NdagHyper(),
-                ndag_enabled=False, rngs=[np.random.default_rng(0)],
-            )[0]
+            one_round(models, ndag.NdagHyper(), 0, False, X[:0], y[:0])
 
     def test_label_shape_mismatch_rejected(self):
         models, X, y = round_fixture(9)
         with pytest.raises(ValueError):
-            ndag.client_round(
-                [models], TASK_ARCH, GEN_ARCH, [X], [y[:-1]], ndag.NdagHyper(),
-                ndag_enabled=False, rngs=[np.random.default_rng(0)],
-            )[0]
+            one_round(models, ndag.NdagHyper(), 0, False, X, y[:-1])
 
     def test_zero_epochs_rejected(self):
         models, X, y = round_fixture(10)
         with pytest.raises(ValueError):
-            ndag.client_round(
-                [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(),
-                ndag_enabled=False, rngs=[np.random.default_rng(0)], local_epochs=0,
-            )[0]
+            one_round(models, ndag.NdagHyper(), 0, False, X, y, local_epochs=0)
 
     def test_ndag_without_teacher_rejected(self):
         models, X, y = round_fixture(11)
-        models = replace(models, teacher=None)
-        with pytest.raises(ValueError):
-            ndag.client_round(
-                [models], TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(), ndag_enabled=True,
-                rngs=[np.random.default_rng(0)],
-            )[0]
+        student, generator, teacher = helpers.round_rows([models])
+        for rows in ((student, generator, None), (student, None, teacher)):
+            with pytest.raises(ValueError, match="both generator and teacher rows"):
+                ndag.client_round(
+                    *rows, TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(),
+                    rngs=[np.random.default_rng(0)],
+                )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_lr_aborts_with_diagnostic(self):
         models, X, y = round_fixture(12)
         hyper = ndag.NdagHyper(lr=1e12, batch_size=2)
         with pytest.raises(ndag.DivergenceError):
-            ndag.client_round(
-                [models], TASK_ARCH, GEN_ARCH, [X], [y], hyper, ndag_enabled=False,
-                rngs=[np.random.default_rng(0)], local_epochs=4,
-            )[0]
+            one_round(models, hyper, 0, False, X, y, local_epochs=4)
 
     def test_last_grad_mirrors_final_batch(self):
         models, X, y = round_fixture(13, n=4)
-        result = ndag.client_round(
-            [models], TASK_ARCH, GEN_ARCH, [X], [y], ndag.NdagHyper(batch_size=4),
-            ndag_enabled=False, rngs=[np.random.default_rng(21)],
-        )[0]
+        result = one_round(models, ndag.NdagHyper(batch_size=4), 21, False, X, y)
         order = np.random.default_rng(21).permutation(4)
         g, _ = helpers.mirror_plain_grad(models.student.values, TASK_ARCH, X[order], y[order])
-        assert np.array_equal(result.last_grad.values, g)
+        assert np.array_equal(result.last_grads[0], g)
+
+    def test_inputs_are_not_modified(self):
+        models, X, y = round_fixture(14)
+        rows = helpers.round_rows([models])
+        before = [r.copy() for r in rows]
+        result = ndag.client_round(*rows, TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(),
+                                   rngs=[np.random.default_rng(4)])
+        assert all(np.array_equal(a, b) for a, b in zip(rows, before))
+        assert not np.array_equal(result.teacher, rows[2])
 
 
 class TestDirectionalSteps:

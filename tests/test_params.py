@@ -10,7 +10,6 @@ from feddag.params import (
     NonFiniteValues,
     ParamVector,
     SgdRows,
-    SgdState,
     param_axpy,
     param_mean,
     sgd_step,
@@ -22,8 +21,8 @@ def vec(*xs):
 
 
 def rows(*vectors):
-    """Fresh one-per-row SGD stack of the given parameter vectors."""
-    return SgdRows.stack([vec(*v) for v in vectors], [SgdState() for _ in vectors])
+    """One-per-row SGD stack of the given parameter vectors, momentum at zero."""
+    return SgdRows(np.array(vectors, dtype=np.float64))
 
 
 def grads(*vectors):
@@ -65,10 +64,10 @@ class TestAlgebra:
 
     def test_mean_single_is_identity(self):
         v = vec(1.5, -2.5)
-        assert np.array_equal(param_mean([v]).values, v.values)
+        assert np.array_equal(param_mean([v.values]).values, v.values)
 
     def test_mean_example(self):
-        out = param_mean([vec(0.0, 0.0), vec(2.0, 2.0)])
+        out = param_mean(np.array([[0.0, 0.0], [2.0, 2.0]]))
         assert out.values.tolist() == [1.0, 1.0]
 
     def test_mean_empty_rejected(self):
@@ -79,7 +78,7 @@ class TestAlgebra:
         with pytest.raises(DimensionMismatch):
             param_axpy(1.0, vec(1.0), vec(1.0, 2.0))
         with pytest.raises(DimensionMismatch):
-            param_mean([vec(1.0), vec(1.0, 2.0)])
+            param_mean([np.ones(1), np.ones(2)])
 
 
 class TestSgdStep:
@@ -119,9 +118,6 @@ class TestSgdStep:
         assert not np.shares_memory(p.buf, g)
         sgd_step(p, g, 0.1, 0.9, 0.0)
         assert g.tolist() == [[1.0, 1.0]]
-        _, state = p.row(0)
-        with pytest.raises(ValueError):
-            state.momentum_buf[0] = 7.0
 
     def test_non_finite_grads_rejected(self):
         p = rows((1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
@@ -145,18 +141,10 @@ class TestSgdStep:
 
 
 class TestSgdRows:
-    def test_stack_copies_and_round_trips(self):
-        a, b = vec(1.0, 2.0), vec(3.0, 4.0)
-        p = SgdRows.stack([a, b], [SgdState(), SgdState()])
-        p.params += 1.0
-        assert a.values.tolist() == [1.0, 2.0]
-        out, state = p.row(1)
-        assert out.values.tolist() == [4.0, 5.0]
-        assert state.momentum_buf is None
-
-    def test_mixed_buffers_rejected(self):
-        with pytest.raises(ValueError):
-            SgdRows.stack([vec(1.0), vec(2.0)], [SgdState(np.zeros(1)), SgdState()])
+    def test_buffer_starts_at_zero(self):
+        p = rows((1.0, 2.0), (3.0, 4.0))
+        assert p.buf.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert not np.shares_memory(p.buf, p.params)
 
     def test_take_slice_is_a_view_and_index_a_copy(self):
         p = rows((1.0,), (2.0,), (3.0,))

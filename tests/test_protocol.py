@@ -101,20 +101,47 @@ class TestFedavgEquivalence:
 class TestTeacherLifecycle:
     def test_teacher_frozen_at_warmup_snapshot_when_decay_one(self):
         # With decay 1.0 the EMA never moves, so the teacher must stay the
-        # exact global model distributed at the first adversarial round, even
-        # across later rounds and redistributions.
+        # exact global model sent out at the first adversarial round, even
+        # across later rounds and new global models.
         sources = BENCH[:2]
         config = fed(mode="no_sha", rounds=4, warmup=2, seed=9, ndag_kw=dict(ema_decay=1.0))
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        clients = protocol.make_clients(sources, server)
         snapshot = None
         for r in range(config.rounds):
             if r == config.warmup_rounds:
                 snapshot = server.global_task.values.copy()
-            protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
-        for client in clients:
-            assert client.models.teacher is not None
-            assert np.array_equal(client.models.teacher.values, snapshot)
+            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        assert server.teachers.shape == (2, TASK_ARCH.param_count())
+        for row in server.teachers:
+            assert np.array_equal(row, snapshot)
+
+    def test_teacher_rows_carry_over_between_adversarial_rounds(self, monkeypatch):
+        # With decay 0.9 the teachers move every batch.  The rows entering
+        # the second adversarial round must be the ones the first returned,
+        # not a fresh copy of the new global model.
+        sources = BENCH[:2]
+        config = fed(mode="no_sha", rounds=3, warmup=1, seed=4, ndag_kw=dict(ema_decay=0.9))
+        server = protocol.init(config, TASK_ARCH, GEN_ARCH)
+        calls = []
+        client_round = ndag.client_round
+
+        def recording(student, generator, teacher, *args, **kwargs):
+            sent = None if teacher is None else teacher.copy()
+            result = client_round(student, generator, teacher, *args, **kwargs)
+            calls.append((student.copy(), sent, result))
+            return result
+
+        monkeypatch.setattr(ndag, "client_round", recording)
+        for _ in range(config.rounds):
+            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        warmup, first, second = calls
+        assert warmup[1] is None
+        # The first adversarial round copies the global model into the teachers ...
+        assert np.array_equal(first[1], first[0])
+        assert not np.array_equal(first[2].teacher, first[1])
+        # ... and the second gets back exactly what the first returned.
+        assert np.array_equal(second[1], first[2].teacher)
+        assert not np.array_equal(second[1], second[0])
 
     def test_warmup_equals_fedavg_prefix(self):
         # Before the adversarial phase starts, every mode is plain FedAvg.
@@ -123,45 +150,41 @@ class TestTeacherLifecycle:
         config_fa = fed(mode="fedavg", rounds=3, warmup=2, seed=7)
         server_fd = protocol.init(config_fd, TASK_ARCH, GEN_ARCH)
         server_fa = protocol.init(config_fa, TASK_ARCH, GEN_ARCH)
-        clients_fd = protocol.make_clients(sources, server_fd)
-        clients_fa = protocol.make_clients(sources, server_fa)
         for _ in range(2):
-            protocol.run_round(server_fd, clients_fd, config_fd, TASK_ARCH, GEN_ARCH)
-            protocol.run_round(server_fa, clients_fa, config_fa, TASK_ARCH, GEN_ARCH)
+            protocol.run_round(server_fd, sources, config_fd, TASK_ARCH, GEN_ARCH)
+            protocol.run_round(server_fa, sources, config_fa, TASK_ARCH, GEN_ARCH)
         assert np.array_equal(server_fd.global_task.values, server_fa.global_task.values)
 
     def test_generator_untouched_during_warmup(self):
         sources = BENCH[:2]
         config = fed(mode="no_sha", rounds=3, warmup=2, seed=11)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        clients = protocol.make_clients(sources, server)
         gen0 = server.global_gen.values.copy()
-        protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
-        protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
+        protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert np.array_equal(server.global_gen.values, gen0)
-        protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
+        assert server.teachers is None
+        protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert not np.array_equal(server.global_gen.values, gen0)
 
     def test_no_ndag_mode_never_builds_adversarial_state(self):
         sources = BENCH[:2]
         config = fed(mode="no_ndag", rounds=3, warmup=1, seed=2)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        clients = protocol.make_clients(sources, server)
         gen0 = server.global_gen.values.copy()
         for _ in range(config.rounds):
-            protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
+            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert np.array_equal(server.global_gen.values, gen0)
-        assert all(c.models.teacher is None for c in clients)
+        assert server.teachers is None
 
     def test_warmup_zero_starts_adversarial_immediately(self):
         sources = BENCH[:2]
         config = fed(mode="feddag", rounds=2, warmup=0, seed=0)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        clients = protocol.make_clients(sources, server)
-        rm = protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
+        rm = protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert rm.warmup is False
         assert rm.raw_scores is not None
-        assert all(c.models.teacher is not None for c in clients)
+        assert server.teachers is not None and len(server.teachers) == 2
 
 
 class TestRoundMetrics:
@@ -169,9 +192,8 @@ class TestRoundMetrics:
         sources = BENCH[:2]
         config = fed(mode="feddag", rounds=3, warmup=2, seed=1)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        clients = protocol.make_clients(sources, server)
         log = [
-            protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
+            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
             for _ in range(config.rounds)
         ]
         assert [rm.round for rm in log] == [0, 1, 2]
@@ -190,9 +212,8 @@ class TestRoundMetrics:
         sources = BENCH[:2]
         config = fed(mode="no_sha", rounds=3, warmup=1, seed=1)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        clients = protocol.make_clients(sources, server)
         log = [
-            protocol.run_round(server, clients, config, TASK_ARCH, GEN_ARCH)
+            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
             for _ in range(config.rounds)
         ]
         assert all(rm.raw_scores is None for rm in log)
@@ -202,20 +223,16 @@ class TestRoundMetrics:
 class TestValSetSelection:
     def _clients(self, n):
         rng = np.random.default_rng(0)
-        out = []
-        for i in range(n):
-            out.append(
-                protocol.ClientRuntime(
-                    index=i,
-                    domain=i,
-                    train_x=rng.random((4, 2)),
-                    train_y=np.zeros(4, dtype=int),
-                    val_x=rng.random((3, 2)),
-                    val_y=np.zeros(3, dtype=int),
-                    models=None,
-                )
+        return [
+            data.DomainDataset(
+                domain=i,
+                train_x=rng.random((4, 2)),
+                train_y=np.zeros(4, dtype=int),
+                val_x=rng.random((3, 2)),
+                val_y=np.zeros(3, dtype=int),
             )
-        return out
+            for i in range(n)
+        ]
 
     def test_include_self_true_uses_everyone(self):
         clients = self._clients(3)
@@ -248,12 +265,15 @@ class TestValSetSelection:
         assert len(picks) > 1
 
     def test_self_exclusion_falls_back_to_chosen(self):
-        # If the sampled evaluator set is exactly the client itself, the
-        # fallback keeps scoring possible rather than leaving no val data.
+        # With two sampled evaluators and its own set excluded, a client
+        # still keeps at least one: FederationConfig rejects a single
+        # evaluator and a single client, the settings that could leave none.
         clients = self._clients(3)
         config = fed(n_clients=3, eval_clients_per_round=2, sha_kw=dict(include_self=False))
         sets = protocol._client_val_sets(clients, config, 0)
         assert all(len(per) >= 1 for per in sets)
+        for i, per in enumerate(sets):
+            assert all(xs is not clients[i].val_x for xs, _ in per)
 
 
 class TestRunFederation:

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from feddag import reporting
+from feddag.atomic import atomic_open
 from feddag.data import BenchSpec, make_benchmark
 from feddag.nets import GenArch, TaskArch
 from feddag.protocol import FederationConfig, run_lodo
@@ -103,6 +104,35 @@ class TestReportJson:
         reporting.write_report_json(str(a), CFG, report)
         reporting.write_report_json(str(b), CFG, lodo())
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_earlier_file(self, report, tmp_path):
+        path = tmp_path / "report.json"
+        reporting.write_report_json(str(path), CFG, report)
+        before = path.read_bytes()
+        # json.dump streams the sorted keys and fails on the unserializable
+        # value after the earlier ones are written.
+        with pytest.raises(TypeError):
+            reporting.write_report_json(str(path), dict(CFG, zzz=object()), report)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_interrupted_block_leaves_no_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(str(path), newline="") as fh:
+                fh.write("partial")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_appears_complete(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_open(str(path)) as fh:
+            fh.write("a\n")
+            assert not path.exists()
+        assert path.read_text() == "a\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestMetricsCsv:

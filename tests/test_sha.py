@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 from feddag import nets, sha
-from feddag.params import DimensionMismatch, ParamVector, param_mean
+from feddag.params import DimensionMismatch, NonFiniteValues, ParamVector, param_mean
 
 ARCH = nets.TaskArch(3, (5,), 4, 3)
 
@@ -295,54 +295,57 @@ class TestAggregationWeights:
 class TestAcrossClientAggregate:
     def test_single_client_is_exact(self):
         rng = np.random.default_rng(12)
-        task = ParamVector(rng.normal(size=7))
-        gen = ParamVector(rng.normal(size=5))
-        g_task, g_gen = sha.across_client_aggregate(
-            [task], [gen], sha.AggregationWeights([1.0])
-        )
-        assert np.array_equal(g_task.values, task.values)
-        assert np.array_equal(g_gen.values, gen.values)
+        task = rng.normal(size=(1, 7))
+        out = sha.across_client_aggregate(task, sha.AggregationWeights([1.0]))
+        assert isinstance(out, ParamVector)
+        assert np.array_equal(out.values, task[0])
 
     def test_identical_clients_any_weights(self):
         rng = np.random.default_rng(13)
-        task = ParamVector(rng.normal(size=7))
-        gen = ParamVector(rng.normal(size=5))
+        task = rng.normal(size=7)
         raw = rng.uniform(0.1, 1.0, size=4)
         weights = sha.AggregationWeights(raw / raw.sum())
-        g_task, g_gen = sha.across_client_aggregate([task] * 4, [gen] * 4, weights)
-        np.testing.assert_allclose(g_task.values, task.values, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(g_gen.values, gen.values, rtol=1e-14, atol=1e-15)
+        out = sha.across_client_aggregate(np.tile(task, (4, 1)), weights)
+        np.testing.assert_allclose(out.values, task, rtol=1e-14, atol=1e-15)
 
     def test_weighted_pair_example(self):
-        tasks = [ParamVector(np.zeros(2)), ParamVector(np.array([2.0, 4.0]))]
-        gens = [ParamVector(np.zeros(2)), ParamVector(np.array([2.0, 4.0]))]
-        g_task, g_gen = sha.across_client_aggregate(
-            tasks, gens, sha.AggregationWeights([0.25, 0.75])
-        )
-        assert np.array_equal(g_task.values, np.array([1.5, 3.0]))
-        assert np.array_equal(g_gen.values, np.array([1.5, 3.0]))
+        rows = [np.zeros(2), np.array([2.0, 4.0])]
+        out = sha.across_client_aggregate(rows, sha.AggregationWeights([0.25, 0.75]))
+        assert np.array_equal(out.values, np.array([1.5, 3.0]))
 
     def test_beta_zero_weights_match_plain_mean(self):
         rng = np.random.default_rng(14)
-        tasks = [ParamVector(rng.normal(size=9)) for _ in range(5)]
-        gens = [ParamVector(rng.normal(size=4)) for _ in range(5)]
+        rows = rng.normal(size=(5, 9))
         weights = sha.softmax_weights(list(rng.uniform(0.1, 3.0, size=5)), 0.0)
-        g_task, g_gen = sha.across_client_aggregate(tasks, gens, weights)
-        assert np.abs(g_task.values - param_mean(tasks).values).max() <= 1e-15
-        assert np.abs(g_gen.values - param_mean(gens).values).max() <= 1e-15
+        out = sha.across_client_aggregate(rows, weights)
+        assert np.abs(out.values - param_mean(rows).values).max() <= 1e-15
+
+    def test_accumulates_client_by_client(self):
+        # The sum runs in client order, one row at a time, so a list of rows
+        # and the stacked array give the same bits as the plain loop.
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(6, 11))
+        weights = sha.softmax_weights(list(rng.uniform(0.1, 3.0, size=6)), 0.7)
+        acc = np.zeros(11)
+        for wi, row in zip(weights.values, rows):
+            acc += wi * row
+        assert np.array_equal(sha.across_client_aggregate(rows, weights).values, acc)
+        assert np.array_equal(sha.across_client_aggregate(list(rows), weights).values, acc)
 
     def test_count_mismatch_rejected(self):
-        task = ParamVector(np.ones(3))
-        gen = ParamVector(np.ones(2))
         with pytest.raises(ValueError):
-            sha.across_client_aggregate([task, task], [gen], sha.AggregationWeights([0.5, 0.5]))
+            sha.across_client_aggregate(np.ones((1, 3)), sha.AggregationWeights([0.5, 0.5]))
 
     def test_dim_mismatch_rejected(self):
         weights = sha.AggregationWeights([0.5, 0.5])
-        tasks = [ParamVector(np.ones(3)), ParamVector(np.ones(4))]
-        gens = [ParamVector(np.ones(2)), ParamVector(np.ones(2))]
-        with pytest.raises(ValueError):
-            sha.across_client_aggregate(tasks, gens, weights)
+        with pytest.raises(DimensionMismatch):
+            sha.across_client_aggregate([np.ones(3), np.ones(4)], weights)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_sum_rejected(self):
+        weights = sha.AggregationWeights([0.5, 0.5])
+        with pytest.raises(NonFiniteValues):
+            sha.across_client_aggregate(np.array([[1.0], [np.inf]]), weights)
 
 
 class TestShaHyper:
