@@ -206,10 +206,10 @@ def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (values[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy (max-shifted) per client and its logit gradient.
 
-    logits is (C, B, K) and labels (C, B); the loss is (C,).
+    logits is (C, B, K) and labels (C, B), or (1, B) shared by all; the loss is (C,).
     """
     n = logits.shape[1]
     zmax = logits.max(axis=2, keepdims=True)
@@ -277,7 +277,7 @@ def generator_grad(
     pre = x + delta * hyper.alpha
     inside = (pre >= lo) & (pre <= hi)
     acts, masks, logits = nets.mlp_forward(stu_layers, np.clip(pre, lo, hi))
-    ce, g_logits = _cross_entropy(logits, y)
+    ce, g_logits = cross_entropy(logits, y)
     dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid)
     weights = np.full(n, 1.0 / n)
@@ -312,7 +312,7 @@ def generator_step(
         stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo, hi
     )
     ok = sgd_step(stack.generator, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
-    stack.check(ok, "generator step: ParamVector entries must be finite")
+    stack.check(ok, "generator step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "generator l_cls is non-finite")
     stack.check(np.isfinite(dis), "l_dis is non-finite")
     return ce, dis, bad
@@ -338,7 +338,7 @@ def student_grad(
     x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha, lo, hi)
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
     acts, masks, logits = nets.mlp_forward(stu_layers, x_hat)
-    ce, g_logits = _cross_entropy(logits, y)
+    ce, g_logits = cross_entropy(logits, y)
     dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid)
     weights = np.full(n, 1.0 / n)
@@ -367,7 +367,7 @@ def student_step(
         stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo, hi
     )
     ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
-    stack.check(ok, "student step: ParamVector entries must be finite")
+    stack.check(ok, "student step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "student l_cls is non-finite")
     stack.check(np.isfinite(sim), "l_sim is non-finite")
     return grad, ce, sim, bad
@@ -377,7 +377,7 @@ def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: n
     """Mean L_cls of each student on its raw batch; returns (l_cls, grad)."""
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
     acts, masks, logits = nets.mlp_forward(stu_layers, x)
-    ce, g_logits = _cross_entropy(logits, y)
+    ce, g_logits = cross_entropy(logits, y)
     grad = nets.mlp_backward(stu_layers, acts, masks, g_logits)
     return ce, grad
 
@@ -395,7 +395,7 @@ def plain_step(
     """
     ce, grad = plain_grad(stack, task_arch, x, y)
     ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
-    stack.check(ok, "plain step: ParamVector entries must be finite")
+    stack.check(ok, "plain step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "l_cls is non-finite")
     return grad, ce
 
@@ -454,10 +454,10 @@ def client_round(
 ) -> RoundResult:
     """One local round over shuffled mini-batches for each client, in lockstep.
 
-    student, generator and teacher hold one row per client and are not
-    modified; the result holds the trained copies.  NDAG runs when the
-    generator and teacher rows are given, and plain classification when
-    both are None.  Momentum buffers start at zero.
+    student, generator and teacher hold one row per client (writable
+    float64) and are trained in place; the result holds the same arrays.
+    NDAG runs when the generator and teacher rows are given, and plain
+    classification when both are None.  Momentum buffers start at zero.
 
     Client c trains on (xs[c], ys[c]) and shuffles with rngs[c], drawing
     one permutation per local epoch, so it sees exactly the batches it
@@ -494,10 +494,10 @@ def client_round(
         if labels.shape != (n,):
             raise ValueError(f"target shape {labels.shape} does not match {n} inputs")
 
-    stack = ClientStack(SgdRows(np.array(student, dtype=np.float64)))
+    stack = ClientStack(SgdRows(student))
     if teacher is not None:
-        stack.generator = SgdRows(np.array(generator, dtype=np.float64))
-        stack.teacher = np.array(teacher, dtype=np.float64)
+        stack.generator = SgdRows(generator)
+        stack.teacher = teacher
     batch = hyper.batch_size
     n_batches = [-(-n // batch) for n in sizes]
     orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]

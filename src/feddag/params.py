@@ -57,12 +57,6 @@ def check_dims(*vectors) -> int:
     return dims.pop()
 
 
-def param_axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """Elementwise a*x + y."""
-    check_dims(x, y)
-    return ParamVector(a * x.values + y.values)
-
-
 def param_mean(rows) -> ParamVector:
     """Elementwise arithmetic mean of one or more same-length parameter rows.
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import metrics, ndag, nets, sha
 from .data import DomainDataset
-from .losses import batch_loss_cls
 from .params import ParamVector, param_mean
 
 MODES = ("feddag", "no_ndag", "no_sha", "fedavg")
@@ -137,8 +136,8 @@ def init(config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenA
 
 def _client_val_sets(
     sources: list[DomainDataset], config: FederationConfig, round_idx: int
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Validation sets each client's upload is scored on this round.
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[list[int]]]:
+    """This round's validation sets and, per set, the clients scored on it.
 
     FederationConfig rejects the settings that could leave a client none.
     """
@@ -147,10 +146,9 @@ def _client_val_sets(
     if 0 < config.eval_clients_per_round < n:
         rng = np.random.default_rng([config.seed, _EVAL_PICK_TAG, round_idx])
         chosen = sorted(rng.choice(n, size=config.eval_clients_per_round, replace=False))
-    return [
-        [(sources[j].val_x, sources[j].val_y) for j in chosen if config.sha.include_self or j != i]
-        for i in range(n)
-    ]
+    sets = [(sources[j].val_x, sources[j].val_y) for j in chosen]
+    scored_on = [[i for i in range(n) if config.sha.include_self or i != j] for j in chosen]
+    return sets, scored_on
 
 
 def run_round(
@@ -168,7 +166,8 @@ def run_round(
     clients' local rounds run in lockstep (ndag.client_round): every client
     finishes local step k before any client starts step k + 1.  If training
     diverges, the ClientRoundError names the lowest-index client among
-    those that fail at the earliest failing local step.
+    those that fail at the earliest failing local step; if scoring does,
+    sha.ScoringDivergence names the lowest-index client it failed on.
     """
     round_idx = server.round
     warmup = round_idx < config.warmup_rounds
@@ -196,7 +195,6 @@ def run_round(
         )
     except ndag.DivergenceError as exc:
         raise ClientRoundError(exc.client, exc) from exc
-    server.teachers = result.teacher
     if trace is not None:
         for domain, rows in zip(sources, result.traces):
             for row in rows:
@@ -219,26 +217,22 @@ def run_round(
         if ndag_on:
             server.global_gen = param_mean(result.generator)
     else:
-        val_sets = _client_val_sets(sources, config, round_idx)
-        merged_rows = []
-        raw_list, post_list = [], []
+        val_sets, scored_on = _client_val_sets(sources, config, round_idx)
+        theta_hat, _ = sha.probe_rows(result.uploads, result.last_grads, config.sha.rho)
+        raw = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
+        merged_rows, post_list = [], []
         for c, row in enumerate(result.uploads):
-            upload = ParamVector(row)
-            last_grad = ParamVector(result.last_grads[c])
-            theta_hat, _ = sha.perturb_model(upload, last_grad, config.sha.rho)
-            raw = sha.evaluate_score(theta_hat, task_arch, val_sets[c])
-            current = sha.ScoredSnapshot(params=upload, score=raw.score, round=round_idx)
+            current = sha.ScoredSnapshot(score=raw[c].score, round=round_idx, row=row.copy())
             merged, server.histories[c] = sha.within_client_aggregate(
                 current, server.histories[c], config.sha.k, config.sha.history_cap
             )
-            merged_rows.append(merged.params.values)
-            raw_list.append(raw.score)
+            merged_rows.append(merged.row)
             post_list.append(merged.score)
         weights = sha.softmax_weights(post_list, config.sha.beta)
         server.global_task = sha.across_client_aggregate(merged_rows, weights)
         if ndag_on:
             server.global_gen = sha.across_client_aggregate(result.generator, weights)
-        raw_scores = tuple(raw_list)
+        raw_scores = tuple(r.score for r in raw)
         scores = tuple(post_list)
 
     server.round = round_idx + 1
@@ -246,11 +240,12 @@ def run_round(
     val_x = np.concatenate([d.val_x for d in sources])
     val_y = np.concatenate([d.val_y for d in sources])
     _, logits = nets.task_apply(server.global_task, task_arch, val_x)
+    source_val_loss, _ = ndag.cross_entropy(logits[None], val_y[None])
     return RoundMetrics(
         round=round_idx,
         warmup=warmup,
         train_losses=tuple(result.mean_train_losses),
-        source_val_loss=batch_loss_cls(logits, val_y),
+        source_val_loss=float(source_val_loss[0]),
         raw_scores=raw_scores,
         scores=scores,
         weights=tuple(weights.values.tolist()),

@@ -6,6 +6,11 @@ so flat minima score well and sharp ones pay for it.  Scores drive two
 aggregation tiers: within a client, the latest better-scoring snapshots are
 densely averaged into the upload; across clients, scores are soft-balanced
 into simplex weights.
+
+A round's uploads are scored together as (C, P) rows: one stacked forward
+and cross-entropy per validation set, over every model scored on it.  The
+sets are not concatenated, since on narrow output layers (16 -> 3) OpenBLAS
+rounds a row's logits differently depending on the matrix height.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nets
-from .losses import batch_loss_cls
-from .params import ParamVector, check_dims, param_axpy, param_mean
+from .ndag import DivergenceError, cross_entropy
+from .params import DimensionMismatch, ParamVector, check_dims, param_mean
 
 GRAD_NORM_FLOOR = 1e-12
 SCORE_CAP = 1e9
@@ -42,15 +47,25 @@ class ShaHyper:
             raise ValueError(f"history_cap must be >= 0, got {self.history_cap}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredSnapshot:
-    params: ParamVector
+    """A client's upload row with its score and the round it was scored in."""
+
     score: float
     round: int
+    row: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.score) and self.score > 0.0):
             raise ValueError(f"snapshot score must be finite and > 0, got {self.score}")
+
+
+class ScoringDivergence(DivergenceError):
+    """A probed upload's parameters or validation loss are non-finite."""
+
+    def __init__(self, client: int, what: str):
+        super().__init__(f"client {client}: non-finite {what}")
+        self.client = client
 
 
 class AggregationWeights:
@@ -78,39 +93,51 @@ class ScoreResult(NamedTuple):
     near_perfect: bool
 
 
-def perturb_model(theta: ParamVector, grad: ParamVector, rho: float) -> tuple[ParamVector, bool]:
-    """theta + rho * g/||g||; returns (theta, False) on a vanishing gradient."""
+def probe_rows(theta: np.ndarray, grads: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """(theta + rho * g/||g|| per row, probed flags); a row whose g vanishes stays at theta."""
     if rho < 0.0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    norm = float(np.linalg.norm(grad.values))
-    if norm < GRAD_NORM_FLOOR:
-        return theta, False
-    return param_axpy(rho / norm, grad, theta), True
+    if theta.shape != grads.shape:
+        raise DimensionMismatch(f"gradient shape {grads.shape} != params {theta.shape}")
+    rows = theta.copy()
+    norms = [float(np.linalg.norm(g)) for g in grads]
+    probed = np.array([norm >= GRAD_NORM_FLOOR for norm in norms], dtype=bool)
+    for c in np.flatnonzero(probed):
+        rows[c] = rho / norms[c] * grads[c] + theta[c]
+    return rows, probed
 
 
 def evaluate_score(
-    theta_hat: ParamVector,
+    theta_hat: np.ndarray,
     arch: nets.TaskArch,
     val_sets: list[tuple[np.ndarray, np.ndarray]],
-) -> ScoreResult:
-    """Generalization score 1 / sum of per-set mean CE losses.
+    scored_on: list[list[int]],
+) -> list[ScoreResult]:
+    """Generalization score 1 / sum of per-set mean CE losses, one per row of theta_hat.
 
-    The sum runs over the given validation sets; a near-zero total loss is
-    capped at SCORE_CAP and flagged instead of dividing by ~0.
+    scored_on[s] lists, ascending, the rows scored on val_sets[s]; each
+    row's losses are summed in set order.  A near-zero total loss is capped
+    at SCORE_CAP and flagged instead of dividing by ~0.  Non-finite
+    parameters or totals raise ScoringDivergence for the lowest such row.
     """
-    if not val_sets:
-        raise ValueError("evaluate_score needs at least one validation set")
-    total = 0.0
-    for xs, ys in val_sets:
+    if set(range(len(theta_hat))) - {row for rows in scored_on for row in rows}:
+        raise ValueError("evaluate_score needs at least one validation set per row")
+    totals = [0.0] * len(theta_hat)
+    for (xs, ys), rows in zip(val_sets, scored_on, strict=True):
         if xs.shape[0] == 0:
             raise ValueError("empty validation set")
-        _, logits = nets.task_apply(theta_hat, arch, xs)
-        total += batch_loss_cls(logits, ys)
-    if not np.isfinite(total):
-        raise ValueError("non-finite validation loss")
-    if total < 1e-9:
-        return ScoreResult(SCORE_CAP, True)
-    return ScoreResult(1.0 / total, False)
+        models = theta_hat if len(rows) == len(theta_hat) else theta_hat[rows]
+        _, logits = nets.task_apply(models, arch, xs[None])
+        for row, loss in zip(rows, cross_entropy(logits, ys[None])[0].tolist()):
+            totals[row] += loss
+    finite = np.isfinite(theta_hat).all(axis=1)
+    for row, total in enumerate(totals):
+        if not (finite[row] and np.isfinite(total)):
+            raise ScoringDivergence(row, "validation loss" if finite[row] else "probed parameters")
+    return [
+        ScoreResult(SCORE_CAP, True) if total < 1e-9 else ScoreResult(1.0 / total, False)
+        for total in totals
+    ]
 
 
 def within_client_aggregate(
@@ -122,9 +149,9 @@ def within_client_aggregate(
     """Densely aggregate the upload with its better-scoring recent history.
 
     Takes the latest (at most k) history snapshots whose score beats the
-    current one, averages their parameters and scores together with the
-    current snapshot, and appends the pre-aggregation snapshot to history
-    (oldest entries dropped beyond history_cap).  k = 0 is the identity.
+    current one, averages their rows and scores together with the current
+    snapshot, and appends the pre-aggregation snapshot to history (oldest
+    entries dropped beyond history_cap).  k = 0 is the identity.
     """
     new_history = list(history) + [current]
     if len(new_history) > history_cap:
@@ -137,9 +164,9 @@ def within_client_aggregate(
         return current, new_history
     pool = chosen + [current]
     merged = ScoredSnapshot(
-        params=param_mean([snap.params.values for snap in pool]),
         score=float(np.mean([snap.score for snap in pool])),
         round=current.round,
+        row=param_mean([snap.row for snap in pool]).values,
     )
     return merged, new_history
 

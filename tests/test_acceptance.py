@@ -227,17 +227,15 @@ def test_criterion_05_simplex_and_reductions(capsys):
         assert np.array_equal(
             sha.softmax_weights([0.3, 0.7, 1.9], 0.0).values, np.full(3, 1.0 / 3.0)
         )
-        theta = ParamVector(rng.normal(size=17))
-        grad = ParamVector(rng.normal(size=17))
-        out, moved = sha.perturb_model(theta, grad, 0.0)
-        assert moved
-        assert np.array_equal(out.values, theta.values)
-        current = sha.ScoredSnapshot(params=theta, score=1.0, round=4)
-        history = [
-            sha.ScoredSnapshot(params=grad, score=2.0, round=r) for r in range(3)
-        ]
+        theta = rng.normal(size=(1, 17))
+        grad = rng.normal(size=(1, 17))
+        out, moved = sha.probe_rows(theta, grad, 0.0)
+        assert moved.all()
+        assert np.array_equal(out, theta)
+        current = sha.ScoredSnapshot(score=1.0, round=4, row=theta[0])
+        history = [sha.ScoredSnapshot(score=2.0, round=r, row=grad[0]) for r in range(3)]
         merged, _ = sha.within_client_aggregate(current, history, k=0, history_cap=8)
-        assert np.array_equal(merged.params.values, theta.values)
+        assert np.array_equal(merged.row, theta[0])
         assert merged.score == 1.0
 
 

@@ -191,6 +191,20 @@ class TestExitCodes:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert "training diverged" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "rho, cause",
+        [(1e200, "non-finite validation loss"), (1e308, "non-finite probed parameters")],
+    )
+    def test_scoring_divergence_exits_3(self, tmp_path, capsys, rho, cause):
+        # A probe radius this large overflows the probed weights (1e308) or
+        # their validation loss (1e200) in the first scored round.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": rho, "rounds": 3, "warmup_rounds": 1}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"training diverged: client 0: {cause}" in capsys.readouterr().err
+
     def test_unwritable_out_exits_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         blocker = tmp_path / "blocker"

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from feddag.losses import batch_loss_cls
+from feddag import ndag
 from scalar_losses import DegenerateFeatures, loss_cls, loss_dis, loss_sim, normalized_sq_dist
+from sha_oracle import batch_loss_cls
 
 # Frozen oracles, each computed independently at high precision:
 #   dist((1,0),(1,1)) = 2 - sqrt(2); uniform 3-class CE = ln 3;
@@ -137,3 +138,21 @@ class TestBatchLossCls:
             batch_loss_cls(np.zeros((3, 2)), np.zeros(2, dtype=int))
         with pytest.raises(ValueError):
             batch_loss_cls(np.zeros((3, 2)), np.array([0, 1, 2]))
+
+    def test_stacked_cross_entropy_is_bitwise_equal(self):
+        # ndag.cross_entropy is the one cross-entropy the package has: each
+        # client's slice of a stack, and a single matrix given a leading axis
+        # of 1, must give the old 2-D loss's bits, for shared labels too.
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 7, 40, 179, 700):
+            for k in (2, 3, 5):
+                for scale in (1e-3, 1.0, 30.0):
+                    z = rng.normal(size=(4, n, k)) * scale
+                    y = rng.integers(0, k, size=(4, n))
+                    stacked, _ = ndag.cross_entropy(z, y)
+                    shared, _ = ndag.cross_entropy(z, y[:1])
+                    for c in range(4):
+                        alone, _ = ndag.cross_entropy(z[c][None], y[c][None])
+                        assert float(alone[0]) == batch_loss_cls(z[c], y[c])
+                        assert float(stacked[c]) == batch_loss_cls(z[c], y[c])
+                        assert float(shared[c]) == batch_loss_cls(z[c], y[0])

@@ -473,6 +473,27 @@ class TestClientRound:
         with pytest.raises(ndag.DivergenceError):
             one_round(models, hyper, 0, False, X, y, local_epochs=4)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("step", ["generator", "student", "plain"])
+    def test_step_divergence_names_the_step(self, step):
+        # Overflowing weights make the step's gradient non-finite.
+        models, X, y = round_fixture(15)
+        t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        if step == "generator":
+            stack.generator.params[:] = np.inf
+            ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
+        else:
+            stack.student.params[:] = 1e300
+            if step == "student":
+                ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
+            else:
+                ndag.plain_step(stack, TASK_ARCH, X1, y1, step_hyper())
+        with pytest.raises(ndag.DivergenceError) as info:
+            stack.raise_failure()
+        assert str(info.value) == f"{step} step: non-finite parameters or gradient"
+        assert info.value.client == 0
+
     def test_last_grad_mirrors_final_batch(self):
         models, X, y = round_fixture(13, n=4)
         result = one_round(models, ndag.NdagHyper(batch_size=4), 21, False, X, y)
@@ -480,14 +501,22 @@ class TestClientRound:
         g, _ = helpers.mirror_plain_grad(models.student.values, TASK_ARCH, X[order], y[order])
         assert np.array_equal(result.last_grads[0], g)
 
-    def test_inputs_are_not_modified(self):
+    def test_rows_are_trained_in_place(self):
+        # The round takes ownership of the rows it is given: the result
+        # holds the same arrays, trained, and a copy sent instead gives the
+        # same bits.
         models, X, y = round_fixture(14)
         rows = helpers.round_rows([models])
         before = [r.copy() for r in rows]
         result = ndag.client_round(*rows, TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(),
                                    rngs=[np.random.default_rng(4)])
-        assert all(np.array_equal(a, b) for a, b in zip(rows, before))
-        assert not np.array_equal(result.teacher, rows[2])
+        for role, sent, old in zip(("student", "generator", "teacher"), rows, before):
+            assert getattr(result, role) is sent, role
+            assert not np.array_equal(sent, old), role
+        again = ndag.client_round(*before, TASK_ARCH, GEN_ARCH, [X], [y], step_hyper(),
+                                  rngs=[np.random.default_rng(4)])
+        for role in ("student", "generator", "teacher", "last_grads"):
+            assert np.array_equal(getattr(again, role), getattr(result, role)), role
 
 
 class TestDirectionalSteps:

@@ -10,10 +10,10 @@ from feddag.params import (
     NonFiniteValues,
     ParamVector,
     SgdRows,
-    param_axpy,
     param_mean,
     sgd_step,
 )
+from sha_oracle import param_axpy
 
 
 def vec(*xs):

@@ -126,9 +126,12 @@ class TestTeacherLifecycle:
         client_round = ndag.client_round
 
         def recording(student, generator, teacher, *args, **kwargs):
-            sent = None if teacher is None else teacher.copy()
+            # client_round trains the rows it is given in place, so record
+            # copies of what was sent and of what came back.
+            sent = student.copy(), None if teacher is None else teacher.copy()
             result = client_round(student, generator, teacher, *args, **kwargs)
-            calls.append((student.copy(), sent, result))
+            back = None if result.teacher is None else result.teacher.copy()
+            calls.append((*sent, back))
             return result
 
         monkeypatch.setattr(ndag, "client_round", recording)
@@ -138,10 +141,26 @@ class TestTeacherLifecycle:
         assert warmup[1] is None
         # The first adversarial round copies the global model into the teachers ...
         assert np.array_equal(first[1], first[0])
-        assert not np.array_equal(first[2].teacher, first[1])
+        assert not np.array_equal(first[2], first[1])
         # ... and the second gets back exactly what the first returned.
-        assert np.array_equal(second[1], first[2].teacher)
+        assert np.array_equal(second[1], first[2])
         assert not np.array_equal(second[1], second[0])
+
+    def test_history_rows_outlive_in_place_training(self):
+        # client_round trains the teacher rows in place, so the snapshots SHA
+        # keeps must be copies: a later round cannot change an earlier entry.
+        sources = BENCH[:2]
+        config = fed(mode="feddag", rounds=4, warmup=1, seed=8, ndag_kw=dict(ema_decay=0.9))
+        server = protocol.init(config, TASK_ARCH, GEN_ARCH)
+        kept = []
+        for _ in range(config.rounds):
+            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            kept.append([[s.row.copy() for s in hist] for hist in server.histories])
+        for hist, first in zip(server.histories, kept[1]):
+            assert len(hist) == 3
+            for snap, row in zip(hist, first):
+                assert np.array_equal(snap.row, row)
+            assert all(not np.shares_memory(snap.row, server.teachers) for snap in hist)
 
     def test_warmup_equals_fedavg_prefix(self):
         # Before the adversarial phase starts, every mode is plain FedAvg.
@@ -220,6 +239,12 @@ class TestRoundMetrics:
         assert all(rm.weights == (0.5, 0.5) for rm in log)
 
 
+def per_client_val_sets(clients, config, round_idx):
+    """protocol._client_val_sets as each client's list of sets, in set order."""
+    sets, scored_on = protocol._client_val_sets(clients, config, round_idx)
+    return [[vs for vs, rows in zip(sets, scored_on) if i in rows] for i in range(len(clients))]
+
+
 class TestValSetSelection:
     def _clients(self, n):
         rng = np.random.default_rng(0)
@@ -237,14 +262,14 @@ class TestValSetSelection:
     def test_include_self_true_uses_everyone(self):
         clients = self._clients(3)
         config = fed(n_clients=3)
-        sets = protocol._client_val_sets(clients, config, 0)
+        sets = per_client_val_sets(clients, config, 0)
         assert [len(s) for s in sets] == [3, 3, 3]
         assert sets[1][1][0] is clients[1].val_x
 
     def test_include_self_false_drops_own_set(self):
         clients = self._clients(3)
         config = fed(n_clients=3, sha_kw=dict(include_self=False))
-        sets = protocol._client_val_sets(clients, config, 0)
+        sets = per_client_val_sets(clients, config, 0)
         assert [len(s) for s in sets] == [2, 2, 2]
         for i, per in enumerate(sets):
             assert all(xs is not clients[i].val_x for xs, _ in per)
@@ -252,14 +277,14 @@ class TestValSetSelection:
     def test_eval_subset_is_deterministic_per_round(self):
         clients = self._clients(4)
         config = fed(n_clients=4, eval_clients_per_round=2, seed=13)
-        a = protocol._client_val_sets(clients, config, 5)
-        b = protocol._client_val_sets(clients, config, 5)
+        a = per_client_val_sets(clients, config, 5)
+        b = per_client_val_sets(clients, config, 5)
         assert [len(per) for per in a] == [2, 2, 2, 2]
         for per_a, per_b in zip(a, b):
             assert [id(xs) for xs, _ in per_a] == [id(xs) for xs, _ in per_b]
         # Across many rounds the sampled evaluator pair must actually vary.
         picks = {
-            tuple(id(xs) for xs, _ in protocol._client_val_sets(clients, config, r)[0])
+            tuple(id(xs) for xs, _ in per_client_val_sets(clients, config, r)[0])
             for r in range(10)
         }
         assert len(picks) > 1
@@ -270,7 +295,7 @@ class TestValSetSelection:
         # evaluator and a single client, the settings that could leave none.
         clients = self._clients(3)
         config = fed(n_clients=3, eval_clients_per_round=2, sha_kw=dict(include_self=False))
-        sets = protocol._client_val_sets(clients, config, 0)
+        sets = per_client_val_sets(clients, config, 0)
         assert all(len(per) >= 1 for per in sets)
         for i, per in enumerate(sets):
             assert all(xs is not clients[i].val_x for xs, _ in per)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import helpers
-from feddag import nets, sha
+import sha_oracle
+from feddag import config, data, ndag, nets, protocol, sha
 from feddag.params import DimensionMismatch, NonFiniteValues, ParamVector, param_mean
 
 ARCH = nets.TaskArch(3, (5,), 4, 3)
@@ -20,53 +22,80 @@ SOFT_W0 = 0.4482004813398909
 
 
 def snapshot(values, score, rnd):
-    return sha.ScoredSnapshot(params=ParamVector(values), score=score, round=rnd)
+    return sha.ScoredSnapshot(score=score, round=rnd, row=np.asarray(values, dtype=np.float64))
+
+
+def probe_one(theta, grad, rho):
+    """sha.probe_rows on a single row: (probed row, probed flag)."""
+    rows, probed = sha.probe_rows(np.asarray(theta)[None], np.asarray(grad)[None], rho)
+    return rows[0], bool(probed[0])
+
+
+def score_one(values, arch, val_sets):
+    """sha.evaluate_score of a single model scored on every given set."""
+    [result] = sha.evaluate_score(np.asarray(values)[None], arch, val_sets, [[0]] * len(val_sets))
+    return result
 
 
 class TestPerturbModel:
+    """sha.probe_rows, the sharpness probe that perturbs each model."""
+
     def test_rho_zero_is_identity(self):
         rng = np.random.default_rng(0)
-        theta = ParamVector(rng.normal(size=9))
-        grad = ParamVector(rng.normal(size=9))
-        out, perturbed = sha.perturb_model(theta, grad, 0.0)
+        theta = rng.normal(size=9)
+        grad = rng.normal(size=9)
+        out, perturbed = probe_one(theta, grad, 0.0)
         assert perturbed
-        assert np.array_equal(out.values, theta.values)
+        assert np.array_equal(out, theta)
 
     def test_unit_direction_example(self):
-        theta = ParamVector(np.zeros(2))
-        grad = ParamVector(np.array([3.0, 4.0]))
-        out, perturbed = sha.perturb_model(theta, grad, 0.1)
+        out, perturbed = probe_one(np.zeros(2), np.array([3.0, 4.0]), 0.1)
         assert perturbed
-        np.testing.assert_allclose(out.values, [0.06, 0.08], rtol=1e-14)
+        np.testing.assert_allclose(out, [0.06, 0.08], rtol=1e-14)
 
     def test_direction_only_dependence(self):
         rng = np.random.default_rng(1)
-        theta = ParamVector(rng.normal(size=11))
+        theta = rng.normal(size=11)
         grad = rng.normal(size=11)
-        a, _ = sha.perturb_model(theta, ParamVector(grad), 0.05)
-        b, _ = sha.perturb_model(theta, ParamVector(2.0 * grad), 0.05)
-        assert np.array_equal(a.values, b.values)
+        a, _ = probe_one(theta, grad, 0.05)
+        b, _ = probe_one(theta, 2.0 * grad, 0.05)
+        assert np.array_equal(a, b)
 
     def test_vanishing_gradient_skips_probe(self):
-        theta = ParamVector(np.ones(4))
-        grad = ParamVector(np.full(4, 1e-13))
-        out, perturbed = sha.perturb_model(theta, grad, 0.1)
-        assert not perturbed
-        assert out is theta
+        theta = np.ones((2, 4))
+        grads = np.array([np.full(4, 1e-13), np.ones(4)])
+        rows, probed = sha.probe_rows(theta, grads, 0.1)
+        assert probed.tolist() == [False, True]
+        assert np.array_equal(rows[0], theta[0])
+        assert np.array_equal(theta, np.ones((2, 4)))
 
     def test_negative_rho_rejected(self):
-        theta = ParamVector(np.ones(2))
+        theta = np.ones((1, 2))
         with pytest.raises(ValueError):
-            sha.perturb_model(theta, theta, -0.01)
+            sha.probe_rows(theta, theta, -0.01)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            sha.perturb_model(ParamVector(np.ones(3)), ParamVector(np.ones(5)), 0.1)
+            sha.probe_rows(np.ones((1, 3)), np.ones((1, 5)), 0.1)
+
+    def test_rows_match_per_vector_probe(self):
+        rng = np.random.default_rng(16)
+        theta = rng.normal(size=(5, 13))
+        grads = rng.normal(size=(5, 13)) * 10.0 ** rng.uniform(-6, 2, size=(5, 1))
+        grads[2] = 0.0
+        for rho in (0.0, 1e-7, 0.05):
+            rows, probed = sha.probe_rows(theta, grads, rho)
+            for c in range(5):
+                ref, flag = sha_oracle.perturb_model(
+                    ParamVector(theta[c]), ParamVector(grads[c]), rho
+                )
+                assert np.array_equal(rows[c], ref.values)
+                assert probed[c] == flag
 
 
 def uniform_logit_params(arch):
     """All-zero weights emit identical logits for every class."""
-    return ParamVector(np.zeros(arch.param_count()))
+    return np.zeros(arch.param_count())
 
 
 class TestEvaluateScore:
@@ -77,7 +106,7 @@ class TestEvaluateScore:
             (rng.uniform(size=(6, 3)), rng.integers(0, 2, size=6)),
             (rng.uniform(size=(4, 3)), rng.integers(0, 2, size=4)),
         ]
-        result = sha.evaluate_score(uniform_logit_params(arch), arch, val_sets)
+        result = score_one(uniform_logit_params(arch), arch, val_sets)
         assert not result.near_perfect
         assert result.score == pytest.approx(INV_TWO_LN2, abs=1e-15)
 
@@ -89,23 +118,27 @@ class TestEvaluateScore:
         values[-1] = np.log(np.expm1(2.0))
         X = np.random.default_rng(3).uniform(size=(5, 2))
         y = np.zeros(5, dtype=np.int64)
-        result = sha.evaluate_score(ParamVector(values), arch, [(X, y)])
+        result = score_one(values, arch, [(X, y)])
         assert result.score == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_reference_loss_sum(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
-            theta = nets.init_params(ARCH, rng)
+            thetas = np.stack([nets.init_params(ARCH, rng).values for _ in range(3)])
             val_sets = [
                 (rng.uniform(size=(n, 3)), rng.integers(0, 3, size=n))
                 for n in rng.integers(2, 7, size=3)
             ]
-            total = 0.0
-            for xs, ys in val_sets:
-                _, logits = nets.task_apply(theta, ARCH, xs)
-                total += helpers.ce_mean_ref(logits, ys)
-            result = sha.evaluate_score(theta, ARCH, val_sets)
-            assert result.score == pytest.approx(1.0 / total, rel=1e-12)
+            # row 0 on every set, row 1 on the first two, row 2 on the last
+            scored_on = [[0, 1], [0, 1], [0, 2]]
+            results = sha.evaluate_score(thetas, ARCH, val_sets, scored_on)
+            for c, theta in enumerate(thetas):
+                total = 0.0
+                for (xs, ys), rows in zip(val_sets, scored_on):
+                    if c in rows:
+                        _, logits = nets.task_apply(theta, ARCH, xs)
+                        total += helpers.ce_mean_ref(logits, ys)
+                assert results[c].score == pytest.approx(1.0 / total, rel=1e-12)
 
     def test_near_perfect_total_is_capped_and_flagged(self):
         # saturated correct-class bias drives the total loss below 1e-9
@@ -114,33 +147,144 @@ class TestEvaluateScore:
         values[-2] = 100.0
         X = np.random.default_rng(5).uniform(size=(4, 2))
         y = np.zeros(4, dtype=np.int64)
-        result = sha.evaluate_score(ParamVector(values), arch, [(X, y)])
+        result = score_one(values, arch, [(X, y)])
         assert result == sha.ScoreResult(sha.SCORE_CAP, True)
 
     def test_perturbation_identity_composes(self):
         rng = np.random.default_rng(6)
-        theta = nets.init_params(ARCH, rng)
-        grad = ParamVector(rng.normal(size=theta.dim))
+        theta = nets.init_params(ARCH, rng).values
+        grad = rng.normal(size=theta.size)
         val_sets = [(rng.uniform(size=(5, 3)), rng.integers(0, 3, size=5))]
-        probed, _ = sha.perturb_model(theta, grad, 0.0)
-        assert sha.evaluate_score(probed, ARCH, val_sets) == sha.evaluate_score(
-            theta, ARCH, val_sets
-        )
+        probed, _ = probe_one(theta, grad, 0.0)
+        assert score_one(probed, ARCH, val_sets) == score_one(theta, ARCH, val_sets)
 
     def test_empty_inputs_rejected(self):
-        theta = uniform_logit_params(ARCH)
+        theta = uniform_logit_params(ARCH)[None]
+        X = np.random.default_rng(7).uniform(size=(3, 3))
+        y = np.zeros(3, dtype=np.int64)
         with pytest.raises(ValueError):
-            sha.evaluate_score(theta, ARCH, [])
-        X = np.zeros((0, 3))
+            sha.evaluate_score(theta, ARCH, [], [])
         with pytest.raises(ValueError):
-            sha.evaluate_score(theta, ARCH, [(X, np.zeros(0, dtype=np.int64))])
+            sha.evaluate_score(theta, ARCH, [(X, y)], [[]])
+        with pytest.raises(ValueError):
+            sha.evaluate_score(theta, ARCH, [(X[:0], y[:0])], [[0]])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_rejected(self):
-        theta = ParamVector(np.full(ARCH.param_count(), 1e300))
-        X = np.random.default_rng(7).uniform(size=(3, 3))
-        with pytest.raises(ValueError):
-            sha.evaluate_score(theta, ARCH, [(X, np.zeros(3, dtype=np.int64))])
+        # Rows 1 and 2 overflow; the error names the lowest of them.
+        rng = np.random.default_rng(7)
+        thetas = np.stack([nets.init_params(ARCH, rng).values] * 3)
+        thetas[1:] = 1e300
+        X = rng.uniform(size=(3, 3))
+        val_sets = [(X, np.zeros(3, dtype=np.int64))]
+        with pytest.raises(sha.ScoringDivergence, match="client 1: non-finite validation") as info:
+            sha.evaluate_score(thetas, ARCH, val_sets, [[0, 1, 2]])
+        assert info.value.client == 1
+        assert isinstance(info.value, ndag.DivergenceError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_probe_rejected(self):
+        rng = np.random.default_rng(8)
+        thetas = np.stack([nets.init_params(ARCH, rng).values for _ in range(2)])
+        grads = rng.normal(size=thetas.shape) * 1e-3
+        rows, probed = sha.probe_rows(thetas, grads, 1e308)
+        assert probed.all() and not np.isfinite(rows).all(axis=1).any()
+        X = rng.uniform(size=(3, 3))
+        val_sets = [(X, np.zeros(3, dtype=np.int64))]
+        with pytest.raises(sha.ScoringDivergence, match="client 0: non-finite probed") as info:
+            sha.evaluate_score(rows, ARCH, val_sets, [[0, 1]])
+        assert info.value.client == 0
+
+
+@pytest.fixture(scope="module")
+def sha_many_sources(tmp_path_factory):
+    """The 16 source domains of a leg of the 17-domain CSV bench (200 samples each)."""
+    cfg = config.resolve({"n_domains": 17, "samples_per_domain": 200})
+    path = str(tmp_path_factory.mktemp("bench") / "bench.csv")
+    data.export_csv(config.bench_spec(cfg), path)
+    bench = data.load_csv(path, cfg["seed"])
+    task_arch, _ = config.arches(cfg, bench[0].train_x.shape[1], 3)
+    return bench[1:], task_arch
+
+
+def scoring_case(sources, task_arch, rho, include_self, eval_clients, seed):
+    """One round's uploads, last gradients and val-set choice for the oracle tests.
+
+    Row 3 has a zero gradient, so its probe is skipped.
+    """
+    rng = np.random.default_rng([17, seed])
+    n = len(sources)
+    uploads = np.stack([nets.init_params(task_arch, rng).values for _ in range(n)])
+    uploads += rng.normal(size=uploads.shape) * 0.05
+    grads = rng.normal(size=uploads.shape) * 10.0 ** rng.uniform(-4, 0, size=(n, 1))
+    grads[3] = 0.0
+    fed = protocol.FederationConfig(
+        n_clients=n, rounds=2, warmup_rounds=0, seed=seed,
+        sha=sha.ShaHyper(rho=rho, include_self=include_self),
+        eval_clients_per_round=eval_clients,
+    )
+    val_sets, scored_on = protocol._client_val_sets(sources, fed, 1)
+    return uploads, grads, val_sets, scored_on
+
+
+def relabel_near_perfect(uploads, grads, task_arch, val_sets, row):
+    """Make uploads[row] near perfect: labels become its predictions, at a margin >= 60 nats.
+
+    Its gradient is cut to the classifier head, so that a probe of radius
+    rho cannot move a hidden layer and flip a prediction.
+    """
+    head = (task_arch.feature_dim + 1) * task_arch.num_classes
+    grads[row, :-head] = 0.0
+    labelled, margin = [], np.inf
+    for xs, _ in val_sets:
+        _, logits = nets.task_apply(uploads[row], task_arch, xs)
+        top = np.sort(logits, axis=1)
+        margin = min(margin, float((top[:, -1] - top[:, -2]).min()))
+        labelled.append((xs, logits.argmax(axis=1)))
+    uploads[row, -head:] *= 60.0 / margin
+    return labelled
+
+
+class TestStackedScoringOracle:
+    """The stacked scorer against per-pair scoring on the 17-domain CSV bench."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("eval_clients", [0, 3])
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("rho", [0.0, 1e-7, 0.05])
+    def test_scores_and_flags_are_bitwise_equal(
+        self, sha_many_sources, rho, include_self, eval_clients, wide
+    ):
+        sources, task_arch = sha_many_sources
+        if wide:
+            task_arch = replace(task_arch, hidden_dims=(64, 64), feature_dim=32)
+        for seed in range(3):
+            uploads, grads, val_sets, scored_on = scoring_case(
+                sources, task_arch, rho, include_self, eval_clients, seed
+            )
+            theta_hat, probed = sha.probe_rows(uploads, grads, rho)
+            assert not probed[3] and probed.sum() == len(uploads) - 1
+            stacked = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
+            pairs = sha_oracle.score_round(uploads, grads, rho, task_arch, val_sets, scored_on)
+            assert stacked == pairs
+
+    @pytest.mark.parametrize("eval_clients", [0, 3])
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("rho", [0.0, 1e-7, 0.05])
+    def test_near_perfect_row_is_capped_in_both(
+        self, sha_many_sources, rho, include_self, eval_clients
+    ):
+        sources, task_arch = sha_many_sources
+        uploads, grads, val_sets, scored_on = scoring_case(
+            sources, task_arch, rho, include_self, eval_clients, seed=5
+        )
+        val_sets = relabel_near_perfect(uploads, grads, task_arch, val_sets, row=5)
+        theta_hat, _ = sha.probe_rows(uploads, grads, rho)
+        stacked = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
+        pairs = sha_oracle.score_round(uploads, grads, rho, task_arch, val_sets, scored_on)
+        assert stacked == pairs
+        assert stacked[5] == sha.ScoreResult(sha.SCORE_CAP, True)
+        assert sum(r.near_perfect for r in stacked) == 1
 
 
 def latest_k_oracle(current, history, k):
@@ -149,13 +293,13 @@ def latest_k_oracle(current, history, k):
     qualifying = [s for s in history if s.score > current.score]
     take = min(k, len(qualifying))
     if take == 0:
-        return current.params.values.copy(), current.score
+        return current.row.copy(), current.score
     best = max(
         itertools.combinations(qualifying, take),
         key=lambda combo: sum(s.round for s in combo),
     )
     pool = list(best) + [current]
-    params = np.mean([s.params.values for s in pool], axis=0)
+    params = np.mean([s.row for s in pool], axis=0)
     return params, float(np.mean([s.score for s in pool]))
 
 
@@ -164,7 +308,7 @@ class TestWithinClientAggregate:
         current = snapshot(np.full(2, 2.0), 0.5, rnd=2)
         history = [snapshot(np.zeros(2), 0.7, rnd=1)]
         merged, new_history = sha.within_client_aggregate(current, history, k=4, history_cap=8)
-        assert np.array_equal(merged.params.values, np.ones(2))
+        assert np.array_equal(merged.row, np.ones(2))
         assert merged.score == pytest.approx(0.6, abs=1e-15)
         assert new_history == history + [current]
 
@@ -176,7 +320,7 @@ class TestWithinClientAggregate:
         ]
         current = snapshot(np.array([0.0, 2.0]), 0.5, rnd=4)
         merged, _ = sha.within_client_aggregate(current, history, k=1, history_cap=8)
-        assert np.array_equal(merged.params.values, np.array([2.0, 5.0]))
+        assert np.array_equal(merged.row, np.array([2.0, 5.0]))
         assert merged.score == pytest.approx(0.65, abs=1e-15)
 
     def test_no_qualifying_entries_is_identity(self):
@@ -212,7 +356,7 @@ class TestWithinClientAggregate:
             cap = int(rng.integers(1, 7))
             merged, new_history = sha.within_client_aggregate(current, history, k, cap)
             params_ref, score_ref = latest_k_oracle(current, history, k)
-            np.testing.assert_allclose(merged.params.values, params_ref, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(merged.row, params_ref, rtol=1e-14, atol=1e-15)
             assert merged.score == pytest.approx(score_ref, rel=1e-14)
             assert new_history == (history + [current])[-cap:]
 
