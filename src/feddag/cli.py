@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     except cfgmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, protocol.ClientRoundError) as exc:
+    except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -43,11 +43,13 @@ MAX_STACK_ROWS = 256
 class DivergenceError(RuntimeError):
     """Training produced non-finite losses or gradients.
 
-    client is the failing client's position in its stacked round, once
-    client_round raises the error.
+    client is the failing client's position in its stacked round (or among
+    the scored uploads), once known; the message then starts with it.
     """
 
-    client: int | None = None
+    def __init__(self, message: str, client: int | None = None):
+        super().__init__(message if client is None else f"client {client}: {message}")
+        self.client = client
 
 
 class FeatureCollapse(DivergenceError):
@@ -178,8 +180,7 @@ class ClientStack:
         if self.errors:
             row = min(self.errors)
             exc = self.errors[row]
-            exc.client = row
-            raise exc
+            raise type(exc)(str(exc), row)
 
 
 def _rows(positions: list[int]):
@@ -272,11 +273,11 @@ def generator_grad(
     n = x.shape[1]
     gen_layers = nets.split_layers(stack.generator.params, gen_arch.layer_dims())
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    gen_acts, gen_masks, gen_out = nets.mlp_forward(gen_layers, x)
+    gen_acts, gen_out = nets.mlp_forward(gen_layers, x)
     delta = np.tanh(gen_out)
     pre = x + delta * hyper.alpha
     inside = (pre >= lo) & (pre <= hi)
-    acts, masks, logits = nets.mlp_forward(stu_layers, np.clip(pre, lo, hi))
+    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, lo, hi))
     ce, g_logits = cross_entropy(logits, y)
     dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid)
@@ -284,9 +285,9 @@ def generator_grad(
     dis = _row_dot(np.minimum(dist, hyper.m), weights)
     # The capped branch (dist >= m) carries exactly zero gradient.
     g_feats = dist_grad(-weights * (dist < hyper.m))
-    x_hat_grad = nets.mlp_backward(stu_layers, acts, masks, g_logits, g_feats, frozen=True)
+    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats, frozen=True)
     g_out = x_hat_grad * inside * hyper.alpha * (1.0 - delta * delta)
-    grad = nets.mlp_backward(gen_layers, gen_acts, gen_masks, g_out)
+    grad = nets.mlp_backward(gen_layers, gen_acts, g_out)
     return ce, dis, bad, grad, x_hat_grad
 
 
@@ -337,12 +338,12 @@ def student_grad(
     n = x.shape[1]
     x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha, lo, hi)
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    acts, masks, logits = nets.mlp_forward(stu_layers, x_hat)
+    acts, logits = nets.mlp_forward(stu_layers, x_hat)
     ce, g_logits = cross_entropy(logits, y)
     dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid)
     weights = np.full(n, 1.0 / n)
-    grad = nets.mlp_backward(stu_layers, acts, masks, g_logits, dist_grad(weights))
+    grad = nets.mlp_backward(stu_layers, acts, g_logits, dist_grad(weights))
     return ce, _row_dot(dist, weights), bad, grad
 
 
@@ -376,9 +377,9 @@ def student_step(
 def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: np.ndarray):
     """Mean L_cls of each student on its raw batch; returns (l_cls, grad)."""
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    acts, masks, logits = nets.mlp_forward(stu_layers, x)
+    acts, logits = nets.mlp_forward(stu_layers, x)
     ce, g_logits = cross_entropy(logits, y)
-    grad = nets.mlp_backward(stu_layers, acts, masks, g_logits)
+    grad = nets.mlp_backward(stu_layers, acts, g_logits)
     return ce, grad
 
 
@@ -503,7 +504,6 @@ def client_round(
     orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]
     batch_idx = [None] * n_clients  # sample indices of each client's current batch
     traces: list[list[BatchTrace]] = [[] for _ in range(n_clients)]
-    cls_losses: list[list[float]] = [[] for _ in range(n_clients)]
     degenerate = 0
     last_grads = np.empty_like(stack.student.params)
 
@@ -528,7 +528,6 @@ def client_round(
                 stack.put(members, part)
                 for j, (c, (l_cls_g, l_dis, l_cls_s, l_sim, bad)) in enumerate(zip(members, rows)):
                     traces[c].append(BatchTrace(k, l_cls_g, l_dis, l_cls_s, l_sim))
-                    cls_losses[c].append(l_cls_s)
                     degenerate += bad
                     last_grads[c] = grad[j]
         stack.raise_failure()
@@ -538,7 +537,7 @@ def client_round(
         generator=None if stack.generator is None else stack.generator.params,
         teacher=stack.teacher,
         last_grads=last_grads,
-        mean_train_losses=[float(np.mean(losses)) for losses in cls_losses],
+        mean_train_losses=[float(np.mean([t.l_cls_s for t in rows])) for rows in traces],
         traces=traces,
         degenerate_rows=degenerate,
     )

@@ -5,11 +5,15 @@ too) plus a linear classifier head.  The generator is a relu stack with a
 tanh output of the same width as its input, so its raw output lives in
 (-1, 1) per coordinate.  Parameters are packed layer by layer as
 (W row-major, b) into one flat vector; pack order is the contract every
-gradient and aggregation routine relies on.  mlp_forward / mlp_backward are
-the closed-form batched passes the training objectives backpropagate
-through.  Every pass also takes a leading client axis: parameter rows
-(C, P) with activations (C, B, d), each client's slice computed exactly as
-it would be alone.
+gradient and aggregation routine relies on.
+
+mlp_forward is the one forward pass: training, the teacher, the generator,
+SHA scoring and evaluation all run it, with the relu max(z, 0).  It keeps
+each layer's activations and nothing else; mlp_backward, the closed-form
+batched backward pass of the training objectives, reads the relu masks off
+those activations.  Every pass also takes a leading client axis: parameter
+rows (C, P) with activations (C, B, d), each client's slice computed
+exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -68,23 +72,20 @@ def split_layers(values: np.ndarray, layer_dims) -> list[tuple[np.ndarray, np.nd
     """(W, b) views per layer of a flat vector (P,) or of stacked rows (C, P).
 
     For stacked rows W is (C, din, dout) and b is (C, 1, dout), so both
-    broadcast over (C, B, din) inputs, one client per row.
+    broadcast over (C, B, din) inputs, one client per row; a flat vector
+    gives W (din, dout) and b (1, dout).
     """
     need = sum((din + 1) * dout for din, dout in layer_dims)
     if values.shape[-1] != need:
         raise DimensionMismatch(f"params have {values.shape[-1]} entries, arch needs {need}")
-    stacked = values.ndim == 2
+    lead = values.shape[:-1]
     layers = []
     pos = 0
     for din, dout in layer_dims:
-        if stacked:
-            w = values[:, pos : pos + din * dout].reshape(len(values), din, dout)
-            b = values[:, None, pos + din * dout : pos + (din + 1) * dout]
-        else:
-            w = values[pos : pos + din * dout].reshape(din, dout)
-            b = values[pos + din * dout : pos + (din + 1) * dout]
-        pos += (din + 1) * dout
-        layers.append((w, b))
+        mid = pos + din * dout
+        w = values[..., pos:mid].reshape(*lead, din, dout)
+        layers.append((w, values[..., None, mid : mid + dout]))
+        pos = mid + dout
     return layers
 
 
@@ -98,12 +99,8 @@ def init_params(arch, rng: np.random.Generator) -> ParamVector:
     return ParamVector(np.concatenate(chunks))
 
 
-def _relu_forward(params, arch, x_batch):
-    """Relu hidden layers and a linear last layer: (last hidden, output).
-
-    params is a ParamVector with inputs (B, d), or stacked parameter rows
-    (C, P) with inputs (C, B, d).
-    """
+def _checked_layers(params, arch, x_batch):
+    """split_layers of a ParamVector with inputs (B, d), or of rows (C, P) with (C, B, d)."""
     values = params.values if isinstance(params, ParamVector) else params
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != values.ndim + 1 or x.shape[-1] != arch.input_dim:
@@ -111,12 +108,7 @@ def _relu_forward(params, arch, x_batch):
         raise DimensionMismatch(
             f"expected inputs of shape ({lead}B, {arch.input_dim}), got {x.shape}"
         )
-    layers = split_layers(values, arch.layer_dims())
-    a = x
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-    wo, bo = layers[-1]
-    return a, a @ wo + bo
+    return split_layers(values, arch.layer_dims()), x
 
 
 def task_apply(params, arch: TaskArch, x_batch: np.ndarray):
@@ -125,40 +117,40 @@ def task_apply(params, arch: TaskArch, x_batch: np.ndarray):
     Stacked parameter rows (C, P) with inputs (C, B, d) give (C, B, F) and
     (C, B, K).
     """
-    return _relu_forward(params, arch, x_batch)
+    acts, logits = mlp_forward(*_checked_layers(params, arch, x_batch))
+    return acts[-1], logits
 
 
 def gen_apply(params, arch: GenArch, x_batch: np.ndarray) -> np.ndarray:
     """Batched generator output in (-1, 1)^input_dim, stacked like task_apply."""
-    return np.tanh(_relu_forward(params, arch, x_batch)[1])
+    return np.tanh(mlp_forward(*_checked_layers(params, arch, x_batch))[1])
 
 
 def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     """Batched pass through relu hidden layers and a linear last layer.
 
     Takes split_layers output and inputs (B, d), or stacked (C, B, d).
-    Returns (acts, masks, out) for mlp_backward: acts[i] is the input of
-    layer i (so acts[-1] is the task net's feature matrix), masks[i] the
-    relu mask of hidden layer i, and out the last layer's pre-activation.
+    Returns (acts, out) for mlp_backward: acts[i] is the input of layer i
+    (so acts[-1] is the task net's feature matrix) and out the last layer's
+    pre-activation.
     """
-    acts, masks = [x], []
+    acts = [x]
     for w, b in layers[:-1]:
-        z = x @ w + b
-        mask = z > 0.0
-        x = np.where(mask, z, 0.0)
+        x = np.maximum(x @ w + b, 0.0)
         acts.append(x)
-        masks.append(mask)
     wo, bo = layers[-1]
-    return acts, masks, x @ wo + bo
+    return acts, x @ wo + bo
 
 
-def mlp_backward(layers, acts, masks, g_out, g_hidden=None, frozen=False):
+def mlp_backward(layers, acts, g_out, g_hidden=None, frozen=False):
     """Backprop a scalar objective through an mlp_forward pass.
 
     g_out is the objective's gradient w.r.t. out; g_hidden, if given, is an
     extra gradient w.r.t. acts[-1] (a loss on the task net's features).
     Returns the flat parameter gradient in pack order, (P,) or stacked
     (C, P), or, for a frozen net, the gradient w.r.t. its input instead.
+    A relu passes gradient where its output is > 0, the same test as its
+    pre-activation > 0, so the relu masks are read off acts.
     """
     chunks = []
     g = g_out
@@ -173,7 +165,7 @@ def mlp_backward(layers, acts, masks, g_out, g_hidden=None, frozen=False):
         if g_hidden is not None and i == len(layers) - 1:
             g = g + g_hidden
         if i > 0:
-            g = g * masks[i - 1]
+            g = g * (acts[i] > 0.0)
     if frozen:
         return g
     chunks.reverse()

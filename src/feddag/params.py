@@ -1,12 +1,13 @@
 """Flat parameter vectors and the algebra the simulator runs on.
 
-Every global model (task net, generator), every scored upload and every
-perturbation is a ParamVector: an immutable 1-D float64 array.  Aggregation
-and the sharpness probe are pure functions of vectors or of parameter rows.
-Local training stacks the clients of a round as rows of (C, P) arrays
-(SgdRows) and sgd_step updates those in place.  Momentum restarts at zero
-in every local round, since each round starts from the freshly sent global
-model; no optimizer state outlives a round.
+The server's global models (task net, generator) and loaded checkpoints are
+ParamVectors: immutable, finite 1-D float64 arrays.  Everything a round
+computes in between works on parameter rows: local training stacks the
+clients of a round as rows of (C, P) arrays (SgdRows), sgd_step updates
+those in place, and aggregation turns (C, P) rows back into one
+ParamVector.  Momentum restarts at zero in every local round, since each
+round starts from the freshly sent global model; no optimizer state
+outlives a round.
 """
 
 from __future__ import annotations
@@ -49,22 +50,11 @@ class ParamVector:
         return f"ParamVector(dim={self.dim})"
 
 
-def check_dims(*vectors) -> int:
-    """The common length of ParamVectors or 1-D parameter rows."""
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed vector dims: {sorted(dims)}")
-    return dims.pop()
-
-
-def param_mean(rows) -> ParamVector:
-    """Elementwise arithmetic mean of one or more same-length parameter rows.
-
-    rows is a (C, P) array or a list of 1-D arrays; they are summed in order.
-    """
+def param_mean(rows: np.ndarray) -> ParamVector:
+    """Elementwise arithmetic mean of the rows of a (C, P) array, summed in order."""
     if len(rows) == 0:
-        raise ValueError("param_mean of an empty list")
-    acc = np.zeros(check_dims(*rows))
+        raise ValueError("param_mean of no rows")
+    acc = np.zeros(rows.shape[1])
     for row in rows:
         acc += row
     return ParamVector(acc / len(rows))

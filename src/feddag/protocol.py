@@ -31,15 +31,6 @@ _BATCH_TAG = 23
 _EVAL_PICK_TAG = 24
 
 
-class ClientRoundError(RuntimeError):
-    """A client's local round aborted; carries the client index."""
-
-    def __init__(self, client: int, cause: Exception):
-        super().__init__(f"client {client}: {cause}")
-        self.client = client
-        self.cause = cause
-
-
 @dataclass(frozen=True)
 class FederationConfig:
     n_clients: int
@@ -165,7 +156,7 @@ def run_round(
     adversarial rounds, its generator from the global generator.  The
     clients' local rounds run in lockstep (ndag.client_round): every client
     finishes local step k before any client starts step k + 1.  If training
-    diverges, the ClientRoundError names the lowest-index client among
+    diverges, the ndag.DivergenceError names the lowest-index client among
     those that fail at the earliest failing local step; if scoring does,
     sha.ScoringDivergence names the lowest-index client it failed on.
     """
@@ -180,21 +171,18 @@ def run_round(
         if server.teachers is None:
             server.teachers = np.tile(server.global_task.values, (n, 1))
     rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c]) for c in range(n)]
-    try:
-        result = ndag.client_round(
-            np.tile(server.global_task.values, (n, 1)),
-            generators,
-            server.teachers,
-            task_arch,
-            gen_arch,
-            [d.train_x for d in sources],
-            [d.train_y for d in sources],
-            config.ndag,
-            rngs,
-            config.local_epochs,
-        )
-    except ndag.DivergenceError as exc:
-        raise ClientRoundError(exc.client, exc) from exc
+    result = ndag.client_round(
+        np.tile(server.global_task.values, (n, 1)),
+        generators,
+        server.teachers,
+        task_arch,
+        gen_arch,
+        [d.train_x for d in sources],
+        [d.train_y for d in sources],
+        config.ndag,
+        rngs,
+        config.local_epochs,
+    )
     if trace is not None:
         for domain, rows in zip(sources, result.traces):
             for row in rows:
@@ -229,7 +217,7 @@ def run_round(
             merged_rows.append(merged.row)
             post_list.append(merged.score)
         weights = sha.softmax_weights(post_list, config.sha.beta)
-        server.global_task = sha.across_client_aggregate(merged_rows, weights)
+        server.global_task = sha.across_client_aggregate(np.array(merged_rows), weights)
         if ndag_on:
             server.global_gen = sha.across_client_aggregate(result.generator, weights)
         raw_scores = tuple(r.score for r in raw)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import nets
 from .ndag import DivergenceError, cross_entropy
-from .params import DimensionMismatch, ParamVector, check_dims, param_mean
+from .params import DimensionMismatch, ParamVector, param_mean
 
 GRAD_NORM_FLOOR = 1e-12
 SCORE_CAP = 1e9
@@ -64,8 +64,7 @@ class ScoringDivergence(DivergenceError):
     """A probed upload's parameters or validation loss are non-finite."""
 
     def __init__(self, client: int, what: str):
-        super().__init__(f"client {client}: non-finite {what}")
-        self.client = client
+        super().__init__(f"non-finite {what}", client)
 
 
 class AggregationWeights:
@@ -166,7 +165,7 @@ def within_client_aggregate(
     merged = ScoredSnapshot(
         score=float(np.mean([snap.score for snap in pool])),
         round=current.round,
-        row=param_mean([snap.row for snap in pool]).values,
+        row=param_mean(np.array([snap.row for snap in pool])).values,
     )
     return merged, new_history
 
@@ -188,14 +187,11 @@ def softmax_weights(scores: list[float], beta: float) -> AggregationWeights:
     return AggregationWeights(powered / powered.sum())
 
 
-def across_client_aggregate(rows, weights: AggregationWeights) -> ParamVector:
-    """Weighted sum of the clients' parameter rows, accumulated client by client.
-
-    rows is a (C, P) array or a list of C same-length 1-D arrays.
-    """
+def across_client_aggregate(rows: np.ndarray, weights: AggregationWeights) -> ParamVector:
+    """Weighted sum of the rows of a (C, P) array, accumulated client by client."""
     if len(rows) != len(weights):
         raise ValueError("rows and weights must align")
-    acc = np.zeros(check_dims(*rows))
+    acc = np.zeros(rows.shape[1])
     for wi, row in zip(weights.values, rows):
         acc += wi * row
     return ParamVector(acc)

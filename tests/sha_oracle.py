@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from feddag import nets, sha
-from feddag.params import ParamVector, check_dims
+from feddag.params import DimensionMismatch, ParamVector
 
 
 def batch_loss_cls(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -27,6 +27,14 @@ def batch_loss_cls(logits: np.ndarray, labels: np.ndarray) -> float:
     zs = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(zs).sum(axis=1))
     return float((lse - zs[np.arange(len(y)), y]).mean())
+
+
+def check_dims(*vectors) -> int:
+    """The common length of ParamVectors or 1-D parameter rows."""
+    dims = {len(v) for v in vectors}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"mixed vector dims: {sorted(dims)}")
+    return dims.pop()
 
 
 def param_axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:

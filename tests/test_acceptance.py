@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import autodiff as ad
 import fixtures
@@ -262,6 +263,7 @@ def test_criterion_06_ema_contraction(capsys):
             assert abs(gap - 0.999**t * base) <= 1e-12 * base
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_ordering(capsys):
     with criterion(capsys, 7, "ablation ordering, >= 2 point gap, >= 4/5 seed wins, < 15 min"):
         start = time.perf_counter()
@@ -285,6 +287,7 @@ def test_criterion_07_ablation_ordering(capsys):
         assert elapsed < 900.0, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_08_style_strength_monotonicity(capsys):
     with criterion(capsys, 8, "improvement over FedAvg non-decreasing in style strength"):
         improvements = []

@@ -31,7 +31,15 @@ HYPER = ndag.NdagHyper(alpha=0.3, m=0.5)
 def assert_bitwise(fused, tape):
     assert len(fused) == len(tape)
     for pos, (a, b) in enumerate(zip(fused, tape)):
-        assert np.array_equal(a, b), f"return value {pos} differs"
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f"return value {pos} differs"
+
+
+def negative_zero_hidden_biases(params, arch):
+    """params with the bias of every hidden layer set to -0.0."""
+    values = params.values.copy()
+    for _, b in nets.split_layers(values, arch.layer_dims())[:-1]:
+        b[...] = -0.0
+    return ParamVector(values)
 
 
 def check_generator(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
@@ -193,6 +201,24 @@ class TestEdgeCases:
         for seed in range(5):
             models, X, y, t_feats = random_case(WIDE_TASK, WIDE_GEN, n, 100 + seed)
             check_all(models, WIDE_TASK, WIDE_GEN, X, y, t_feats)
+
+    @pytest.mark.parametrize("task_arch, gen_arch", [(TASK_ARCH, GEN_ARCH), (WIDE_TASK, WIDE_GEN)])
+    def test_negative_zero_hidden_biases(self, task_arch, gen_arch):
+        # The package's relu is max(z, 0), the tape's a masked select
+        # (z > 0 ? z : 0); with every hidden bias at -0.0 both give the same
+        # bytes, sign bits of zeros included.
+        models, X, y, _ = random_case(task_arch, gen_arch, 6, 7)
+        models = helpers.Models(
+            student=negative_zero_hidden_biases(models.student, task_arch),
+            generator=negative_zero_hidden_biases(models.generator, gen_arch),
+            teacher=negative_zero_hidden_biases(models.teacher, task_arch),
+        )
+        feats, logits = nets.task_apply(models.student, task_arch, X)
+        tape = ad.task_graph(ad.layer_tensors(models.student, task_arch, False), ad.Tensor(X))
+        assert feats.tobytes() == tape[0].value.tobytes()
+        assert logits.tobytes() == tape[1].value.tobytes()
+        t_feats, _ = nets.task_apply(models.teacher, task_arch, X)
+        check_all(models, task_arch, gen_arch, X, y, t_feats)
 
 
 @pytest.mark.parametrize("ndag_enabled", [True, False])

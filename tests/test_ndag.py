@@ -491,7 +491,7 @@ class TestClientRound:
                 ndag.plain_step(stack, TASK_ARCH, X1, y1, step_hyper())
         with pytest.raises(ndag.DivergenceError) as info:
             stack.raise_failure()
-        assert str(info.value) == f"{step} step: non-finite parameters or gradient"
+        assert str(info.value) == f"client 0: {step} step: non-finite parameters or gradient"
         assert info.value.client == 0
 
     def test_last_grad_mirrors_final_batch(self):

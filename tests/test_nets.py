@@ -125,6 +125,21 @@ class TestTaskForward:
         b = nets.task_apply(params, arch, X)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_nan_pre_activation_propagates(self):
+        # The relu max(z, 0) keeps a NaN pre-activation, so a broken hidden
+        # unit reaches the logits and the finiteness checks downstream.
+        arch = nets.TaskArch(5, (6,), 4, 3)
+        rng = np.random.default_rng(12)
+        values = nets.init_params(arch, rng).values.copy()
+        layers = nets.split_layers(values, arch.layer_dims())
+        layers[0][1][..., 2] = np.nan
+        acts, logits = nets.mlp_forward(layers, rng.normal(size=(3, 5)))
+        assert np.isnan(acts[1][:, 2]).all()
+        assert np.isfinite(np.delete(acts[1], 2, axis=1)).all()
+        assert np.isnan(logits).all()
+        _, task_logits = nets.task_apply(values, arch, rng.normal(size=(3, 5)))
+        assert np.isnan(task_logits).all()
+
     def test_dimension_errors(self):
         arch = nets.TaskArch(5, (6,), 4, 3)
         params = nets.init_params(arch, np.random.default_rng(0))

@@ -64,7 +64,7 @@ class TestAlgebra:
 
     def test_mean_single_is_identity(self):
         v = vec(1.5, -2.5)
-        assert np.array_equal(param_mean([v.values]).values, v.values)
+        assert np.array_equal(param_mean(v.values[None]).values, v.values)
 
     def test_mean_example(self):
         out = param_mean(np.array([[0.0, 0.0], [2.0, 2.0]]))
@@ -72,13 +72,11 @@ class TestAlgebra:
 
     def test_mean_empty_rejected(self):
         with pytest.raises(ValueError):
-            param_mean([])
+            param_mean(np.empty((0, 2)))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             param_axpy(1.0, vec(1.0), vec(1.0, 2.0))
-        with pytest.raises(DimensionMismatch):
-            param_mean([np.ones(1), np.ones(2)])
 
 
 class TestSgdStep:

@@ -10,7 +10,7 @@ import pytest
 import helpers
 from feddag import data, ndag, nets, protocol
 from feddag.ndag import NdagHyper
-from feddag.protocol import ClientRoundError, FederationConfig
+from feddag.protocol import FederationConfig
 from feddag.sha import ShaHyper
 
 TASK_ARCH = nets.TaskArch(6, (8,), 4, 3)
@@ -311,10 +311,9 @@ class TestRunFederation:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_wraps_client_index(self):
         config = fed(mode="fedavg", rounds=1, warmup=0, ndag_kw=dict(lr=1e200))
-        with pytest.raises(ClientRoundError, match="client 0") as excinfo:
+        with pytest.raises(ndag.DivergenceError, match="^client 0: ") as excinfo:
             protocol.run_federation(BENCH[:2], config, TASK_ARCH, GEN_ARCH)
         assert excinfo.value.client == 0
-        assert isinstance(excinfo.value.cause, ndag.DivergenceError)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["fedavg", "feddag"])
@@ -325,10 +324,9 @@ class TestRunFederation:
         x = BENCH[1].train_x
         broken = replace(BENCH[1], train_x=x * 1e300 if mode == "fedavg" else x + np.inf)
         config = fed(mode=mode, rounds=1, warmup=0)
-        with pytest.raises(ClientRoundError, match="client 1") as excinfo:
+        with pytest.raises(ndag.DivergenceError, match="^client 1: ") as excinfo:
             protocol.run_federation([BENCH[0], broken], config, TASK_ARCH, GEN_ARCH)
         assert excinfo.value.client == 1
-        assert isinstance(excinfo.value.cause, ndag.DivergenceError)
 
     def test_trace_collection_only_on_request(self):
         config = fed(mode="feddag", rounds=2, warmup=1, seed=3)
