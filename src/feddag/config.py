@@ -10,6 +10,7 @@ into every report for exact replay.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from typing import Any
 
 from .data import BenchSpec, load_csv, make_benchmark
@@ -37,37 +38,48 @@ def _int_list(v) -> bool:
 
 SWEEP_PARAMS = ("alpha", "beta", "k", "rho", "m", "eval_clients_per_round", "n_clients")
 
+# The typed configs own the defaults of their fields.  A _FIELD default in the
+# schema is the default of the field of the same name; FederationConfig comes
+# last, so it owns seed (bench_spec sets BenchSpec.seed from seed/bench_seed).
+_FIELD = object()
+_FIELD_DEFAULTS = {
+    f.name: f.default
+    for owner in (BenchSpec, NdagHyper, ShaHyper, FederationConfig)
+    for f in fields(owner)
+    if f.default is not MISSING
+}
+
 # key: (default, checker, description of the accepted values)
 SCHEMA: dict[str, tuple[Any, Any, str]] = {
-    "mode": ("feddag", lambda v: v in MODES, f"one of {MODES}"),
-    "seed": (0, _is_int, "integer"),
+    "mode": (_FIELD, lambda v: v in MODES, f"one of {MODES}"),
+    "seed": (_FIELD, _is_int, "integer"),
     "seeds": ([0, 1, 2, 3, 4], _int_list, "nonempty list of integers"),
     "rounds": (14, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "warmup_rounds": (3, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "local_epochs": (1, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "alpha": (0.3, lambda v: _is_num(v) and 0.0 <= v <= 1.0, "number in [0, 1]"),
-    "m": (0.1, lambda v: _is_num(v) and v > 0.0, "number > 0"),
-    "ema_decay": (0.999, lambda v: _is_num(v) and 0.0 <= v <= 1.0, "number in [0, 1]"),
-    "lr": (0.001, lambda v: _is_num(v) and v > 0.0, "number > 0"),
-    "momentum": (0.9, lambda v: _is_num(v) and 0.0 <= v < 1.0, "number in [0, 1)"),
-    "weight_decay": (5e-4, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "batch_size": (32, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "beta": (0.3, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "k": (4, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "rho": (1e-7, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "history_cap": (8, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "include_self": (True, lambda v: isinstance(v, bool), "boolean"),
-    "eval_clients_per_round": (0, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "probe_every_round": (False, lambda v: isinstance(v, bool), "boolean"),
+    "local_epochs": (_FIELD, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "alpha": (_FIELD, lambda v: _is_num(v) and 0.0 <= v <= 1.0, "number in [0, 1]"),
+    "m": (_FIELD, lambda v: _is_num(v) and v > 0.0, "number > 0"),
+    "ema_decay": (_FIELD, lambda v: _is_num(v) and 0.0 <= v <= 1.0, "number in [0, 1]"),
+    "lr": (_FIELD, lambda v: _is_num(v) and v > 0.0, "number > 0"),
+    "momentum": (_FIELD, lambda v: _is_num(v) and 0.0 <= v < 1.0, "number in [0, 1)"),
+    "weight_decay": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
+    "batch_size": (_FIELD, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
+    "beta": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
+    "k": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
+    "rho": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
+    "history_cap": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
+    "include_self": (_FIELD, lambda v: isinstance(v, bool), "boolean"),
+    "eval_clients_per_round": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
+    "probe_every_round": (_FIELD, lambda v: isinstance(v, bool), "boolean"),
     "hidden_dims": ([32, 32], _int_list, "nonempty list of integers"),
     "feature_dim": (16, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
     "gen_hidden_dims": ([32], _int_list, "nonempty list of integers"),
-    "n_domains": (5, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "n_classes": (3, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "input_dim": (16, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "samples_per_domain": (600, lambda v: _is_int(v) and v >= 20, "integer >= 20"),
-    "style_strength": (1.0, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "label_noise": (0.0, lambda v: _is_num(v) and 0.0 <= v < 0.5, "number in [0, 0.5)"),
+    "n_domains": (_FIELD, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "n_classes": (_FIELD, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "input_dim": (_FIELD, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
+    "samples_per_domain": (_FIELD, lambda v: _is_int(v) and v >= 20, "integer >= 20"),
+    "style_strength": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
+    "label_noise": (_FIELD, lambda v: _is_num(v) and 0.0 <= v < 0.5, "number in [0, 0.5)"),
     "bench_seed": (-1, _is_int, "integer (-1 follows seed)"),
     "data_csv": ("", lambda v: isinstance(v, str), "path string, empty for synthetic"),
     "out": ("feddag_out", lambda v: isinstance(v, str) and v != "", "nonempty path string"),
@@ -77,6 +89,10 @@ SCHEMA: dict[str, tuple[Any, Any, str]] = {
         lambda v: isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v),
         "nonempty list of numbers",
     ),
+}
+SCHEMA = {
+    key: (_FIELD_DEFAULTS[key] if default is _FIELD else default, check, want)
+    for key, (default, check, want) in SCHEMA.items()
 }
 
 
@@ -115,74 +131,39 @@ def load(path: str, overrides: dict[str, Any] | None = None) -> dict[str, Any]:
     return resolve(document, overrides)
 
 
-def bench_spec(cfg: dict[str, Any]) -> BenchSpec:
-    seed = cfg["seed"] if cfg["bench_seed"] == -1 else cfg["bench_seed"]
+def _build(cls, cfg: dict[str, Any], **explicit):
+    """cls with every field not given explicitly read from the key of its name."""
+    values = {f.name: cfg[f.name] for f in fields(cls) if f.name not in explicit}
     try:
-        return BenchSpec(
-            n_domains=cfg["n_domains"],
-            n_classes=cfg["n_classes"],
-            input_dim=cfg["input_dim"],
-            samples_per_domain=cfg["samples_per_domain"],
-            style_strength=cfg["style_strength"],
-            label_noise=cfg["label_noise"],
-            seed=seed,
-        )
+        return cls(**values, **explicit)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _bench_seed(cfg: dict[str, Any]) -> int:
+    return cfg["seed"] if cfg["bench_seed"] == -1 else cfg["bench_seed"]
+
+
+def bench_spec(cfg: dict[str, Any]) -> BenchSpec:
+    return _build(BenchSpec, cfg, seed=_bench_seed(cfg))
 
 
 def benchmark(cfg: dict[str, Any]):
     """The configured dataset: a CSV if given, else the synthetic bench."""
     if cfg["data_csv"]:
-        split_seed = cfg["seed"] if cfg["bench_seed"] == -1 else cfg["bench_seed"]
         try:
-            return load_csv(cfg["data_csv"], split_seed)
+            return load_csv(cfg["data_csv"], _bench_seed(cfg))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return make_benchmark(bench_spec(cfg))
 
 
 def arches(cfg: dict[str, Any], input_dim: int, n_classes: int) -> tuple[TaskArch, GenArch]:
-    try:
-        task = TaskArch(
-            input_dim=input_dim,
-            hidden_dims=tuple(cfg["hidden_dims"]),
-            feature_dim=cfg["feature_dim"],
-            num_classes=n_classes,
-        )
-        gen = GenArch(input_dim=input_dim, hidden_dims=tuple(cfg["gen_hidden_dims"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return task, gen
+    hidden, gen_hidden = tuple(cfg["hidden_dims"]), tuple(cfg["gen_hidden_dims"])
+    task = _build(TaskArch, cfg, input_dim=input_dim, hidden_dims=hidden, num_classes=n_classes)
+    return task, _build(GenArch, cfg, input_dim=input_dim, hidden_dims=gen_hidden)
 
 
 def fed_config(cfg: dict[str, Any], n_clients: int) -> FederationConfig:
-    try:
-        return FederationConfig(
-            n_clients=n_clients,
-            rounds=cfg["rounds"],
-            warmup_rounds=cfg["warmup_rounds"],
-            ndag=NdagHyper(
-                alpha=cfg["alpha"],
-                m=cfg["m"],
-                ema_decay=cfg["ema_decay"],
-                lr=cfg["lr"],
-                momentum=cfg["momentum"],
-                weight_decay=cfg["weight_decay"],
-                batch_size=cfg["batch_size"],
-            ),
-            sha=ShaHyper(
-                rho=cfg["rho"],
-                beta=cfg["beta"],
-                k=cfg["k"],
-                history_cap=cfg["history_cap"],
-                include_self=cfg["include_self"],
-            ),
-            mode=cfg["mode"],
-            eval_clients_per_round=cfg["eval_clients_per_round"],
-            local_epochs=cfg["local_epochs"],
-            seed=cfg["seed"],
-            probe_every_round=cfg["probe_every_round"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ndag, sha = _build(NdagHyper, cfg), _build(ShaHyper, cfg)
+    return _build(FederationConfig, cfg, n_clients=n_clients, ndag=ndag, sha=sha)

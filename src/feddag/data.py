@@ -106,18 +106,17 @@ def _generate_domain(spec: BenchSpec, domain: int, anchors: np.ndarray):
     )
     noise_rng = np.random.default_rng([spec.seed, _NOISE_TAG, domain])
     label_rng = np.random.default_rng([spec.seed, _LABEL_TAG, domain])
-    xs = np.empty((spec.samples_per_domain, spec.input_dim))
-    ys = np.empty(spec.samples_per_domain, dtype=np.int64)
-    row = 0
-    for c, count in enumerate(_class_counts(spec.samples_per_domain, spec.n_classes)):
-        base = style(anchors[c])
-        for _ in range(count):
-            xs[row] = base + noise_rng.normal(0.0, NOISE_SD, size=spec.input_dim)
-            y = c
-            if spec.label_noise > 0.0 and label_rng.random() < spec.label_noise:
-                y = int((c + label_rng.integers(1, spec.n_classes)) % spec.n_classes)
-            ys[row] = y
-            row += 1
+    counts = _class_counts(spec.samples_per_domain, spec.n_classes)
+    # One noise draw per class fills its rows in the order the per-row draws would.
+    xs = np.concatenate([
+        style(anchors[c]) + noise_rng.normal(0.0, NOISE_SD, size=(count, spec.input_dim))
+        for c, count in enumerate(counts)
+    ])
+    ys = np.repeat(np.arange(spec.n_classes, dtype=np.int64), counts)
+    if spec.label_noise > 0.0:
+        for row, c in enumerate(ys.tolist()):
+            if label_rng.random() < spec.label_noise:
+                ys[row] = (c + label_rng.integers(1, spec.n_classes)) % spec.n_classes
     lo = xs.min(axis=0)
     hi = xs.max(axis=0)
     span = np.where(hi - lo < 1e-12, 1.0, hi - lo)

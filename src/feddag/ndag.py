@@ -83,7 +83,7 @@ class NdagHyper:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchTrace:
     batch: int
     l_cls_g: float | None
@@ -119,17 +119,17 @@ def generate(
     gen_arch: nets.GenArch,
     x_batch: np.ndarray,
     alpha: float,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ) -> np.ndarray:
-    """Perturbed batch clamp(x + alpha * G(x)); alpha=0 returns x clamped.
+    """Perturbed batch clip(x + alpha * G(x), 0, 1); alpha=0 returns x clipped.
+
+    The bounds are the data's range: both loaders normalize features to [0, 1].
 
     gen_params is a ParamVector, or stacked rows (C, G) with x (C, B, d).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     delta = nets.gen_apply(gen_params, gen_arch, x_batch)
-    return np.clip(np.asarray(x_batch, dtype=np.float64) + alpha * delta, lo, hi)
+    return np.clip(np.asarray(x_batch, dtype=np.float64) + alpha * delta, 0.0, 1.0)
 
 
 @dataclass
@@ -191,10 +191,16 @@ def _rows(positions: list[int]):
     return np.array(positions)
 
 
-def _collapse_guard(stack: ClientStack, valid: np.ndarray) -> np.ndarray:
-    """Degenerate feature rows per client; fails clients where most are degenerate."""
+def _collapse_guard(stack: ClientStack, valid: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """Degenerate feature rows per client; fails clients where most are degenerate.
+
+    A row whose teacher or student norm is non-finite diverged rather than
+    collapsed: it fails its client with DivergenceError, which wins over the
+    collapse check, and it is not counted as degenerate.
+    """
+    stack.check(finite.all(axis=1), "non-finite features")
     n = valid.shape[1]
-    bad = n - valid.sum(axis=1)
+    bad = n - (valid | ~finite).sum(axis=1)
     for row in np.flatnonzero(bad * 2 > n).tolist():
         stack.errors.setdefault(
             row, FeatureCollapse(f"{bad[row]}/{n} feature rows below the normalization floor")
@@ -229,12 +235,14 @@ def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
 
     Rows where either side has norm < DEGENERATE_NORM are invalid: their
     distance is 0 and no gradient flows through them.  Returns (distances,
-    valid, grad), both (C, B), where grad(g) is the gradient of
-    sum(g * distances) w.r.t. feats.
+    valid, finite, grad), the first three (C, B): finite marks the rows where
+    both norms are finite, and grad(g) is the gradient of sum(g * distances)
+    w.r.t. feats.
     """
     nt = np.linalg.norm(t_feats, axis=2)
     nf = np.linalg.norm(feats, axis=2)
     valid = (nt >= DEGENERATE_NORM) & (nf >= DEGENERATE_NORM)
+    finite = np.isfinite(nt + nf)
     safe_nf = np.where(valid, nf, 1.0)
     u = t_feats / np.where(valid, nt, 1.0)[:, :, None]
     v = feats / safe_nf[:, :, None]
@@ -247,7 +255,7 @@ def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
         gv = np.where(valid, g, 0.0)[:, :, None]
         return gv * (-2.0) * (u - uv[:, :, None] * v) / safe_nf[:, :, None]
 
-    return dist, valid, grad
+    return dist, valid, finite, grad
 
 
 def generator_grad(
@@ -258,8 +266,6 @@ def generator_grad(
     y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ):
     """Generator objective mean L_cls - mean min(L_dis, m) per client, and its gradients.
 
@@ -268,7 +274,7 @@ def generator_grad(
     the first three are (C,), grad is the flat generator gradient (C, G) in
     pack order and x_hat_grad the objective's gradient w.r.t. the perturbed
     batch, which reaches the generator through clip -> alpha -> tanh.
-    Clients whose features collapse are recorded in stack.errors.
+    Clients whose features collapse or are non-finite are recorded in stack.errors.
     """
     n = x.shape[1]
     gen_layers = nets.split_layers(stack.generator.params, gen_arch.layer_dims())
@@ -276,11 +282,11 @@ def generator_grad(
     gen_acts, gen_out = nets.mlp_forward(gen_layers, x)
     delta = np.tanh(gen_out)
     pre = x + delta * hyper.alpha
-    inside = (pre >= lo) & (pre <= hi)
-    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, lo, hi))
+    inside = (pre >= 0.0) & (pre <= 1.0)
+    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, 0.0, 1.0))
     ce, g_logits = cross_entropy(logits, y)
-    dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
-    bad = _collapse_guard(stack, valid)
+    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
+    bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
     dis = _row_dot(np.minimum(dist, hyper.m), weights)
     # The capped branch (dist >= m) carries exactly zero gradient.
@@ -299,8 +305,6 @@ def generator_step(
     y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ):
     """One adversarial step on every client's generator, in place.
 
@@ -309,9 +313,7 @@ def generator_step(
     still classifiable.  Returns per-client (l_cls, l_dis, degenerate_rows);
     clients that diverge are recorded in stack.errors.
     """
-    ce, dis, bad, grad, _ = generator_grad(
-        stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo, hi
-    )
+    ce, dis, bad, grad, _ = generator_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats)
     ok = sgd_step(stack.generator, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
     stack.check(ok, "generator step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "generator l_cls is non-finite")
@@ -327,8 +329,6 @@ def student_grad(
     y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ):
     """Student objective mean L_cls + mean L_sim on the freshly perturbed batch.
 
@@ -336,12 +336,12 @@ def student_grad(
     grad) with grad the flat student gradient (C, P) in pack order.
     """
     n = x.shape[1]
-    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha, lo, hi)
+    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha)
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
     acts, logits = nets.mlp_forward(stu_layers, x_hat)
     ce, g_logits = cross_entropy(logits, y)
-    dist, valid, dist_grad = _feature_distance(teacher_feats, acts[-1])
-    bad = _collapse_guard(stack, valid)
+    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
+    bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
     grad = nets.mlp_backward(stu_layers, acts, g_logits, dist_grad(weights))
     return ce, _row_dot(dist, weights), bad, grad
@@ -355,8 +355,6 @@ def student_step(
     y: np.ndarray,
     hyper: NdagHyper,
     teacher_feats: np.ndarray,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ):
     """One step on every client's student, in place, on the freshly perturbed batch.
 
@@ -364,9 +362,7 @@ def student_step(
     Returns (grad, l_cls, l_sim, degenerate_rows); grad is the flat student
     gradient (C, P), kept for sharpness probing at aggregation time.
     """
-    ce, sim, bad, grad = student_grad(
-        stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo, hi
-    )
+    ce, sim, bad, grad = student_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats)
     ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
     stack.check(ok, "student step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "student l_cls is non-finite")
@@ -417,7 +413,7 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.nda
     return np.isfinite(teacher).all(axis=1)
 
 
-def _local_step(part, task_arch, gen_arch, x, y, hyper, lo, hi):
+def _local_step(part, task_arch, gen_arch, x, y, hyper):
     """One batch step for a stack of clients, in place; NDAG when it has generators.
 
     Returns the student gradients and, per client, (l_cls_g, l_dis, l_cls_s,
@@ -427,12 +423,8 @@ def _local_step(part, task_arch, gen_arch, x, y, hyper, lo, hi):
         grad, l_cls = plain_step(part, task_arch, x, y, hyper)
         return grad, [(None, None, l, None, 0) for l in l_cls.tolist()]
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
-    l_cls_g, l_dis, bad_g = generator_step(
-        part, task_arch, gen_arch, x, y, hyper, t_feats, lo, hi
-    )
-    grad, l_cls_s, l_sim, bad_s = student_step(
-        part, task_arch, gen_arch, x, y, hyper, t_feats, lo, hi
-    )
+    l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
+    grad, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
                "teacher is non-finite")
     columns = (l_cls_g, l_dis, l_cls_s, l_sim, bad_g + bad_s)
@@ -450,8 +442,6 @@ def client_round(
     hyper: NdagHyper,
     rngs: list[np.random.Generator],
     local_epochs: int = 1,
-    lo: float = 0.0,
-    hi: float = 1.0,
 ) -> RoundResult:
     """One local round over shuffled mini-batches for each client, in lockstep.
 
@@ -524,7 +514,7 @@ def client_round(
                 yb = np.concatenate([ys[c][batch_idx[c]] for c in members])
                 xb = xb.reshape(len(members), size, -1)
                 yb = yb.reshape(len(members), size)
-                grad, rows = _local_step(part, task_arch, gen_arch, xb, yb, hyper, lo, hi)
+                grad, rows = _local_step(part, task_arch, gen_arch, xb, yb, hyper)
                 stack.put(members, part)
                 for j, (c, (l_cls_g, l_dis, l_cls_s, l_sim, bad)) in enumerate(zip(members, rows)):
                     traces[c].append(BatchTrace(k, l_cls_g, l_dis, l_cls_s, l_sim))

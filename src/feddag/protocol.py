@@ -102,15 +102,8 @@ class RoundMetrics:
     degenerate_rows: int
 
 
-@dataclass
-class TraceRow:
-    client: int
-    round: int
-    batch: int
-    l_cls_g: float | None
-    l_dis: float | None
-    l_cls_s: float
-    l_sim: float | None
+# One per-batch trace entry: (the client's domain id, round, its batch's losses).
+TraceEntry = tuple[int, int, ndag.BatchTrace]
 
 
 def init(config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenArch) -> ServerState:
@@ -148,7 +141,7 @@ def run_round(
     config: FederationConfig,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    trace: list[TraceRow] | None = None,
+    trace: list[TraceEntry] | None = None,
 ) -> RoundMetrics:
     """One communication round over the clients' source domains; mutates server.
 
@@ -185,18 +178,7 @@ def run_round(
     )
     if trace is not None:
         for domain, rows in zip(sources, result.traces):
-            for row in rows:
-                trace.append(
-                    TraceRow(
-                        client=domain.domain,
-                        round=round_idx,
-                        batch=row.batch,
-                        l_cls_g=row.l_cls_g,
-                        l_dis=row.l_dis,
-                        l_cls_s=row.l_cls_s,
-                        l_sim=row.l_sim,
-                    )
-                )
+            trace.extend((domain.domain, round_idx, row) for row in rows)
 
     raw_scores = scores = None
     if warmup or not config.sha_active:
@@ -250,7 +232,7 @@ class DomainRun:
     rounds: list[RoundMetrics]
     final: metrics.EvalResult
     final_task: ParamVector
-    trace: list[TraceRow] = field(default_factory=list)
+    trace: list[TraceEntry] = field(default_factory=list)
 
 
 @dataclass
@@ -273,12 +255,12 @@ def run_federation(
     gen_arch: nets.GenArch,
     target: DomainDataset | None = None,
     collect_trace: bool = False,
-) -> tuple[ServerState, list[RoundMetrics], list[TraceRow]]:
+) -> tuple[ServerState, list[RoundMetrics], list[TraceEntry]]:
     """Train a federation over the source domains for config.rounds."""
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
     server = init(config, task_arch, gen_arch)
-    trace: list[TraceRow] = []
+    trace: list[TraceEntry] = []
     round_log: list[RoundMetrics] = []
     target_xy = _domain_eval_arrays(target) if target is not None else None
     for r in range(config.rounds):

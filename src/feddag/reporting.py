@@ -133,19 +133,9 @@ def write_trace_csv(path: str, report: RunReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for run in report.domains:
-            for row in run.trace:
-                writer.writerow(
-                    [
-                        run.target_domain,
-                        row.client,
-                        row.round,
-                        row.batch,
-                        _fmt(row.l_cls_g),
-                        _fmt(row.l_dis),
-                        _fmt(row.l_cls_s),
-                        _fmt(row.l_sim),
-                    ]
-                )
+            for client, round_idx, t in run.trace:
+                losses = (t.l_cls_g, t.l_dis, t.l_cls_s, t.l_sim)
+                writer.writerow([run.target_domain, client, round_idx, t.batch, *map(_fmt, losses)])
 
 
 PALETTE = [

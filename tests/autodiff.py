@@ -264,7 +264,12 @@ def _stacked(rows):
     return [np.array(col) for col in zip(*rows)]
 
 
-def generator_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo=0.0, hi=1.0):
+def _finite_rows(t_feats, feats):
+    """Rows where both feature norms are finite."""
+    return np.isfinite(np.linalg.norm(t_feats, axis=1) + np.linalg.norm(feats, axis=1))
+
+
+def generator_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats):
     """Tape route of ndag.generator_grad: same arguments, same returns."""
     n = x.shape[1]
     rows = []
@@ -272,33 +277,35 @@ def generator_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo=0.
         gen_layers = layer_tensors(ParamVector(stack.generator.params[c]), gen_arch, True)
         stu_layers = layer_tensors(ParamVector(stack.student.params[c]), task_arch, False)
         xc = Tensor(x[c])
-        x_hat = clip(add(xc, scale(gen_graph(gen_layers, xc), hyper.alpha)), lo, hi)
+        x_hat = clip(add(xc, scale(gen_graph(gen_layers, xc), hyper.alpha)), 0.0, 1.0)
         feats, logits = task_graph(stu_layers, x_hat)
         ce = cross_entropy_mean(logits, y[c])
         dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats[c]), feats)
         dis = weighted_sum(minimum_const(dist, hyper.m), np.full(n, 1.0 / n))
         backward(sub(ce, dis))
-        rows.append((ce.value, dis.value, valid, flat_grad(gen_layers).values, x_hat.grad))
-    ce, dis, valid, grad, x_hat_grad = _stacked(rows)
-    bad = ndag._collapse_guard(stack, valid)
+        finite = _finite_rows(teacher_feats[c], feats.value)
+        rows.append((ce.value, dis.value, valid, finite, flat_grad(gen_layers).values, x_hat.grad))
+    ce, dis, valid, finite, grad, x_hat_grad = _stacked(rows)
+    bad = ndag._collapse_guard(stack, valid, finite)
     return ce, dis, bad, grad, x_hat_grad
 
 
-def student_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats, lo=0.0, hi=1.0):
+def student_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats):
     """Tape route of ndag.student_grad: same arguments, same returns."""
     n = x.shape[1]
     rows = []
     for c in range(x.shape[0]):
-        x_hat = ndag.generate(stack.generator.params[c], gen_arch, x[c], hyper.alpha, lo, hi)
+        x_hat = ndag.generate(stack.generator.params[c], gen_arch, x[c], hyper.alpha)
         stu_layers = layer_tensors(ParamVector(stack.student.params[c]), task_arch, True)
         feats, logits = task_graph(stu_layers, Tensor(x_hat))
         ce = cross_entropy_mean(logits, y[c])
         dist, valid = normalized_sq_dist_rows(Tensor(teacher_feats[c]), feats)
         sim = weighted_sum(dist, np.full(n, 1.0 / n))
         backward(add(ce, sim))
-        rows.append((ce.value, sim.value, valid, flat_grad(stu_layers).values))
-    ce, sim, valid, grad = _stacked(rows)
-    bad = ndag._collapse_guard(stack, valid)
+        finite = _finite_rows(teacher_feats[c], feats.value)
+        rows.append((ce.value, sim.value, valid, finite, flat_grad(stu_layers).values))
+    ce, sim, valid, finite, grad = _stacked(rows)
+    bad = ndag._collapse_guard(stack, valid, finite)
     return ce, sim, bad, grad
 
 

@@ -101,10 +101,10 @@ def nsd_rows_ref(F, H):
     return np.array(out)
 
 
-def gen_objective_ref(phi, task_values, task_arch, gen_arch, X, y, t_feats, alpha, m, lo=0.0, hi=1.0):
+def gen_objective_ref(phi, task_values, task_arch, gen_arch, X, y, t_feats, alpha, m):
     """Plain-numpy generator objective: mean CE - mean min(discrepancy, m)."""
     delta = naive_gen_forward(phi, gen_arch, X)
-    xh = np.clip(np.asarray(X, dtype=np.float64) + alpha * delta, lo, hi)
+    xh = np.clip(np.asarray(X, dtype=np.float64) + alpha * delta, 0.0, 1.0)
     feats, logits = naive_task_forward(task_values, task_arch, xh)
     ce = ce_mean_ref(logits, y)
     d = nsd_rows_ref(t_feats, feats)
@@ -120,7 +120,7 @@ def student_objective_ref(omega, task_arch, x_hat, y, t_feats):
 # -------------------------------------------------------- finite differences
 
 
-def composition_margins(task_values, task_arch, gen_values, gen_arch, X, y, t_feats, alpha, m, lo=0.0, hi=1.0):
+def composition_margins(task_values, task_arch, gen_values, gen_arch, X, y, t_feats, alpha, m):
     """Smallest distance to any non-differentiable kink of the two objectives.
 
     Central differences are only trustworthy when no relu pre-activation,
@@ -141,9 +141,9 @@ def composition_margins(task_values, task_arch, gen_values, gen_arch, X, y, t_fe
         delta = np.tanh(wo.T @ a + bo)
         raw = x + alpha * delta
         mins["clip"] = min(
-            mins["clip"], float(np.abs(raw - lo).min()), float(np.abs(raw - hi).min())
+            mins["clip"], float(np.abs(raw).min()), float(np.abs(raw - 1.0).min())
         )
-        a = np.clip(raw, lo, hi)
+        a = np.clip(raw, 0.0, 1.0)
         for w, b in task_layers[:-1]:
             pre = w.T @ a + b
             mins["relu"] = min(mins["relu"], float(np.abs(pre).min()))

@@ -192,6 +192,17 @@ class TestExitCodes:
         assert "training diverged" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["feddag", "no_sha"])
+    def test_overflowing_features_are_divergence_not_collapse(self, tmp_path, capsys, mode):
+        # At this rate the forward pass overflows in the first adversarial
+        # round; the features are non-finite, not collapsed below the floor.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 1e200, "rounds": 1, "warmup_rounds": 0}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--mode", mode, "--out", str(out)]) == 3
+        assert "training diverged: client 0: non-finite features\n" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "rho, cause",
         [(1e200, "non-finite validation loss"), (1e308, "non-finite probed parameters")],

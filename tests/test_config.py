@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
 from feddag import config
 from feddag.config import ConfigError
 from feddag.data import BenchSpec
+from feddag.ndag import NdagHyper
+from feddag.protocol import FederationConfig
+from feddag.sha import ShaHyper
 
 
 class TestDefaults:
@@ -41,6 +45,26 @@ class TestDefaults:
         a = config.defaults()
         a["rounds"] = 99
         assert config.defaults()["rounds"] != 99
+
+
+class TestOneDefinitionPerValue:
+    # Set by the builders from their arguments or from other keys.
+    EXPLICIT = {
+        (FederationConfig, "n_clients"),
+        (FederationConfig, "ndag"),
+        (FederationConfig, "sha"),
+        (BenchSpec, "seed"),
+    }
+
+    @pytest.mark.parametrize("owner", [NdagHyper, ShaHyper, FederationConfig, BenchSpec])
+    def test_every_field_is_a_key_with_the_field_default(self, owner):
+        for f in fields(owner):
+            if (owner, f.name) in self.EXPLICIT:
+                continue
+            assert f.name in config.SCHEMA, f.name
+            if f.default is not MISSING:
+                default = config.SCHEMA[f.name][0]
+                assert type(default) is type(f.default) and default == f.default, f.name
 
 
 class TestResolve:
@@ -151,22 +175,43 @@ class TestBuilders:
 
     def test_fed_config_carries_everything(self):
         cfg = config.resolve({
-            "mode": "no_ndag", "rounds": 6, "warmup_rounds": 2, "alpha": 0.4,
-            "beta": 0.7, "k": 3, "rho": 0.0, "ema_decay": 0.5, "seed": 3,
-            "include_self": False, "local_epochs": 2,
+            "mode": "no_ndag", "rounds": 6, "warmup_rounds": 2, "local_epochs": 2, "seed": 3,
+            "alpha": 0.4, "m": 0.2, "ema_decay": 0.5, "lr": 0.03, "momentum": 0.5,
+            "weight_decay": 1e-3, "batch_size": 8, "beta": 0.7, "k": 3, "rho": 0.0,
+            "history_cap": 5, "include_self": False, "eval_clients_per_round": 3,
+            "probe_every_round": True,
         })
         fc = config.fed_config(cfg, n_clients=4)
-        assert fc.mode == "no_ndag"
-        assert fc.rounds == 6
-        assert fc.warmup_rounds == 2
-        assert fc.ndag.alpha == 0.4
-        assert fc.ndag.ema_decay == 0.5
-        assert fc.sha.beta == 0.7
-        assert fc.sha.k == 3
-        assert fc.sha.rho == 0.0
-        assert fc.sha.include_self is False
-        assert fc.local_epochs == 2
-        assert fc.seed == 3
+        assert fc == FederationConfig(
+            n_clients=4,
+            rounds=6,
+            warmup_rounds=2,
+            ndag=NdagHyper(alpha=0.4, m=0.2, ema_decay=0.5, lr=0.03, momentum=0.5,
+                           weight_decay=1e-3, batch_size=8),
+            sha=ShaHyper(rho=0.0, beta=0.7, k=3, history_cap=5, include_self=False),
+            mode="no_ndag",
+            eval_clients_per_round=3,
+            local_epochs=2,
+            seed=3,
+            probe_every_round=True,
+        )
+        # Every value differs from its default, so a field left unread would show.
+        default = config.fed_config(config.defaults(), n_clients=4)
+        for built, base in ((fc, default), (fc.ndag, default.ndag), (fc.sha, default.sha)):
+            for f in fields(built):
+                if f.name not in ("n_clients", "ndag", "sha"):
+                    assert getattr(built, f.name) != getattr(base, f.name), f.name
+
+    def test_bench_spec_carries_everything(self):
+        cfg = config.resolve({
+            "n_domains": 4, "n_classes": 2, "input_dim": 6, "samples_per_domain": 80,
+            "style_strength": 0.5, "label_noise": 0.1, "seed": 9,
+        })
+        spec = config.bench_spec(cfg)
+        assert spec == BenchSpec(n_domains=4, n_classes=2, input_dim=6, samples_per_domain=80,
+                                 style_strength=0.5, label_noise=0.1, seed=9)
+        for f in fields(spec):
+            assert getattr(spec, f.name) != getattr(BenchSpec(), f.name), f.name
 
     def test_fed_config_validation_becomes_config_error(self):
         cfg = config.resolve({"include_self": False})

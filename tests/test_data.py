@@ -63,7 +63,54 @@ class TestStyleMap:
         assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
 
+def generate_domain_per_row(spec, domain, anchors):
+    """Reference for data._generate_domain: one noise draw and label draw per row."""
+    style = data._style_map(
+        np.random.default_rng([spec.seed, data._STYLE_TAG, domain]),
+        spec.input_dim,
+        spec.style_strength,
+    )
+    noise_rng = np.random.default_rng([spec.seed, data._NOISE_TAG, domain])
+    label_rng = np.random.default_rng([spec.seed, data._LABEL_TAG, domain])
+    xs = np.empty((spec.samples_per_domain, spec.input_dim))
+    ys = np.empty(spec.samples_per_domain, dtype=np.int64)
+    row = 0
+    for c, count in enumerate(data._class_counts(spec.samples_per_domain, spec.n_classes)):
+        base = style(anchors[c])
+        for _ in range(count):
+            xs[row] = base + noise_rng.normal(0.0, data.NOISE_SD, size=spec.input_dim)
+            y = c
+            if spec.label_noise > 0.0 and label_rng.random() < spec.label_noise:
+                y = int((c + label_rng.integers(1, spec.n_classes)) % spec.n_classes)
+            ys[row] = y
+            row += 1
+    lo = xs.min(axis=0)
+    hi = xs.max(axis=0)
+    span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
+    return (xs - lo) / span, ys
+
+
 class TestGenerateTable:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            dict(n_domains=17, samples_per_domain=200),
+            dict(label_noise=0.2, input_dim=7, n_classes=4, style_strength=0.0),
+        ],
+    )
+    def test_bitwise_equal_to_per_row_draws(self, seed, kw):
+        spec = BenchSpec(seed=seed, **kw)
+        anchors = np.random.default_rng([spec.seed, data._ANCHOR_TAG]).normal(
+            0.0, data.ANCHOR_SD, size=(spec.n_classes, spec.input_dim)
+        )
+        for domain in range(spec.n_domains):
+            xs, ys = data._generate_domain(spec, domain, anchors)
+            ref_xs, ref_ys = generate_domain_per_row(spec, domain, anchors)
+            assert xs.tobytes() == ref_xs.tobytes()
+            assert ys.dtype == ref_ys.dtype and ys.tobytes() == ref_ys.tobytes()
+
     def test_deterministic(self):
         d1, y1, x1 = data.generate_table(SPEC)
         d2, y2, x2 = data.generate_table(SPEC)

@@ -42,18 +42,18 @@ def negative_zero_hidden_biases(params, arch):
     return ParamVector(values)
 
 
-def check_generator(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
+def check_generator(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER):
     """Both routes on a one-client stack; returns the fused values of that client."""
     stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
-    args = (stack, task_arch, gen_arch, X1, y1, hyper, t1, lo, hi)
+    args = (stack, task_arch, gen_arch, X1, y1, hyper, t1)
     fused = ndag.generator_grad(*args)
     assert_bitwise(fused, ad.generator_grad(*args))
     return [value[0] for value in fused]
 
 
-def check_student(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
+def check_student(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER):
     stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
-    args = (stack, task_arch, gen_arch, X1, y1, hyper, t1, lo, hi)
+    args = (stack, task_arch, gen_arch, X1, y1, hyper, t1)
     fused = ndag.student_grad(*args)
     assert_bitwise(fused, ad.student_grad(*args))
     return [value[0] for value in fused]
@@ -66,9 +66,9 @@ def check_plain(models, task_arch, X, y):
     return [value[0] for value in fused]
 
 
-def check_all(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER, lo=0.0, hi=1.0):
-    check_generator(models, task_arch, gen_arch, X, y, t_feats, hyper, lo, hi)
-    check_student(models, task_arch, gen_arch, X, y, t_feats, hyper, lo, hi)
+def check_all(models, task_arch, gen_arch, X, y, t_feats, hyper=HYPER):
+    check_generator(models, task_arch, gen_arch, X, y, t_feats, hyper)
+    check_student(models, task_arch, gen_arch, X, y, t_feats, hyper)
     check_plain(models, task_arch, X, y)
 
 
@@ -85,11 +85,11 @@ def random_case(task_arch, gen_arch, n, seed):
     return models, X, y, t_feats
 
 
-def tape_features(models, task_arch, gen_arch, X, alpha, lo=0.0, hi=1.0):
+def tape_features(models, task_arch, gen_arch, X, alpha):
     """Student features of the perturbed batch, built on the tape."""
     x = ad.Tensor(X)
     gen_layers = ad.layer_tensors(models.generator, gen_arch, trainable=False)
-    x_hat = ad.clip(ad.add(x, ad.scale(ad.gen_graph(gen_layers, x), alpha)), lo, hi)
+    x_hat = ad.clip(ad.add(x, ad.scale(ad.gen_graph(gen_layers, x), alpha)), 0.0, 1.0)
     feats, _ = ad.task_graph(ad.layer_tensors(models.student, task_arch, False), x_hat)
     return feats
 
@@ -147,7 +147,7 @@ class TestEdgeCases:
         assert np.any(grad != 0.0)
 
     def test_perturbed_batch_exactly_at_clip_bounds(self):
-        lo, hi = 0.2, 0.8
+        lo, hi = 0.0, 1.0
         rng = np.random.default_rng(5)
         models, _, y, _ = random_case(TASK_ARCH, GEN_ARCH, 4, 4)
         # A zero generator leaves x_hat = x, so inputs on the bounds stay there.
@@ -158,10 +158,9 @@ class TestEdgeCases:
         )
         X = rng.choice([lo, hi, 0.5], size=(4, TASK_ARCH.input_dim))
         t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
-        _, _, _, _, g_x_hat = check_generator(zero_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats,
-                                              lo=lo, hi=hi)
+        _, _, _, _, g_x_hat = check_generator(zero_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats)
         assert np.all(g_x_hat[X == lo] != 0.0) and np.all(g_x_hat[X == hi] != 0.0)
-        check_student(zero_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats, lo=lo, hi=hi)
+        check_student(zero_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats)
 
         # A generator with a zero output matrix emits the constant tanh(b);
         # pick inputs that land on the bounds after the perturbation.
@@ -180,8 +179,8 @@ class TestEdgeCases:
         on_bound = (X + delta * HYPER.alpha == target) & (np.arange(4) != 1)[:, None]
         assert on_bound.sum() >= 4
         t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
-        check_generator(const_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats, lo=lo, hi=hi)
-        check_student(const_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats, lo=lo, hi=hi)
+        check_generator(const_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats)
+        check_student(const_gen, TASK_ARCH, GEN_ARCH, X, y, t_feats)
 
     def test_alpha_zero(self):
         models, X, y, t_feats = random_case(TASK_ARCH, GEN_ARCH, 5, 6)

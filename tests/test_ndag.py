@@ -68,9 +68,9 @@ class TestGenerate:
         rng = np.random.default_rng(5)
         for trial in range(20):
             gen = nets.init_params(GEN_ARCH, rng)
-            X = rng.uniform(-1.0, 2.0, size=(8, 5))
-            out = ndag.generate(gen, GEN_ARCH, X, 1.0, lo=-1.0, hi=2.0)
-            assert out.min() >= -1.0 and out.max() <= 2.0
+            X = rng.uniform(0.0, 1.0, size=(8, 5))
+            out = ndag.generate(gen, GEN_ARCH, X, 1.0)
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_alpha_out_of_range_rejected(self):
         gen = nets.init_params(GEN_ARCH, np.random.default_rng(6))
@@ -476,23 +476,61 @@ class TestClientRound:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("step", ["generator", "student", "plain"])
     def test_step_divergence_names_the_step(self, step):
-        # Overflowing weights make the step's gradient non-finite.
+        # Overflowing weights make the step's gradient non-finite.  The
+        # student's are in its classifier head only, so its features stay
+        # finite and the step's own check is the first to fail.
         models, X, y = round_fixture(15)
         t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
         stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
         if step == "generator":
             stack.generator.params[:] = np.inf
             ndag.generator_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
+        elif step == "student":
+            head, _ = nets.split_layers(stack.student.params, TASK_ARCH.layer_dims())[-1]
+            head[...] = np.inf
+            ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
         else:
             stack.student.params[:] = 1e300
-            if step == "student":
-                ndag.student_step(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
-            else:
-                ndag.plain_step(stack, TASK_ARCH, X1, y1, step_hyper())
+            ndag.plain_step(stack, TASK_ARCH, X1, y1, step_hyper())
         with pytest.raises(ndag.DivergenceError) as info:
             stack.raise_failure()
         assert str(info.value) == f"client 0: {step} step: non-finite parameters or gradient"
         assert info.value.client == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("step", ["generator", "student"])
+    def test_overflowing_features_are_divergence_not_collapse(self, step):
+        # Overflowing student weights overflow its features before any step
+        # check; the rows are non-finite, not below the normalization floor.
+        models, X, y = round_fixture(15)
+        t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        stack.student.params[:] = 1e300
+        step_fn = ndag.generator_step if step == "generator" else ndag.student_step
+        *_, bad = step_fn(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)
+        assert bad.tolist() == [0]
+        with pytest.raises(ndag.DivergenceError) as info:
+            stack.raise_failure()
+        assert type(info.value) is ndag.DivergenceError
+        assert str(info.value) == "client 0: non-finite features"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("objective", [ndag.generator_grad, ndag.student_grad])
+    def test_nan_teacher_features_are_divergence_not_collapse(self, objective):
+        # Skipped as degenerate, a NaN teacher row would train on silently.
+        # It fails its client instead, and collapse is not checked past it;
+        # a finite row below the floor still counts as degenerate.
+        models, X, y = round_fixture(15)
+        t_feats, _ = nets.task_apply(models.teacher, TASK_ARCH, X)
+        t_feats[:5] = np.nan
+        t_feats[5] = 0.0
+        stack, X1, y1, t1 = helpers.one_client(models, X, y, t_feats)
+        bad = objective(stack, TASK_ARCH, GEN_ARCH, X1, y1, step_hyper(), t1)[2]
+        assert bad.tolist() == [1]
+        with pytest.raises(ndag.DivergenceError) as info:
+            stack.raise_failure()
+        assert not isinstance(info.value, ndag.FeatureCollapse)
+        assert str(info.value) == "client 0: non-finite features"
 
     def test_last_grad_mirrors_final_batch(self):
         models, X, y = round_fixture(13, n=4)

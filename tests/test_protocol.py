@@ -336,8 +336,8 @@ class TestRunFederation:
         )
         assert quiet == []
         assert len(chatty) > 0
-        adversarial = [row for row in chatty if row.l_dis is not None]
-        assert adversarial and all(row.round >= 1 for row in adversarial)
+        adversarial = [round_idx for _, round_idx, t in chatty if t.l_dis is not None]
+        assert adversarial and all(round_idx >= 1 for round_idx in adversarial)
 
     def test_probe_cadence(self):
         config = fed(mode="fedavg", rounds=3, warmup=1, seed=3)
