@@ -2,12 +2,14 @@
 
 Every file the CLI writes goes through atomic_open, so a run that is killed
 or fails while writing leaves either the complete new file or whatever was
-there before, never a truncated one.
+there before, never a truncated one.  Every CSV goes through write_csv.
 """
 
 from __future__ import annotations
 
+import csv
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 
@@ -29,3 +31,15 @@ def atomic_open(path: str, newline: str | None = None):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """A CSV file of header and rows, written through atomic_open.
+
+    rows is consumed while the file is written, so a generator never holds
+    all rows at once.  If it raises, an earlier file at path is left as it was.
+    """
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

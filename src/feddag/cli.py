@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 training divergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import metrics, protocol, reporting
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .data import export_csv
 from .ndag import DivergenceError
 from .nets import GenArch, TaskArch
@@ -34,6 +33,11 @@ MODE_LABELS = {
 # object holds "kind" plus every field of the named architecture class.
 CHECKPOINT_FIELDS = ("arch", "values", "role", "round")
 ARCH_KINDS = {"task": TaskArch, "gen": GenArch}
+
+# ablation_stats.csv: what is compared, then the fields of its PairedComparison.
+STATS_HEADER = ["comparison", "metric", "pairing"] + [
+    f.name for f in dataclasses.fields(metrics.PairedComparison)
+]
 
 
 def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index: int) -> None:
@@ -123,12 +127,6 @@ def cmd_run(cfg: dict) -> int:
     return 0
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
-
-
 def cmd_ablate(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -159,12 +157,9 @@ def cmd_ablate(cfg: dict) -> int:
             per_domain = [domain_mean(mode, name, pos) for pos in range(len(domain_ids))]
             avg = [results[(mode, s)].averages[name] for s in seeds]
             avg = None if any(v is None for v in avg) else float(np.mean(avg))
-            row += [_fmt_cell(v) for v in per_domain] + [_fmt_cell(avg)]
+            row += [reporting.fmt(v) for v in per_domain] + [reporting.fmt(avg)]
         rows.append(row)
-    with atomic_open(os.path.join(out, "ablation.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(os.path.join(out, "ablation.csv"), header, rows)
 
     # Paired comparisons against full FedDAG, over seeds and over domains.
     stats_rows = []
@@ -188,23 +183,10 @@ def cmd_ablate(cfg: dict) -> int:
                     continue
                 cmp = metrics.paired_compare(a, b)
                 stats_rows.append(
-                    [
-                        f"full vs {MODE_LABELS[mode]}",
-                        name,
-                        pairing,
-                        repr(cmp.mean_diff),
-                        cmp.wins,
-                        cmp.losses,
-                        cmp.ties,
-                        repr(cmp.p_value),
-                    ]
+                    [f"full vs {MODE_LABELS[mode]}", name, pairing]
+                    + [reporting.fmt(v) for v in dataclasses.astuple(cmp)]
                 )
-    with atomic_open(os.path.join(out, "ablation_stats.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["comparison", "metric", "pairing", "mean_diff", "wins", "losses", "ties", "p_value"]
-        )
-        writer.writerows(stats_rows)
+    write_csv(os.path.join(out, "ablation_stats.csv"), STATS_HEADER, stats_rows)
 
     for mode, row in zip(protocol.MODES, rows):
         print(f"{MODE_LABELS[mode]:>9}: " + " ".join(row[1:]))
@@ -234,14 +216,14 @@ def cmd_sweep(cfg: dict) -> int:
 
     reports = [_lodo_report(cfg_for(v))[0] for v in values]
 
-    with atomic_open(os.path.join(out, "sweep.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "acc_avg", "f1_avg", "auc_avg"])
-        for value, report in zip(values, reports):
-            avg = report.averages
-            writer.writerow(
-                [param, value, _fmt_cell(avg["acc"]), _fmt_cell(avg["f1"]), _fmt_cell(avg["auc"])]
-            )
+    write_csv(
+        os.path.join(out, "sweep.csv"),
+        ["param", "value", "acc_avg", "f1_avg", "auc_avg"],
+        (
+            [param, value] + [reporting.fmt(r.averages[name]) for name in ("acc", "f1", "auc")]
+            for value, r in zip(values, reports)
+        ),
+    )
 
     xs = [float(v) for v in values]
     series = []

@@ -9,6 +9,7 @@ into every report for exact replay.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import MISSING, fields
 from typing import Any
@@ -52,8 +53,12 @@ _FIELD_DEFAULTS = {
 # key: (default, checker, description of the accepted values)
 SCHEMA: dict[str, tuple[Any, Any, str]] = {
     "mode": (_FIELD, lambda v: v in MODES, f"one of {MODES}"),
-    "seed": (_FIELD, _is_int, "integer"),
-    "seeds": ([0, 1, 2, 3, 4], _int_list, "nonempty list of integers"),
+    "seed": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
+    "seeds": (
+        [0, 1, 2, 3, 4],
+        lambda v: _int_list(v) and min(v) >= 0,
+        "nonempty list of integers >= 0",
+    ),
     "rounds": (14, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "warmup_rounds": (3, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
     "local_epochs": (_FIELD, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
@@ -80,7 +85,7 @@ SCHEMA: dict[str, tuple[Any, Any, str]] = {
     "samples_per_domain": (_FIELD, lambda v: _is_int(v) and v >= 20, "integer >= 20"),
     "style_strength": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
     "label_noise": (_FIELD, lambda v: _is_num(v) and 0.0 <= v < 0.5, "number in [0, 0.5)"),
-    "bench_seed": (-1, _is_int, "integer (-1 follows seed)"),
+    "bench_seed": (-1, lambda v: _is_int(v) and v >= -1, "integer >= -1 (-1 follows seed)"),
     "data_csv": ("", lambda v: isinstance(v, str), "path string, empty for synthetic"),
     "out": ("feddag_out", lambda v: isinstance(v, str) and v != "", "nonempty path string"),
     "sweep_param": ("alpha", lambda v: v in SWEEP_PARAMS, f"one of {sorted(SWEEP_PARAMS)}"),
@@ -97,7 +102,8 @@ SCHEMA = {
 
 
 def defaults() -> dict[str, Any]:
-    return {key: spec[0] for key, spec in SCHEMA.items()}
+    """A fresh copy of every default, so a caller can change its lists freely."""
+    return {key: copy.deepcopy(spec[0]) for key, spec in SCHEMA.items()}
 
 
 def resolve(document: dict[str, Any], overrides: dict[str, Any] | None = None) -> dict[str, Any]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_csv
 
 # Internal generation constants: class anchors at unit scale, noise high
 # enough that held-out accuracy stays well below ceiling, rotation wide
@@ -173,11 +173,9 @@ def make_benchmark(spec: BenchSpec) -> list[DomainDataset]:
 def export_csv(spec: BenchSpec, path: str) -> None:
     """Write the benchmark as one flat CSV: domain,label,f0..f<dim-1>."""
     domains, labels, features = generate_table(spec)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "label"] + [f"f{i}" for i in range(spec.input_dim)])
-        for d, y, x in zip(domains, labels, features):
-            writer.writerow([int(d), int(y)] + [repr(float(v)) for v in x])
+    header = ["domain", "label"] + [f"f{i}" for i in range(spec.input_dim)]
+    rows = zip(domains, labels, features)
+    write_csv(path, header, ([int(d), int(y)] + [repr(float(v)) for v in x] for d, y, x in rows))
 
 
 def load_csv(path: str, split_seed: int) -> list[DomainDataset]:

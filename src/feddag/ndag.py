@@ -413,22 +413,22 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.nda
     return np.isfinite(teacher).all(axis=1)
 
 
-def _local_step(part, task_arch, gen_arch, x, y, hyper):
-    """One batch step for a stack of clients, in place; NDAG when it has generators.
+def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
+    """Batch step k for a stack of clients, in place; NDAG when it has generators.
 
-    Returns the student gradients and, per client, (l_cls_g, l_dis, l_cls_s,
-    l_sim, degenerate_rows), the NDAG entries None without NDAG.
+    Returns the student gradients, one BatchTrace per client (the NDAG
+    losses None without NDAG) and the stack's total degenerate feature rows.
     """
     if part.generator is None:
         grad, l_cls = plain_step(part, task_arch, x, y, hyper)
-        return grad, [(None, None, l, None, 0) for l in l_cls.tolist()]
+        return grad, [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], 0
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     grad, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
                "teacher is non-finite")
-    columns = (l_cls_g, l_dis, l_cls_s, l_sim, bad_g + bad_s)
-    return grad, list(zip(*(col.tolist() for col in columns)))
+    losses = zip(l_cls_g.tolist(), l_dis.tolist(), l_cls_s.tolist(), l_sim.tolist())
+    return grad, [BatchTrace(k, *row) for row in losses], int(bad_g.sum() + bad_s.sum())
 
 
 def client_round(
@@ -514,12 +514,12 @@ def client_round(
                 yb = np.concatenate([ys[c][batch_idx[c]] for c in members])
                 xb = xb.reshape(len(members), size, -1)
                 yb = yb.reshape(len(members), size)
-                grad, rows = _local_step(part, task_arch, gen_arch, xb, yb, hyper)
+                grad, batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
                 stack.put(members, part)
-                for j, (c, (l_cls_g, l_dis, l_cls_s, l_sim, bad)) in enumerate(zip(members, rows)):
-                    traces[c].append(BatchTrace(k, l_cls_g, l_dis, l_cls_s, l_sim))
-                    degenerate += bad
-                    last_grads[c] = grad[j]
+                degenerate += bad
+                last_grads[members] = grad
+                for c, t in zip(members, batch_traces):
+                    traces[c].append(t)
         stack.raise_failure()
 
     return RoundResult(

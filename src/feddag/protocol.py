@@ -98,7 +98,7 @@ class RoundMetrics:
     raw_scores: tuple[float, ...] | None
     scores: tuple[float, ...] | None
     weights: tuple[float, ...]
-    target_eval: metrics.EvalResult | None
+    target: metrics.EvalResult | None
     degenerate_rows: int
 
 
@@ -219,7 +219,7 @@ def run_round(
         raw_scores=raw_scores,
         scores=scores,
         weights=tuple(weights.values.tolist()),
-        target_eval=None,
+        target=None,
         degenerate_rows=result.degenerate_rows,
     )
 
@@ -230,9 +230,13 @@ class DomainRun:
 
     target_domain: int
     rounds: list[RoundMetrics]
-    final: metrics.EvalResult
     final_task: ParamVector
     trace: list[TraceEntry] = field(default_factory=list)
+
+    @property
+    def final(self) -> metrics.EvalResult:
+        """The held-out evaluation after the last round."""
+        return self.rounds[-1].target
 
 
 @dataclass
@@ -269,10 +273,7 @@ def run_federation(
         )
         probe = target_xy is not None and (config.probe_every_round or r == config.rounds - 1)
         if probe:
-            rm = replace(
-                rm,
-                target_eval=metrics.evaluate(server.global_task, task_arch, *target_xy),
-            )
+            rm = replace(rm, target=metrics.evaluate(server.global_task, task_arch, *target_xy))
         round_log.append(rm)
     return server, round_log, trace
 
@@ -303,7 +304,6 @@ def run_lodo(
             DomainRun(
                 target_domain=target.domain,
                 rounds=rounds,
-                final=rounds[-1].target_eval,
                 final_task=server.global_task,
                 trace=trace,
             )

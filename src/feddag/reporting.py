@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields
+from operator import attrgetter
 from typing import Any
 
-from .atomic import atomic_open
-from .metrics import EvalResult
+from .atomic import atomic_open, write_csv
+from .ndag import BatchTrace
 from .protocol import RunReport
 
 METRICS_HEADER = [
@@ -26,10 +28,13 @@ METRICS_HEADER = [
     "target_auc",
 ]
 SHA_LOG_HEADER = ["target_domain", "round", "client", "raw_score", "post_dense_score", "weight"]
-TRACE_HEADER = ["target_domain", "client", "round", "batch", "l_cls_g", "l_dis", "l_cls_s", "l_sim"]
+TRACE_FIELDS = [f.name for f in fields(BatchTrace)]
+TRACE_HEADER = ["target_domain", "client", "round", *TRACE_FIELDS]
+_trace_values = attrgetter(*TRACE_FIELDS)
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """One CSV cell: empty for None, 0/1 for bools, repr for floats."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -39,45 +44,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _eval_dict(ev: EvalResult | None) -> dict[str, Any] | None:
-    if ev is None:
-        return None
-    return {
-        "acc": ev.acc,
-        "f1": ev.f1,
-        "auc": ev.auc,
-        "n": ev.n,
-        "support": list(ev.support),
-        "warnings": list(ev.warnings),
-    }
-
-
 def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
-    """JSON-ready report: config echo (less `out`), per-domain rounds, final averages."""
-    domains = []
-    for run in report.domains:
-        rounds = []
-        for rm in run.rounds:
-            rounds.append(
-                {
-                    "round": rm.round,
-                    "warmup": rm.warmup,
-                    "train_losses": list(rm.train_losses),
-                    "source_val_loss": rm.source_val_loss,
-                    "raw_scores": list(rm.raw_scores) if rm.raw_scores is not None else None,
-                    "scores": list(rm.scores) if rm.scores is not None else None,
-                    "weights": list(rm.weights),
-                    "target": _eval_dict(rm.target_eval),
-                    "degenerate_rows": rm.degenerate_rows,
-                }
-            )
-        domains.append(
-            {
-                "target_domain": run.target_domain,
-                "final": _eval_dict(run.final),
-                "rounds": rounds,
-            }
-        )
+    """JSON-ready report: config echo (less `out`), per-domain rounds, final averages.
+
+    Each round is the fields of its RoundMetrics and each final the fields
+    of its EvalResult.
+    """
+    domains = [
+        {
+            "target_domain": run.target_domain,
+            "final": asdict(run.final),
+            "rounds": [asdict(rm) for rm in run.rounds],
+        }
+        for run in report.domains
+    ]
     # The output directory is not an experiment parameter: leaving it out keeps
     # the same config and seed byte-identical whatever --out is.
     config = {k: v for k, v in sorted(cfg.items()) if k != "out"}
@@ -91,51 +71,38 @@ def write_report_json(path: str, cfg: dict[str, Any], report: RunReport) -> None
 
 
 def write_metrics_csv(path: str, report: RunReport) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
+    def rows():
         for run in report.domains:
             for rm in run.rounds:
-                ev = rm.target_eval
-                writer.writerow(
-                    [
-                        run.target_domain,
-                        rm.round,
-                        _fmt(rm.warmup),
-                        _fmt(float(sum(rm.train_losses) / len(rm.train_losses))),
-                        _fmt(rm.source_val_loss),
-                        _fmt(ev.acc if ev else None),
-                        _fmt(ev.f1 if ev else None),
-                        _fmt(ev.auc if ev else None),
-                    ]
-                )
+                ev = rm.target
+                probe = (ev.acc, ev.f1, ev.auc) if ev else (None, None, None)
+                loss = float(sum(rm.train_losses) / len(rm.train_losses))
+                cells = (rm.warmup, loss, rm.source_val_loss, *probe)
+                yield [run.target_domain, rm.round, *map(fmt, cells)]
+
+    write_csv(path, METRICS_HEADER, rows())
 
 
 def write_sha_log_csv(path: str, report: RunReport) -> None:
     """Scored rounds only: one row per (target, round, client)."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SHA_LOG_HEADER)
-        for run in report.domains:
-            for rm in run.rounds:
-                if rm.raw_scores is None:
-                    continue
-                for client, (raw, post, w) in enumerate(
-                    zip(rm.raw_scores, rm.scores, rm.weights)
-                ):
-                    writer.writerow(
-                        [run.target_domain, rm.round, client, _fmt(raw), _fmt(post), _fmt(w)]
-                    )
+    rows = (
+        [run.target_domain, rm.round, client, fmt(raw), fmt(post), fmt(w)]
+        for run in report.domains
+        for rm in run.rounds
+        if rm.raw_scores is not None
+        for client, (raw, post, w) in enumerate(zip(rm.raw_scores, rm.scores, rm.weights))
+    )
+    write_csv(path, SHA_LOG_HEADER, rows)
 
 
 def write_trace_csv(path: str, report: RunReport) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for run in report.domains:
-            for client, round_idx, t in run.trace:
-                losses = (t.l_cls_g, t.l_dis, t.l_cls_s, t.l_sim)
-                writer.writerow([run.target_domain, client, round_idx, t.batch, *map(_fmt, losses)])
+    """One row per (target, client, round, batch); the rest are BatchTrace's fields."""
+    rows = (
+        [run.target_domain, client, round_idx, *map(fmt, _trace_values(t))]
+        for run in report.domains
+        for client, round_idx, t in run.trace
+    )
+    write_csv(path, TRACE_HEADER, rows)
 
 
 PALETTE = [

@@ -183,8 +183,14 @@ def softmax_weights(scores: list[float], beta: float) -> AggregationWeights:
         raise ValueError("scores must be finite and > 0")
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    powered = s**beta
-    return AggregationWeights(powered / powered.sum())
+    with np.errstate(over="ignore"):
+        powered = s**beta
+        total = powered.sum()
+    if not 0.0 < total < np.inf:
+        # Every power under- or overflowed; scores scaled to max 1 give the same weights.
+        powered = (s / s.max()) ** beta
+        total = powered.sum()
+    return AggregationWeights(powered / total)
 
 
 def across_client_aggregate(rows: np.ndarray, weights: AggregationWeights) -> ParamVector:

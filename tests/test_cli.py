@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from feddag import cli
+from feddag.metrics import PairedComparison
 from feddag.nets import GenArch, TaskArch
 from feddag.params import ParamVector
 
@@ -80,7 +82,8 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt.json")
         params = ParamVector(np.zeros(self.TASK.param_count()))
         cli.save_checkpoint(path, params, self.TASK, role="x", round_index=0)
-        doc = json.loads(open(path).read())
+        with open(path) as fh:
+            doc = json.load(fh)
         doc["values"] = doc["values"][:-1]
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -183,6 +186,40 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"leerning_rate": 0.1}))
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, argv, key",
+        [
+            ({"seed": -1}, [], "seed"),
+            ({}, ["--seed", "-3"], "seed"),
+            ({"bench_seed": -5}, [], "bench_seed"),
+        ],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, doc, argv, key):
+        cfg = write_cfg(tmp_path, **doc)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 2
+        assert f"config key '{key}': expected integer >= " in capsys.readouterr().err
+
+    def test_negative_ablation_seed_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, seeds=[0, -2])
+        assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'seeds': expected nonempty list of integers >= 0" in err
+
+    @pytest.mark.parametrize("beta", [1000, float("inf")])
+    def test_huge_beta_runs(self, tmp_path, beta):
+        """Every score**beta under- or overflows, and the weights still form a simplex."""
+        cfg = write_cfg(tmp_path, rounds=4, warmup_rounds=1, beta=beta)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "sha_log.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        by_round = {}
+        for r in recs:
+            by_round.setdefault((r["target_domain"], r["round"]), []).append(float(r["weight"]))
+        assert by_round
+        for ws in by_round.values():
+            assert sum(ws) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, tmp_path, capsys):
@@ -301,6 +338,7 @@ class TestAblate:
         assert rows[0] == [
             "comparison", "metric", "pairing", "mean_diff", "wins", "losses", "ties", "p_value",
         ]
+        assert rows[0][3:] == [f.name for f in dataclasses.fields(PairedComparison)]
         # Two seeds cannot feed paired stats; the three-domain pairing can.
         assert "seeds pairing has 2 < 3 points" in capsys.readouterr().err
         body = rows[1:]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,44 @@ class TestDefaults:
         a = config.defaults()
         a["rounds"] = 99
         assert config.defaults()["rounds"] != 99
+
+    def test_default_lists_are_copies(self):
+        cfg = config.resolve({})
+        cfg["seeds"].append(9)
+        cfg["hidden_dims"].append(9)
+        assert config.defaults()["seeds"] == [0, 1, 2, 3, 4]
+        assert config.defaults()["hidden_dims"] == [32, 32]
+        assert config.resolve({})["seeds"] == [0, 1, 2, 3, 4]
+
+
+class TestReadme:
+    """The README's Config section lists every key, with the defaults the schema has."""
+
+    @staticmethod
+    def listed():
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        section = text.split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
+        bullets = section[section.index("\n- ") :].split("\n\n", 1)[0]
+        # `key` then an optional default: a bracketed list or one token.  The
+        # first mention of a key is its entry; later ones are cross-references.
+        listed = {}
+        for key, value in re.findall(r"`(\w+)`(?: (\[[^\]]*\]|[^\s,(`]+))?", bullets):
+            listed.setdefault(key, value)
+        return listed
+
+    def test_every_key_is_listed(self):
+        assert set(self.listed()) == set(config.SCHEMA)
+
+    def test_listed_defaults_match(self):
+        defaults = config.defaults()
+        listed = {key: value for key, value in self.listed().items() if value}
+        assert len(listed) > 20
+        for key, value in listed.items():
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError:
+                pass
+            assert value == defaults[key], key
 
 
 class TestOneDefinitionPerValue:
@@ -88,6 +128,9 @@ class TestResolve:
             {"ema_decay": -0.1},
             {"momentum": 1.0},
             {"seeds": []},
+            {"seeds": [0, -1]},
+            {"seed": -1},
+            {"bench_seed": -2},
             {"hidden_dims": [32, "x"]},
             {"label_noise": 0.5},
             {"sweep_param": "lr"},

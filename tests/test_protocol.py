@@ -344,12 +344,12 @@ class TestRunFederation:
         _, log, _ = protocol.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, target=BENCH[2]
         )
-        assert [rm.target_eval is None for rm in log] == [True, True, False]
+        assert [rm.target is None for rm in log] == [True, True, False]
         config = fed(mode="fedavg", rounds=3, warmup=1, seed=3, probe_every_round=True)
         _, log, _ = protocol.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, target=BENCH[2]
         )
-        assert all(rm.target_eval is not None for rm in log)
+        assert all(rm.target is not None for rm in log)
 
 
 class TestRunLodo:
@@ -359,7 +359,7 @@ class TestRunLodo:
         assert [run.target_domain for run in report.domains] == [0, 1, 2]
         for run in report.domains:
             assert len(run.rounds) == 2
-            assert run.final is run.rounds[-1].target_eval
+            assert run.final is run.rounds[-1].target
             assert run.final.n == 60
         assert set(report.averages) == {"acc", "f1", "auc"}
         assert report.averages["acc"] == pytest.approx(

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 
 from feddag import reporting
-from feddag.atomic import atomic_open
+from feddag.atomic import atomic_open, write_csv
+from feddag.metrics import EvalResult
+from feddag.ndag import BatchTrace
+from feddag.protocol import RoundMetrics
 from feddag.data import BenchSpec, make_benchmark
 from feddag.nets import GenArch, TaskArch
 from feddag.protocol import FederationConfig, run_lodo
@@ -50,18 +54,18 @@ def read_rows(path):
 
 class TestFmt:
     def test_none_is_empty(self):
-        assert reporting._fmt(None) == ""
+        assert reporting.fmt(None) == ""
 
     def test_bools_are_ints(self):
-        assert reporting._fmt(True) == "1"
-        assert reporting._fmt(False) == "0"
+        assert reporting.fmt(True) == "1"
+        assert reporting.fmt(False) == "0"
 
     def test_float_uses_repr(self):
-        assert reporting._fmt(0.1) == "0.1"
-        assert reporting._fmt(1 / 3) == repr(1 / 3)
+        assert reporting.fmt(0.1) == "0.1"
+        assert reporting.fmt(1 / 3) == repr(1 / 3)
 
     def test_int_passthrough(self):
-        assert reporting._fmt(7) == "7"
+        assert reporting.fmt(7) == "7"
 
 
 class TestReportDict:
@@ -87,6 +91,17 @@ class TestReportDict:
         assert [r["target"] is None for r in rounds] == [True, True, True, False]
         final = doc["domains"][0]["final"]
         assert set(final) == {"acc", "f1", "auc", "n", "support", "warnings"}
+
+    def test_keys_are_the_record_fields(self, report, tmp_path):
+        path = tmp_path / "report.json"
+        reporting.write_report_json(str(path), CFG, report)
+        doc = json.loads(path.read_text())
+        round_keys = {f.name for f in fields(RoundMetrics)}
+        eval_keys = {f.name for f in fields(EvalResult)}
+        for leg in doc["domains"]:
+            assert set(leg["final"]) == eval_keys
+            assert all(set(r) == round_keys for r in leg["rounds"])
+            assert set(leg["rounds"][-1]["target"]) == eval_keys
 
 
 class TestReportJson:
@@ -125,6 +140,20 @@ class TestAtomicWrites:
                 fh.write("partial")
                 raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
+
+    def test_csv_rows_failing_midway_keep_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), ["a", "b"], [[1, 2]])
+        before = path.read_bytes()
+
+        def rows():
+            yield [3, 4]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_csv(str(path), ["a", "b"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_file_appears_complete(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -184,6 +213,10 @@ class TestShaLogCsv:
 
 
 class TestTraceCsv:
+    def test_columns_are_batch_trace_fields(self):
+        assert reporting.TRACE_HEADER[:3] == ["target_domain", "client", "round"]
+        assert reporting.TRACE_HEADER[3:] == [f.name for f in fields(BatchTrace)]
+
     def test_rows_match_report(self, report, tmp_path):
         path = tmp_path / "trace.csv"
         reporting.write_trace_csv(str(path), report)

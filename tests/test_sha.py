@@ -408,6 +408,18 @@ class TestSoftmaxWeights:
             b = sha.softmax_weights(list(scores * scale), 0.7).values
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "scores, beta, expected",
+        [
+            ([0.25, 0.5], 2000.0, [0.0, 1.0]),  # every power underflows to 0
+            ([4.0, 2.0], 2000.0, [1.0, 0.0]),  # every power overflows to inf
+            ([3.0, 3.0], float("inf"), [0.5, 0.5]),
+            ([0.5, 0.5], float("inf"), [0.5, 0.5]),
+        ],
+    )
+    def test_powers_out_of_range_still_weigh(self, scores, beta, expected):
+        assert sha.softmax_weights(scores, beta).values.tolist() == expected
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             sha.softmax_weights([], 1.0)
