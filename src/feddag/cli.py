@@ -87,26 +87,25 @@ def _bench_dims(bench) -> tuple[int, int]:
     return input_dim, max(n_classes, 2)
 
 
-def _lodo_report(cfg: dict, collect_trace: bool = False) -> tuple[protocol.RunReport, TaskArch]:
+def _lodo_inputs(cfg: dict) -> tuple[list, protocol.FederationConfig, TaskArch, GenArch]:
+    """run_lodo's bench, federation and arches; building them raises every config error."""
     bench = cfgmod.benchmark(cfg)
     input_dim, n_classes = _bench_dims(bench)
     task_arch, gen_arch = cfgmod.arches(cfg, input_dim, n_classes)
-    fed = cfgmod.fed_config(cfg, n_clients=len(bench) - 1)
-    report = protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=collect_trace)
-    return report, task_arch
+    return bench, cfgmod.fed_config(cfg, n_clients=len(bench) - 1), task_arch, gen_arch
 
 
 def cmd_run(cfg: dict) -> int:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    report, task_arch = _lodo_report(cfg, collect_trace=True)
+    bench, fed, task_arch, gen_arch = _lodo_inputs(cfg)
+    report = protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=True)
     reporting.write_report_json(os.path.join(out, "report.json"), cfg, report)
-    metrics_path = os.path.join(out, "metrics.csv")
-    reporting.write_metrics_csv(metrics_path, report)
+    reporting.write_metrics_csv(os.path.join(out, "metrics.csv"), report)
     reporting.write_sha_log_csv(os.path.join(out, "sha_log.csv"), report)
     reporting.write_trace_csv(os.path.join(out, "train_trace.csv"), report)
-    reporting.plot_from_metrics_csv(
-        metrics_path,
+    reporting.plot_rounds(
+        report,
         os.path.join(out, "loss_vs_round.svg"),
         os.path.join(out, "accuracy_vs_round.svg"),
     )
@@ -133,7 +132,7 @@ def cmd_ablate(cfg: dict) -> int:
     seeds = cfg["seeds"]
 
     results = {
-        (mode, seed): _lodo_report(dict(cfg, mode=mode, seed=seed))[0]
+        (mode, seed): protocol.run_lodo(*_lodo_inputs(dict(cfg, mode=mode, seed=seed)))
         for mode in protocol.MODES
         for seed in seeds
     }
@@ -214,7 +213,9 @@ def cmd_sweep(cfg: dict) -> int:
             return cfgmod.resolve(dict(cfg, n_domains=value + 1))
         return cfgmod.resolve(dict(cfg, **{param: value}))
 
-    reports = [_lodo_report(cfg_for(v))[0] for v in values]
+    # Check every point before the first one trains.
+    inputs = [_lodo_inputs(cfg_for(v)) for v in values]
+    reports = [protocol.run_lodo(*args) for args in inputs]
 
     write_csv(
         os.path.join(out, "sweep.csv"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import MISSING, fields
 from typing import Any
 
@@ -30,7 +31,8 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """A float, or an int inside the float range the math downstream runs in."""
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _int_list(v) -> bool:
@@ -56,8 +58,9 @@ SCHEMA: dict[str, tuple[Any, Any, str]] = {
     "seed": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
     "seeds": (
         [0, 1, 2, 3, 4],
-        lambda v: _int_list(v) and min(v) >= 0,
-        "nonempty list of integers >= 0",
+        # A repeated seed repeats a run, which paired stats would count twice.
+        lambda v: _int_list(v) and min(v) >= 0 and len(set(v)) == len(v),
+        "nonempty list of distinct integers >= 0",
     ),
     "rounds": (14, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
     "warmup_rounds": (3, lambda v: _is_int(v) and v >= 0, "integer >= 0"),

@@ -24,6 +24,7 @@ ANCHOR_SD = 1.0
 NOISE_SD = 1.2
 ROTATION_MAX_ANGLE = 1.4
 MIN_DOMAIN_SAMPLES = 10
+INT64_IDS = range(-(2**63), 2**63)  # domain and label ids are stored as int64
 
 _ANCHOR_TAG = 11
 _STYLE_TAG = 12
@@ -201,11 +202,14 @@ def load_csv(path: str, split_seed: int) -> list[DomainDataset]:
             if len(row) != dim + 2:
                 raise ValueError(f"{path}:{lineno}: expected {dim + 2} fields")
             try:
-                domains.append(int(row[0]))
-                labels.append(int(row[1]))
+                ids = int(row[0]), int(row[1])
+                if ids[0] not in INT64_IDS or ids[1] not in INT64_IDS:
+                    raise ValueError(f"domain or label outside int64: {row[0]},{row[1]}")
                 rows.append([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            domains.append(ids[0])
+            labels.append(ids[1])
     if not rows:
         raise ValueError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
@@ -214,7 +218,7 @@ def load_csv(path: str, split_seed: int) -> list[DomainDataset]:
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{path}: non-finite feature values")
     present = np.unique(labels_arr)
-    if present[0] < 0 or not np.array_equal(present, np.arange(present[-1] + 1)):
+    if not np.array_equal(present, np.arange(present.size)):
         raise ValueError(f"{path}: labels must be contiguous 0..C-1, got {present.tolist()}")
     domain_ids = np.unique(domains_arr)
     if domain_ids.size < 2:

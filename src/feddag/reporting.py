@@ -1,13 +1,13 @@
 """Run artifacts: report JSON, fixed-schema CSVs, and polyline SVG plots.
 
 Everything here is deterministic in its inputs (no timestamps, sorted JSON
-keys), so identical runs produce byte-identical files.  Plots are built
-from the emitted CSVs alone; re-plotting from CSVs is lossless.
+keys), so identical runs produce byte-identical files.  Plots are drawn from
+the run's records, and plot the same values that metrics.csv holds (each
+float is written as its repr, which reads back exactly).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, fields
 from operator import attrgetter
@@ -117,10 +117,26 @@ PALETTE = [
 ]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _axis(values: list[float], lo_px: float, hi_px: float, pad: float):
+    """Five ticks over the values' range and the map from a value to pixels.
+
+    The range is [0, 1] with no values.  A zero-width range is widened by 1;
+    where adding 1 would leave it zero (|lo| >= 2**53) it is widened by half
+    its magnitude towards 0 instead, which cannot overflow.  The range is then
+    padded by `pad` of its width on each side.
+    """
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if hi == lo:
+        lo, hi = (lo, lo + 1.0) if lo + 1.0 != lo else sorted((lo, lo / 2))
+    margin = pad * (hi - lo)
+    lo, hi = lo - margin, hi + margin
+    span = hi - lo
+    ticks = [lo + span * (i / 4) for i in range(5)]
+
+    def scale(v: float) -> float:
+        return lo_px + (v - lo) / span * (hi_px - lo_px)
+
+    return ticks, scale
 
 
 def _tick_label(v: float) -> str:
@@ -137,27 +153,8 @@ def plot_lines(
     """Minimal polyline SVG: axes, ticks, one colored line+markers per series."""
     width, height = 760, 420
     left, right, top, bottom = 70, width - 170, 46, height - 56
-    points = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)]
-    if points:
-        xs_all = [p[0] for p in points]
-        ys_all = [p[1] for p in points]
-        xmin, xmax = min(xs_all), max(xs_all)
-        ymin, ymax = min(ys_all), max(ys_all)
-    else:
-        xmin = ymin = 0.0
-        xmax = ymax = 1.0
-    if xmax == xmin:
-        xmax = xmin + 1.0
-    if ymax == ymin:
-        ymax = ymin + 1.0
-    pad = 0.05 * (ymax - ymin)
-    ymin, ymax = ymin - pad, ymax + pad
-
-    def sx(x: float) -> float:
-        return left + (x - xmin) / (xmax - xmin) * (right - left)
-
-    def sy(y: float) -> float:
-        return bottom - (y - ymin) / (ymax - ymin) * (bottom - top)
+    xticks, sx = _axis([x for _, xs, _ in series for x in xs], left, right, 0.0)
+    yticks, sy = _axis([y for _, _, ys in series for y in ys], bottom, top, 0.05)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -172,7 +169,7 @@ def plot_lines(
         f'<text x="20" y="{(top + bottom) / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 20 {(top + bottom) / 2:.1f})">{ylabel}</text>',
     ]
-    for tx in _ticks(xmin, xmax):
+    for tx in xticks:
         out.append(
             f'<line x1="{sx(tx):.1f}" y1="{bottom}" x2="{sx(tx):.1f}" y2="{bottom + 5}" '
             'stroke="black"/>'
@@ -181,7 +178,7 @@ def plot_lines(
             f'<text x="{sx(tx):.1f}" y="{bottom + 18}" text-anchor="middle">'
             f"{_tick_label(tx)}</text>"
         )
-    for ty in _ticks(ymin, ymax):
+    for ty in yticks:
         out.append(
             f'<line x1="{left - 5}" y1="{sy(ty):.1f}" x2="{left}" y2="{sy(ty):.1f}" '
             'stroke="black"/>'
@@ -207,33 +204,17 @@ def plot_lines(
         fh.write("\n".join(out) + "\n")
 
 
-def _read_csv(path: str) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def plot_from_metrics_csv(metrics_path: str, loss_svg: str, acc_svg: str) -> None:
+def plot_rounds(report: RunReport, loss_svg: str, acc_svg: str) -> None:
     """Loss-vs-round and accuracy-vs-round plots, one line per target domain."""
-    rows = _read_csv(metrics_path)
-    domains = sorted({row["target_domain"] for row in rows}, key=int)
     loss_series, acc_series = [], []
-    for d in domains:
-        mine = [row for row in rows if row["target_domain"] == d]
-        loss_series.append(
-            (
-                f"target {d}",
-                [float(r["round"]) for r in mine],
-                [float(r["source_val_loss"]) for r in mine],
-            )
-        )
-        probed = [r for r in mine if r["target_acc"] != ""]
+    for run in sorted(report.domains, key=attrgetter("target_domain")):
+        label = f"target {run.target_domain}"
+        rounds = [float(rm.round) for rm in run.rounds]
+        loss_series.append((label, rounds, [rm.source_val_loss for rm in run.rounds]))
+        probed = [rm for rm in run.rounds if rm.target is not None]
         if probed:
             acc_series.append(
-                (
-                    f"target {d}",
-                    [float(r["round"]) for r in probed],
-                    [float(r["target_acc"]) for r in probed],
-                )
+                (label, [float(rm.round) for rm in probed], [rm.target.acc for rm in probed])
             )
     plot_lines(loss_svg, "Source validation loss", "round", "loss", loss_series)
     plot_lines(acc_svg, "Held-out domain accuracy", "round", "accuracy", acc_series)

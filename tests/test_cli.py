@@ -204,7 +204,25 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, seeds=[0, -2])
         assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "config key 'seeds': expected nonempty list of integers >= 0" in err
+        assert "config key 'seeds': expected nonempty list of distinct integers >= 0" in err
+
+    def test_repeated_ablation_seed_is_config_error(self, tmp_path, capsys):
+        # A repeated seed would count one run as several independent pairs.
+        cfg = write_cfg(tmp_path, seeds=[0, 0, 0])
+        assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config key 'seeds': expected nonempty list of distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("run", {"lr": 10**400}, "lr"),
+            ("sweep", {"sweep_param": "beta", "sweep_values": [0, 10**400]}, "sweep_values"),
+        ],
+    )
+    def test_int_past_float_range_is_config_error(self, tmp_path, capsys, command, doc, key):
+        cfg = write_cfg(tmp_path, **doc)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config key '{key}': expected " in capsys.readouterr().err
 
     @pytest.mark.parametrize("beta", [1000, float("inf")])
     def test_huge_beta_runs(self, tmp_path, beta):
@@ -266,6 +284,18 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, data_csv=str(bad))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "bad.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [(1, "9223372036854775808"), (0, "9" * 20)])
+    def test_id_past_int64_is_config_error(self, tmp_path, capsys, column, value):
+        bench_path = tmp_path / "bench.csv"
+        assert cli.main(["export-bench", "--config", write_cfg(tmp_path), "--out", str(bench_path)]) == 0
+        rows = read_rows(bench_path)
+        rows[5][column] = value
+        with open(bench_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = write_cfg(tmp_path, name="cfg2.json", data_csv=str(bench_path))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "bench.csv:6: domain or label outside int64" in capsys.readouterr().err
 
     def test_missing_data_csv_is_io_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, data_csv=str(tmp_path / "nowhere.csv"))
@@ -408,6 +438,32 @@ class TestSweep:
         cfg = write_cfg(tmp_path, sweep_param="k", sweep_values=[0.5])
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param, values",
+        [("alpha", [0.0, 0.3, 2.0]), ("eval_clients_per_round", [0, 2, 9])],
+    )
+    def test_bad_point_fails_before_any_training(self, tmp_path, monkeypatch, param, values):
+        calls = []
+        run_lodo = cli.protocol.run_lodo
+
+        def counting_run_lodo(*args, **kwargs):
+            calls.append(args)
+            return run_lodo(*args, **kwargs)
+
+        monkeypatch.setattr(cli.protocol, "run_lodo", counting_run_lodo)
+        cfg = write_cfg(tmp_path, sweep_param=param, sweep_values=values)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert calls == []
+
+    def test_huge_beta_point_plots(self, tmp_path):
+        # A single x value of 1e308 is a zero-width axis that adding 1 cannot widen.
+        cfg = write_cfg(tmp_path, sweep_param="beta", sweep_values=[1e308])
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "sweep.svg").read_text()
+        assert "<circle" in text
+        assert "nan" not in text and "inf" not in text
 
     def test_n_clients_sweep_resizes_bench(self, tmp_path):
         cfg = write_cfg(tmp_path, sweep_param="n_clients", sweep_values=[2, 3])

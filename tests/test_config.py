@@ -135,6 +135,14 @@ class TestResolve:
             {"label_noise": 0.5},
             {"sweep_param": "lr"},
             {"sweep_values": []},
+            {"sweep_values": [10**400]},
+            {"lr": 10**400},
+            {"beta": 10**400},
+            {"rho": 10**400},
+            {"m": 10**400},
+            {"weight_decay": 10**400},
+            {"style_strength": 10**400},
+            {"seeds": [1, 0, 1]},
             {"out": ""},
             {"rounds": True},
         ],

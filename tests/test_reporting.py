@@ -43,6 +43,11 @@ def report():
 
 
 @pytest.fixture(scope="module")
+def every_round_report():
+    return lodo(probe_every_round=True, collect_trace=False)
+
+
+@pytest.fixture(scope="module")
 def fedavg_report():
     return lodo(mode="fedavg", collect_trace=False)
 
@@ -267,6 +272,15 @@ class TestPlotLines:
         text = path.read_text()
         assert text.startswith("<svg ") and text.endswith("</svg>\n")
 
+    @pytest.mark.parametrize("v", [1e308, -1e308, 2.0**53])
+    def test_huge_single_point_is_finite(self, tmp_path, v):
+        """Adding 1 cannot widen a zero-width range this large."""
+        path = tmp_path / "plot.svg"
+        reporting.plot_lines(str(path), "t", "x", "y", [("only", [v], [v])])
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        assert "<circle" in text
+
     def test_deterministic_bytes(self, tmp_path):
         series = [("s", [0.0, 1.0], [0.25, 0.75])]
         a = tmp_path / "a.svg"
@@ -276,23 +290,49 @@ class TestPlotLines:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestPlotFromMetricsCsv:
-    def test_replotting_from_csv_is_lossless(self, report, tmp_path):
+def plot_from_metrics_csv(metrics_path, loss_svg, acc_svg):
+    """Oracle: the run plots drawn from metrics.csv read back and parsed."""
+    with open(metrics_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    domains = sorted({row["target_domain"] for row in rows}, key=int)
+    loss_series, acc_series = [], []
+    for d in domains:
+        mine = [row for row in rows if row["target_domain"] == d]
+        rounds = [float(r["round"]) for r in mine]
+        loss_series.append((f"target {d}", rounds, [float(r["source_val_loss"]) for r in mine]))
+        probed = [r for r in mine if r["target_acc"] != ""]
+        if probed:
+            acc_series.append(
+                (
+                    f"target {d}",
+                    [float(r["round"]) for r in probed],
+                    [float(r["target_acc"]) for r in probed],
+                )
+            )
+    reporting.plot_lines(loss_svg, "Source validation loss", "round", "loss", loss_series)
+    reporting.plot_lines(acc_svg, "Held-out domain accuracy", "round", "accuracy", acc_series)
+
+
+class TestPlotRounds:
+    @pytest.mark.parametrize("probe_every_round", [False, True], ids=["final_probe", "every_round"])
+    def test_same_bytes_as_plots_from_metrics_csv(
+        self, report, every_round_report, tmp_path, probe_every_round
+    ):
+        rep = every_round_report if probe_every_round else report
         metrics = tmp_path / "metrics.csv"
-        reporting.write_metrics_csv(str(metrics), report)
-        first = (tmp_path / "loss1.svg", tmp_path / "acc1.svg")
-        second = (tmp_path / "loss2.svg", tmp_path / "acc2.svg")
-        reporting.plot_from_metrics_csv(str(metrics), str(first[0]), str(first[1]))
-        reporting.plot_from_metrics_csv(str(metrics), str(second[0]), str(second[1]))
-        assert first[0].read_bytes() == second[0].read_bytes()
-        assert first[1].read_bytes() == second[1].read_bytes()
+        reporting.write_metrics_csv(str(metrics), rep)
+        oracle = (tmp_path / "loss0.svg", tmp_path / "acc0.svg")
+        plot_from_metrics_csv(str(metrics), str(oracle[0]), str(oracle[1]))
+        for i in (1, 2):
+            drawn = (tmp_path / f"loss{i}.svg", tmp_path / f"acc{i}.svg")
+            reporting.plot_rounds(rep, str(drawn[0]), str(drawn[1]))
+            assert drawn[0].read_bytes() == oracle[0].read_bytes()
+            assert drawn[1].read_bytes() == oracle[1].read_bytes()
 
     def test_one_series_per_target_domain(self, report, tmp_path):
-        metrics = tmp_path / "metrics.csv"
-        reporting.write_metrics_csv(str(metrics), report)
         loss = tmp_path / "loss.svg"
         acc = tmp_path / "acc.svg"
-        reporting.plot_from_metrics_csv(str(metrics), str(loss), str(acc))
+        reporting.plot_rounds(report, str(loss), str(acc))
         loss_text = loss.read_text()
         for d in (0, 1, 2):
             assert f">target {d}</text>" in loss_text
@@ -301,10 +341,7 @@ class TestPlotFromMetricsCsv:
         assert loss_text.count("<polyline") == 3
         assert "<polyline" not in acc.read_text()
 
-    def test_per_round_probing_draws_accuracy_lines(self, tmp_path):
-        rep = lodo(probe_every_round=True, collect_trace=False)
-        metrics = tmp_path / "metrics.csv"
-        reporting.write_metrics_csv(str(metrics), rep)
+    def test_per_round_probing_draws_accuracy_lines(self, every_round_report, tmp_path):
         acc = tmp_path / "acc.svg"
-        reporting.plot_from_metrics_csv(str(metrics), str(tmp_path / "loss.svg"), str(acc))
+        reporting.plot_rounds(every_round_report, str(tmp_path / "loss.svg"), str(acc))
         assert acc.read_text().count("<polyline") == 3
