@@ -59,7 +59,7 @@ def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index
 
 def load_checkpoint(path: str):
     """Returns (params, arch, role, round) from a checkpoint document."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     missing = [f for f in CHECKPOINT_FIELDS if f not in doc]
     if missing:
@@ -88,7 +88,7 @@ def _bench_dims(bench) -> tuple[int, int]:
 
 
 def _lodo_inputs(cfg: dict) -> tuple[list, protocol.FederationConfig, TaskArch, GenArch]:
-    """run_lodo's bench, federation and arches; building them raises every config error."""
+    """run_lodo's bench, federation and arches; building them range-checks every key they read."""
     bench = cfgmod.benchmark(cfg)
     input_dim, n_classes = _bench_dims(bench)
     task_arch, gen_arch = cfgmod.arches(cfg, input_dim, n_classes)
@@ -97,8 +97,8 @@ def _lodo_inputs(cfg: dict) -> tuple[list, protocol.FederationConfig, TaskArch, 
 
 def cmd_run(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     bench, fed, task_arch, gen_arch = _lodo_inputs(cfg)
+    os.makedirs(out, exist_ok=True)
     report = protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=True)
     reporting.write_report_json(os.path.join(out, "report.json"), cfg, report)
     reporting.write_metrics_csv(os.path.join(out, "metrics.csv"), report)
@@ -128,14 +128,15 @@ def cmd_run(cfg: dict) -> int:
 
 def cmd_ablate(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     seeds = cfg["seeds"]
-
-    results = {
-        (mode, seed): protocol.run_lodo(*_lodo_inputs(dict(cfg, mode=mode, seed=seed)))
+    # Every run's inputs are built, so every key they read is checked, before any trains.
+    inputs = {
+        (mode, seed): _lodo_inputs(dict(cfg, mode=mode, seed=seed))
         for mode in protocol.MODES
         for seed in seeds
     }
+    os.makedirs(out, exist_ok=True)
+    results = {key: protocol.run_lodo(*args) for key, args in inputs.items()}
 
     domain_ids = [run.target_domain for run in results[(protocol.MODES[0], seeds[0])].domains]
     metric_names = ("acc", "f1", "auc")
@@ -195,7 +196,6 @@ def cmd_ablate(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     param = cfg["sweep_param"]
     values = cfg["sweep_values"]
     int_params = {"k", "eval_clients_per_round", "n_clients"}
@@ -215,6 +215,7 @@ def cmd_sweep(cfg: dict) -> int:
 
     # Check every point before the first one trains.
     inputs = [_lodo_inputs(cfg_for(v)) for v in values]
+    os.makedirs(out, exist_ok=True)
     reports = [protocol.run_lodo(*args) for args in inputs]
 
     write_csv(

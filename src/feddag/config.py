@@ -1,10 +1,15 @@
 """Flat JSON run configuration: defaults, validation, and builders.
 
 One document carries the federation, adversarial, aggregation, benchmark
-and architecture knobs.  Unknown keys are rejected and every value is
-range-checked, so a typo fails fast instead of silently running the wrong
-experiment.  The fully-resolved dict, less the output directory, is echoed
-into every report for exact replay.
+and architecture knobs.  The typed configs (BenchSpec, NdagHyper, ShaHyper,
+FederationConfig, TaskArch, GenArch) are the one definition of their keys:
+a field with a default gives its key's default and JSON type, and each
+config's own check gives the accepted range.  resolve rejects unknown keys
+and values of the wrong type and range-checks the keys no typed config
+has; a command range-checks the other keys it reads by building their
+typed configs before it trains or writes.  So a typo fails fast instead of
+silently running the wrong experiment.  The fully-resolved dict, less the
+output directory, is echoed into every report for exact replay.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Any
 from .data import BenchSpec, load_csv, make_benchmark
 from .ndag import NdagHyper
 from .nets import GenArch, TaskArch
-from .protocol import MODES, FederationConfig
+from .protocol import FederationConfig
 from .sha import ShaHyper
 
 
@@ -41,67 +46,53 @@ def _int_list(v) -> bool:
 
 SWEEP_PARAMS = ("alpha", "beta", "k", "rho", "m", "eval_clients_per_round", "n_clients")
 
-# The typed configs own the defaults of their fields.  A _FIELD default in the
-# schema is the default of the field of the same name; FederationConfig comes
-# last, so it owns seed (bench_spec sets BenchSpec.seed from seed/bench_seed).
-_FIELD = object()
-_FIELD_DEFAULTS = {
-    f.name: f.default
-    for owner in (BenchSpec, NdagHyper, ShaHyper, FederationConfig)
-    for f in fields(owner)
-    if f.default is not MISSING
+# A field's annotation (a string: every module postpones annotations) gives
+# the JSON type of its key.
+_TYPES = {
+    "int": (_is_int, "integer"),
+    "float": (_is_num, "number"),
+    "bool": (lambda v: isinstance(v, bool), "boolean"),
+    "str": (lambda v: isinstance(v, str), "string"),
 }
 
-# key: (default, checker, description of the accepted values)
+# key: (default, checker, description of the accepted values).  Every field
+# with a default and a JSON type is the key of its name; FederationConfig
+# comes last, so it owns seed (bench_spec sets BenchSpec.seed from
+# seed/bench_seed).
 SCHEMA: dict[str, tuple[Any, Any, str]] = {
-    "mode": (_FIELD, lambda v: v in MODES, f"one of {MODES}"),
-    "seed": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
+    f.name: (f.default, *_TYPES[f.type])
+    for owner in (BenchSpec, NdagHyper, ShaHyper, FederationConfig)
+    for f in fields(owner)
+    if f.default is not MISSING and f.type in _TYPES
+}
+SCHEMA.update({
+    # Builder arguments: FederationConfig, TaskArch and GenArch check their ranges.
+    "rounds": (14, _is_int, "integer"),
+    "warmup_rounds": (3, _is_int, "integer"),
+    "hidden_dims": ([32, 32], _int_list, "nonempty list of integers"),
+    "feature_dim": (16, _is_int, "integer"),
+    "gen_hidden_dims": ([32], _int_list, "nonempty list of integers"),
+    # No typed config has these keys, so their checks here are the only ones.
     "seeds": (
         [0, 1, 2, 3, 4],
         # A repeated seed repeats a run, which paired stats would count twice.
         lambda v: _int_list(v) and min(v) >= 0 and len(set(v)) == len(v),
         "nonempty list of distinct integers >= 0",
     ),
-    "rounds": (14, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "warmup_rounds": (3, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "local_epochs": (_FIELD, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "alpha": (_FIELD, lambda v: _is_num(v) and 0.0 <= v <= 1.0, "number in [0, 1]"),
-    "m": (_FIELD, lambda v: _is_num(v) and v > 0.0, "number > 0"),
-    "ema_decay": (_FIELD, lambda v: _is_num(v) and 0.0 <= v <= 1.0, "number in [0, 1]"),
-    "lr": (_FIELD, lambda v: _is_num(v) and v > 0.0, "number > 0"),
-    "momentum": (_FIELD, lambda v: _is_num(v) and 0.0 <= v < 1.0, "number in [0, 1)"),
-    "weight_decay": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "batch_size": (_FIELD, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "beta": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "k": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "rho": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "history_cap": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "include_self": (_FIELD, lambda v: isinstance(v, bool), "boolean"),
-    "eval_clients_per_round": (_FIELD, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "probe_every_round": (_FIELD, lambda v: isinstance(v, bool), "boolean"),
-    "hidden_dims": ([32, 32], _int_list, "nonempty list of integers"),
-    "feature_dim": (16, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "gen_hidden_dims": ([32], _int_list, "nonempty list of integers"),
-    "n_domains": (_FIELD, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "n_classes": (_FIELD, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "input_dim": (_FIELD, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "samples_per_domain": (_FIELD, lambda v: _is_int(v) and v >= 20, "integer >= 20"),
-    "style_strength": (_FIELD, lambda v: _is_num(v) and v >= 0.0, "number >= 0"),
-    "label_noise": (_FIELD, lambda v: _is_num(v) and 0.0 <= v < 0.5, "number in [0, 0.5)"),
     "bench_seed": (-1, lambda v: _is_int(v) and v >= -1, "integer >= -1 (-1 follows seed)"),
     "data_csv": ("", lambda v: isinstance(v, str), "path string, empty for synthetic"),
-    "out": ("feddag_out", lambda v: isinstance(v, str) and v != "", "nonempty path string"),
+    "out": (
+        "feddag_out",
+        lambda v: isinstance(v, str) and v != "" and "\x00" not in v,
+        "nonempty path string without NUL",
+    ),
     "sweep_param": ("alpha", lambda v: v in SWEEP_PARAMS, f"one of {sorted(SWEEP_PARAMS)}"),
     "sweep_values": (
         [0.0, 0.3, 1.0],
         lambda v: isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v),
         "nonempty list of numbers",
     ),
-}
-SCHEMA = {
-    key: (_FIELD_DEFAULTS[key] if default is _FIELD else default, check, want)
-    for key, (default, check, want) in SCHEMA.items()
-}
+})
 
 
 def defaults() -> dict[str, Any]:
@@ -110,7 +101,7 @@ def defaults() -> dict[str, Any]:
 
 
 def resolve(document: dict[str, Any], overrides: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Defaults, then file values, then CLI overrides; reject anything odd."""
+    """Defaults, then file values, then CLI overrides; checks types and the schema's own ranges."""
     if not isinstance(document, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(document).__name__}")
     cfg = defaults()
@@ -122,21 +113,20 @@ def resolve(document: dict[str, Any], overrides: dict[str, Any] | None = None) -
             if not check(value):
                 raise ConfigError(f"config key {key!r}: expected {want}, got {value!r}")
             cfg[key] = value
-    if cfg["warmup_rounds"] >= cfg["rounds"]:
-        raise ConfigError(
-            f"warmup_rounds ({cfg['warmup_rounds']}) must be < rounds ({cfg['rounds']})"
-        )
     return cfg
 
 
 def load(path: str, overrides: dict[str, Any] | None = None) -> dict[str, Any]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an int literal past the digit limit, or nesting too deep.
+        raise ConfigError(f"config {path} cannot be parsed: {exc}") from exc
     return resolve(document, overrides)
 
 

@@ -45,19 +45,22 @@ class BenchSpec:
 
     def __post_init__(self):
         if self.n_domains < 2:
-            raise ValueError("need at least 2 domains for leave-one-domain-out")
+            raise ValueError(f"n_domains must be >= 2, got {self.n_domains}")
         if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.input_dim < 2:
-            raise ValueError("input_dim must be >= 2")
+            raise ValueError(f"input_dim must be >= 2, got {self.input_dim}")
         if self.samples_per_domain < 10 * self.n_classes:
             raise ValueError(
                 f"samples_per_domain must be >= 10 * n_classes, got {self.samples_per_domain}"
             )
-        if self.style_strength < 0.0:
-            raise ValueError("style_strength must be >= 0")
+        # Written so that NaN fails every float bound.
+        if not self.style_strength >= 0.0:
+            raise ValueError(f"style_strength must be >= 0, got {self.style_strength}")
         if not 0.0 <= self.label_noise < 0.5:
-            raise ValueError("label_noise must be in [0, 0.5)")
+            raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def load_csv(path: str, split_seed: int) -> list[DomainDataset]:
     re-loading an exported benchmark reproduces it bit for bit (exported
     features already span [0, 1] per domain).
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -67,17 +67,18 @@ class NdagHyper:
     batch_size: int = 32
 
     def __post_init__(self):
+        # Written so that NaN fails every bound.
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.m <= 0.0:
-            raise ValueError(f"cap m must be > 0, got {self.m}")
+        if not self.m > 0.0:
+            raise ValueError(f"m must be > 0, got {self.m}")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ValueError(f"ema_decay must be in [0, 1], got {self.ema_decay}")
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -126,8 +127,6 @@ def generate(
 
     gen_params is a ParamVector, or stacked rows (C, G) with x (C, B, d).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     delta = nets.gen_apply(gen_params, gen_arch, x_batch)
     return np.clip(np.asarray(x_batch, dtype=np.float64) + alpha * delta, 0.0, 1.0)
 
@@ -404,8 +403,6 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.nda
     keeps the endpoints exact: decay 1 leaves a teacher unchanged, decay 0
     copies the student.  Returns the rows that stayed finite.
     """
-    if not 0.0 <= decay <= 1.0:
-        raise ValueError(f"decay must be in [0, 1], got {decay}")
     if teacher.shape != student.shape:
         raise DimensionMismatch(f"teacher shape {teacher.shape} != student {student.shape}")
     teacher *= decay
@@ -468,8 +465,6 @@ def client_round(
     DivergenceError of the lowest-position client among them is raised,
     with its position as the error's client.
     """
-    if local_epochs < 1:
-        raise ValueError(f"local_epochs must be >= 1, got {local_epochs}")
     n_clients = len(student)
     if not n_clients == len(xs) == len(ys) == len(rngs) >= 1:
         raise ValueError("client_round needs one student row, data set and rng per client")

@@ -33,11 +33,15 @@ class TaskArch:
     num_classes: int
 
     def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.feature_dim, self.num_classes)
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"all layer dims must be positive: {dims}")
+        for name in ("input_dim", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not all(d >= 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive, got {list(self.hidden_dims)}")
         if self.feature_dim < 2:
-            raise ValueError("feature_dim must be >= 2 for direction-based losses")
+            raise ValueError(
+                f"feature_dim must be >= 2 for direction-based losses, got {self.feature_dim}"
+            )
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, classifier head last."""
@@ -56,9 +60,11 @@ class GenArch:
     hidden_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims)
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"all layer dims must be positive: {dims}")
+        # The config key of the generator's hidden widths is gen_hidden_dims.
+        if self.input_dim < 1:
+            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        if not all(d >= 1 for d in self.hidden_dims):
+            raise ValueError(f"gen_hidden_dims must be positive, got {list(self.hidden_dims)}")
 
     def layer_dims(self) -> list[tuple[int, int]]:
         widths = [self.input_dim, *self.hidden_dims, self.input_dim]

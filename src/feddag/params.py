@@ -98,10 +98,6 @@ def sgd_step(
     False: training has diverged there, and continuing would silently
     corrupt the run.  grads itself is left untouched.
     """
-    if lr <= 0.0:
-        raise ValueError(f"lr must be > 0, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if grads.shape != rows.params.shape:
         raise DimensionMismatch(f"gradient shape {grads.shape} != params {rows.params.shape}")
     finite = np.isfinite(grads).all(axis=1)

@@ -48,17 +48,22 @@ class FederationConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
+            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.warmup_rounds < self.rounds:
             raise ValueError(
-                f"need 0 <= warmup_rounds < rounds, got {self.warmup_rounds}/{self.rounds}"
+                f"warmup_rounds must be in [0, rounds = {self.rounds}), got {self.warmup_rounds}"
             )
         if not 0 <= self.eval_clients_per_round <= self.n_clients:
-            raise ValueError("eval_clients_per_round must be in [0, n_clients]")
+            raise ValueError(
+                f"eval_clients_per_round must be in [0, n_clients = {self.n_clients}], "
+                f"got {self.eval_clients_per_round}"
+            )
         if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
+            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.sha.include_self and self.n_clients < 2:
             raise ValueError("include_self=false needs at least 2 clients")
         if not self.sha.include_self and self.eval_clients_per_round == 1:

@@ -37,9 +37,10 @@ class ShaHyper:
     include_self: bool = True
 
     def __post_init__(self):
-        if self.rho < 0.0:
+        # Written so that NaN fails every float bound.
+        if not self.rho >= 0.0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
@@ -94,8 +95,6 @@ class ScoreResult(NamedTuple):
 
 def probe_rows(theta: np.ndarray, grads: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """(theta + rho * g/||g|| per row, probed flags); a row whose g vanishes stays at theta."""
-    if rho < 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
     if theta.shape != grads.shape:
         raise DimensionMismatch(f"gradient shape {grads.shape} != params {theta.shape}")
     rows = theta.copy()
@@ -181,8 +180,6 @@ def softmax_weights(scores: list[float], beta: float) -> AggregationWeights:
         raise ValueError("softmax_weights needs at least one score")
     if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite and > 0")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
     with np.errstate(over="ignore"):
         powered = s**beta
         total = powered.sum()

@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import feddag
 from feddag import cli
 from feddag.metrics import PairedComparison
 from feddag.nets import GenArch, TaskArch
@@ -107,6 +111,28 @@ RUN_ARTIFACTS = (
 )
 
 
+# One value out of its range per key that a typed config owns, NaN for each
+# float key, and two values of the wrong JSON type.
+OUT_OF_RANGE = [
+    {"rounds": 0},
+    {"rounds": 3, "warmup_rounds": 3},
+    {"mode": "magic"},
+    {"alpha": 1.5},
+    {"m": 0},
+    {"ema_decay": -0.1},
+    {"momentum": 1},
+    {"seed": -1},
+    {"label_noise": 0.5},
+    {"hidden_dims": [0]},
+    {"samples_per_domain": 25},
+    {"local_epochs": 0},
+    {"eval_clients_per_round": 9},
+    {"k": -1},
+    {"lr": "0.1"},
+    {"batch_size": True},
+] + [{key: float("nan")} for key in ("lr", "m", "weight_decay", "rho", "beta", "style_strength")]
+
+
 class TestRun:
     def test_smoke_all_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -196,9 +222,35 @@ class TestExitCodes:
         ],
     )
     def test_negative_seed_is_config_error(self, tmp_path, capsys, doc, argv, key):
+        # The typed configs own seed's range; the schema owns bench_seed's.
+        message = {
+            "seed": "seed must be >= 0, got -",
+            "bench_seed": "config key 'bench_seed': expected integer >= -1",
+        }[key]
         cfg = write_cfg(tmp_path, **doc)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 2
-        assert f"config key '{key}': expected integer >= " in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"mode": "fed\xe9"}', id="not_utf8"),
+            pytest.param(b'{"rounds": ' + b"9" * 4301 + b"}", id="int_past_digit_limit"),
+            pytest.param(b"[" * 100_000, id="nesting_too_deep"),
+        ],
+    )
+    def test_unparseable_config_is_config_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "cfg.json cannot be parsed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "export-bench"])
+    def test_nul_in_out_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, out="a\x00b")
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config key 'out': expected nonempty path string without NUL" in err
 
     def test_negative_ablation_seed_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, seeds=[0, -2])
@@ -223,6 +275,28 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, **doc)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config key '{key}': expected " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (command, doc)
+            for command in ("run", "ablate", "sweep")
+            for doc in OUT_OF_RANGE
+            # ablate runs every mode over the seeds list, not the config's mode and seed.
+            if not (command == "ablate" and ("mode" in doc or "seed" in doc))
+        ],
+        ids=str,
+    )
+    def test_out_of_range_fails_before_any_training(self, tmp_path, monkeypatch, command, doc):
+        """Each command builds every typed config it reads before the first run trains."""
+        calls = []
+        monkeypatch.setattr(cli.protocol, "run_lodo", lambda *args, **kw: calls.append(args))
+        # The swept key takes the sweep's values, so sweep a key the case leaves alone.
+        sweep = dict(sweep_param="beta" if "k" in doc else "k", sweep_values=[1])
+        cfg = write_cfg(tmp_path, **sweep, **doc)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("beta", [1000, float("inf")])
     def test_huge_beta_runs(self, tmp_path, beta):
@@ -509,6 +583,26 @@ class TestExportBench:
         assert cli.main(["run", "--config", run_cfg, "--out", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["domains"]) == 3
+
+
+def test_file_io_names_its_encoding(tmp_path):
+    """No open() falls back to the locale's encoding, so no run depends on the locale."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    bench = tmp_path / "bench.csv"
+    bench_cfg = write_cfg(tmp_path, name="bench.json")
+    cfg = write_cfg(tmp_path, data_csv=str(bench), seeds=[0])
+    for argv in (
+        ["export-bench", "--config", bench_cfg, "--out", str(bench)],
+        ["run", "--config", cfg, "--out", str(tmp_path / "run")],
+        ["ablate", "--config", cfg, "--out", str(tmp_path / "ablate")],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "feddag.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestParser:

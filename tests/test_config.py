@@ -117,22 +117,24 @@ class TestResolve:
         with pytest.raises(ConfigError, match="unknown config key 'lrr'"):
             config.resolve({"lrr": 0.1})
 
+    # Types of every key, and ranges of the keys no typed config owns; the
+    # owned ranges are checked by the builders (TestBuilders.test_range_checks).
     @pytest.mark.parametrize(
         "doc",
         [
-            {"rounds": 0},
             {"rounds": 2.5},
-            {"mode": "magic"},
-            {"alpha": 1.5},
-            {"m": 0.0},
-            {"ema_decay": -0.1},
-            {"momentum": 1.0},
+            {"lr": "0.1"},
+            {"batch_size": True},
+            {"mode": 1},
+            {"include_self": 1},
+            {"probe_every_round": "yes"},
+            {"warmup_rounds": 1.5},
             {"seeds": []},
             {"seeds": [0, -1]},
-            {"seed": -1},
+            {"feature_dim": 16.0},
             {"bench_seed": -2},
             {"hidden_dims": [32, "x"]},
-            {"label_noise": 0.5},
+            {"out": "a\x00b"},
             {"sweep_param": "lr"},
             {"sweep_values": []},
             {"sweep_values": [10**400]},
@@ -152,12 +154,21 @@ class TestResolve:
             config.resolve(doc)
 
     def test_warmup_must_leave_rounds(self):
-        with pytest.raises(ConfigError, match="warmup_rounds"):
-            config.resolve({"rounds": 3, "warmup_rounds": 3})
+        # resolve checks the types; FederationConfig checks the range when it is built.
+        cfg = config.resolve({"rounds": 3, "warmup_rounds": 3})
+        with pytest.raises(ConfigError, match="^warmup_rounds must be in"):
+            config.fed_config(cfg, n_clients=4)
 
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError, match="root must be a JSON object"):
             config.resolve([1, 2])
+
+
+def build_all(cfg):
+    """Every typed config a run builds from cfg, as cli._lodo_inputs builds them."""
+    config.bench_spec(cfg)
+    config.arches(cfg, input_dim=cfg["input_dim"], n_classes=cfg["n_classes"])
+    config.fed_config(cfg, n_clients=cfg["n_domains"] - 1)
 
 
 class TestLoad:
@@ -178,6 +189,20 @@ class TestLoad:
         with pytest.raises(ConfigError, match="not valid JSON: line 2"):
             config.load(str(path))
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"mode": "fed\xe9"}', id="not_utf8"),
+            pytest.param(b'{"rounds": ' + b"9" * 4301 + b"}", id="int_past_digit_limit"),
+            pytest.param(b"[" * 100_000, id="nesting_too_deep"),
+        ],
+    )
+    def test_unparseable_file_names_it(self, tmp_path, content):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="odd.json cannot be parsed"):
+            config.load(str(path))
+
 
 class TestBuilders:
     def test_bench_spec_follows_seed(self):
@@ -187,6 +212,36 @@ class TestBuilders:
     def test_bench_seed_pins_the_bench(self):
         cfg = config.resolve({"seed": 412, "bench_seed": 7})
         assert config.bench_spec(cfg).seed == 7
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"rounds": 0}, "rounds"),
+            ({"mode": "magic"}, "mode"),
+            ({"alpha": 1.5}, "alpha"),
+            ({"m": 0.0}, "m"),
+            ({"ema_decay": -0.1}, "ema_decay"),
+            ({"momentum": 1.0}, "momentum"),
+            ({"seed": -1}, "seed"),
+            ({"label_noise": 0.5}, "label_noise"),
+            ({"samples_per_domain": 25}, "samples_per_domain"),
+            ({"local_epochs": 0}, "local_epochs"),
+            ({"eval_clients_per_round": 5}, "eval_clients_per_round"),
+            ({"k": -1}, "k"),
+            ({"hidden_dims": [32, 0]}, "hidden_dims"),
+            ({"feature_dim": 1}, "feature_dim"),
+            ({"gen_hidden_dims": [0]}, "gen_hidden_dims"),
+        ]
+        + [
+            ({key: float("nan")}, key)
+            for key in ("lr", "m", "weight_decay", "rho", "beta", "style_strength")
+        ],
+    )
+    def test_range_checks(self, doc, key):
+        # resolve takes any value of the right type; building the owner rejects it.
+        cfg = config.resolve(doc)
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            build_all(cfg)
 
     def test_bench_spec_validation_becomes_config_error(self):
         with pytest.raises(ConfigError, match="samples_per_domain"):

@@ -39,6 +39,26 @@ class TestBenchSpec:
         with pytest.raises(ValueError):
             BenchSpec(**kw)
 
+    @pytest.mark.parametrize(
+        "field, ok, bad",
+        [
+            ("n_domains", 2, 1),
+            ("n_classes", 2, 1),
+            ("input_dim", 2, 1),
+            ("samples_per_domain", 30, 29),
+            ("style_strength", 0.0, -1e-9),
+            ("style_strength", 1.0, float("nan")),
+            ("label_noise", 0.0, -1e-9),
+            ("label_noise", 0.49, 0.5),
+            ("label_noise", 0.0, float("nan")),
+            ("seed", 0, -1),
+        ],
+    )
+    def test_each_bound(self, field, ok, bad):
+        BenchSpec(**{field: ok})
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            BenchSpec(**{field: bad})
+
 
 class TestStyleMap:
     def test_strength_zero_is_bitwise_identity(self):

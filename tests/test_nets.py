@@ -47,6 +47,33 @@ class TestArchitectures:
         arch = nets.GenArch(7, (3, 3))
         assert arch.layer_dims()[-1][1] == 7
 
+    @pytest.mark.parametrize(
+        "field, ok, bad",
+        [
+            ("input_dim", 1, 0),
+            ("hidden_dims", (1,), (0,)),
+            ("hidden_dims", (4, 1), (4, 0)),
+            ("feature_dim", 2, 1),
+            ("num_classes", 1, 0),
+        ],
+    )
+    def test_task_arch_each_bound(self, field, ok, bad):
+        base = dict(input_dim=4, hidden_dims=(4,), feature_dim=4, num_classes=2)
+        nets.TaskArch(**dict(base, **{field: ok}))
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            nets.TaskArch(**dict(base, **{field: bad}))
+
+    # The generator's hidden widths are the config key gen_hidden_dims.
+    @pytest.mark.parametrize(
+        "field, key, ok, bad",
+        [("input_dim", "input_dim", 1, 0), ("hidden_dims", "gen_hidden_dims", (1,), (0,))],
+    )
+    def test_gen_arch_each_bound(self, field, key, ok, bad):
+        base = dict(input_dim=4, hidden_dims=(4,))
+        nets.GenArch(**dict(base, **{field: ok}))
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            nets.GenArch(**dict(base, **{field: bad}))
+
     def test_arch_validation(self):
         with pytest.raises(ValueError):
             nets.TaskArch(0, (4,), 4, 2)

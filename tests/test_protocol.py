@@ -62,6 +62,28 @@ class TestFederationConfig:
         with pytest.raises(ValueError):
             fed(**kw)
 
+    @pytest.mark.parametrize(
+        "field, ok, bad",
+        [
+            ("mode", dict(mode="fedavg"), dict(mode="both")),
+            ("n_clients", dict(n_clients=1), dict(n_clients=0)),
+            ("rounds", dict(rounds=1, warmup_rounds=0), dict(rounds=0, warmup_rounds=0)),
+            ("warmup_rounds", dict(warmup_rounds=0), dict(warmup_rounds=-1)),
+            ("warmup_rounds", dict(warmup_rounds=2), dict(warmup_rounds=3)),
+            ("eval_clients_per_round", dict(eval_clients_per_round=0),
+             dict(eval_clients_per_round=-1)),
+            ("eval_clients_per_round", dict(eval_clients_per_round=2),
+             dict(eval_clients_per_round=3)),
+            ("local_epochs", dict(local_epochs=1), dict(local_epochs=0)),
+            ("seed", dict(seed=0), dict(seed=-1)),
+        ],
+    )
+    def test_each_bound(self, field, ok, bad):
+        base = dict(n_clients=2, rounds=3, warmup_rounds=1)
+        FederationConfig(**dict(base, **ok))
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            FederationConfig(**dict(base, **bad))
+
 
 class TestFedavgEquivalence:
     def test_fedavg_mode_matches_reference_bitwise(self):

@@ -69,11 +69,6 @@ class TestPerturbModel:
         assert np.array_equal(rows[0], theta[0])
         assert np.array_equal(theta, np.ones((2, 4)))
 
-    def test_negative_rho_rejected(self):
-        theta = np.ones((1, 2))
-        with pytest.raises(ValueError):
-            sha.probe_rows(theta, theta, -0.01)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             sha.probe_rows(np.ones((1, 3)), np.ones((1, 5)), 0.1)
@@ -429,8 +424,6 @@ class TestSoftmaxWeights:
             sha.softmax_weights([1.0, -2.0], 1.0)
         with pytest.raises(ValueError):
             sha.softmax_weights([1.0, float("nan")], 1.0)
-        with pytest.raises(ValueError):
-            sha.softmax_weights([1.0, 2.0], -0.5)
 
 
 class TestAggregationWeights:
@@ -512,6 +505,22 @@ class TestShaHyper:
             sha.ShaHyper(k=-1)
         with pytest.raises(ValueError):
             sha.ShaHyper(history_cap=-2)
+
+    @pytest.mark.parametrize(
+        "field, ok, bad",
+        [
+            ("rho", 0.0, -1e-9),
+            ("rho", 0.1, float("nan")),
+            ("beta", 0.0, -1e-9),
+            ("beta", 0.3, float("nan")),
+            ("k", 0, -1),
+            ("history_cap", 0, -1),
+        ],
+    )
+    def test_each_bound(self, field, ok, bad):
+        sha.ShaHyper(**{field: ok})
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            sha.ShaHyper(**{field: bad})
 
     def test_snapshot_score_must_be_positive(self):
         with pytest.raises(ValueError):
