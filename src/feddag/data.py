@@ -55,8 +55,8 @@ class BenchSpec:
                 f"samples_per_domain must be >= 10 * n_classes, got {self.samples_per_domain}"
             )
         # Written so that NaN fails every float bound.
-        if not self.style_strength >= 0.0:
-            raise ValueError(f"style_strength must be >= 0, got {self.style_strength}")
+        if not 0.0 <= self.style_strength < float("inf"):
+            raise ValueError(f"style_strength must be finite and >= 0, got {self.style_strength}")
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError(f"label_noise must be in [0, 0.5), got {self.label_noise}")
         if self.seed < 0:

@@ -49,6 +49,10 @@ class ParamVector:
     def __repr__(self) -> str:
         return f"ParamVector(dim={self.dim})"
 
+    def __reduce__(self):
+        # Through the constructor: a pickled array comes back writeable.
+        return ParamVector, (self.values,)
+
 
 def param_mean(rows: np.ndarray) -> ParamVector:
     """Elementwise arithmetic mean of the rows of a (C, P) array, summed in order."""

@@ -10,10 +10,17 @@ A client is its source domain's position in the federation.  Every local
 round starts from the global models with fresh momentum, so the only
 per-client state that persists across rounds is kept by the server: the
 NDAG teacher rows and the SHA snapshot histories.
+
+The leave-one-domain-out legs share no state, so run_lodo runs them in
+forked worker processes, one per CPU this process may use, with no setting
+to change that; each leg's result is pickled back to the caller.  Warnings
+raised while training, numpy's among them, therefore come from the workers.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -283,6 +290,26 @@ def run_federation(
     return server, round_log, trace
 
 
+def _run_leg(
+    benchmark: list[DomainDataset],
+    config: FederationConfig,
+    task_arch: nets.TaskArch,
+    gen_arch: nets.GenArch,
+    collect_trace: bool,
+    idx: int,
+) -> DomainRun:
+    """The LODO leg whose held-out target is benchmark[idx]."""
+    target = benchmark[idx]
+    sources = [d for i, d in enumerate(benchmark) if i != idx]
+    leg_config = replace(config, n_clients=len(sources))
+    server, rounds, trace = run_federation(
+        sources, leg_config, task_arch, gen_arch, target, collect_trace
+    )
+    return DomainRun(
+        target_domain=target.domain, rounds=rounds, final_task=server.global_task, trace=trace
+    )
+
+
 def run_lodo(
     benchmark: list[DomainDataset],
     config: FederationConfig,
@@ -294,26 +321,26 @@ def run_lodo(
 
     The held-out domain never contributes training, validation or scoring
     data; its full sample set (train + val splits) is the test set.
+
+    Each leg runs in a forked worker process, one worker per CPU this
+    process may use (at most one per leg), with no setting for it.  Forked
+    workers import nothing and call this process's functions as they are.
+    A fork copies only the calling thread, so call this from a process with
+    no other threads that hold locks.  The legs are read back in index
+    order, so the first failing leg in that order raises its error, and
+    leaving the pool's with block terminates every worker.
     """
     if len(benchmark) < 2:
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
-    runs = []
-    for idx, target in enumerate(benchmark):
-        sources = [d for i, d in enumerate(benchmark) if i != idx]
-        leg_config = replace(config, n_clients=len(sources))
-        server, rounds, trace = run_federation(
-            sources, leg_config, task_arch, gen_arch, target, collect_trace
-        )
-        runs.append(
-            DomainRun(
-                target_domain=target.domain,
-                rounds=rounds,
-                final_task=server.global_task,
-                trace=trace,
-            )
-        )
-        del server  # its SHA histories would otherwise stay alive through the next leg
+    # Imported here, not at module level: the import costs about 20 ms, which
+    # commands that train nothing (export-bench, a rejected config) skip.
+    import multiprocessing
+
+    workers = min(len(os.sched_getaffinity(0)), len(benchmark))
+    leg = functools.partial(_run_leg, benchmark, config, task_arch, gen_arch, collect_trace)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        runs = list(pool.imap(leg, range(len(benchmark)), chunksize=1))
     avg = {
         "acc": float(np.mean([r.final.acc for r in runs])),
         "f1": float(np.mean([r.final.f1 for r in runs])),

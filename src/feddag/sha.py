@@ -66,6 +66,11 @@ class ScoringDivergence(DivergenceError):
 
     def __init__(self, client: int, what: str):
         super().__init__(f"non-finite {what}", client)
+        self.what = what
+
+    def __reduce__(self):
+        # The default rebuilds from self.args, the formatted message alone.
+        return ScoringDivergence, (self.client, self.what)
 
 
 class AggregationWeights:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import feddag
-from feddag import cli
+from feddag import cli, ndag, sha
 from feddag.metrics import PairedComparison
 from feddag.nets import GenArch, TaskArch
 from feddag.params import ParamVector
@@ -130,6 +131,7 @@ OUT_OF_RANGE = [
     {"k": -1},
     {"lr": "0.1"},
     {"batch_size": True},
+    {"style_strength": float("inf")},
 ] + [{key: float("nan")} for key in ("lr", "m", "weight_decay", "rho", "beta", "style_strength")]
 
 
@@ -344,6 +346,23 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert f"training diverged: client 0: {cause}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ndag.DivergenceError("plain step: non-finite parameters or gradient"),
+            ndag.DivergenceError("non-finite features", 2),
+            ndag.FeatureCollapse("17/32 feature rows below the normalization floor", 1),
+            sha.ScoringDivergence(3, "validation loss"),
+        ],
+        ids=["divergence", "divergence-client", "feature-collapse", "scoring-divergence"],
+    )
+    def test_exit_3_errors_pickle_round_trip(self, exc):
+        # A LODO leg's error reaches the CLI pickled from its worker process.
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert back.client == exc.client
 
     def test_unwritable_out_exits_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

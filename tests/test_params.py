@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ class TestParamVector:
             vec(1.0, np.nan)
         with pytest.raises(NonFiniteValues):
             vec(np.inf, 0.0)
+
+    def test_pickle_round_trip_is_read_only_and_checked(self):
+        back = pickle.loads(pickle.dumps(vec(1.0, 2.0)))
+        assert isinstance(back, ParamVector)
+        assert back.values.tolist() == [1.0, 2.0]
+        assert not back.values.flags.writeable
+        # Unpickling runs the constructor's checks: patch the stored 2.0 to NaN.
+        blob = pickle.dumps(vec(1.0, 2.0))
+        nan_blob = blob.replace(np.float64(2.0).tobytes(), np.float64(np.nan).tobytes())
+        assert nan_blob != blob
+        with pytest.raises(NonFiniteValues):
+            pickle.loads(nan_blob)
 
     def test_dim_and_len(self):
         v = vec(1.0, 2.0, 3.0)

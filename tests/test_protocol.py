@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -400,3 +402,39 @@ class TestRunLodo:
         assert r1.averages == r2.averages
         for a, b in zip(r1.domains, r2.domains):
             assert np.array_equal(a.final_task.values, b.final_task.values)
+
+    def test_legs_equal_in_process_federations(self):
+        config = fed(mode="feddag", rounds=3, warmup=1, n_clients=2, seed=4)
+        report = protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH, collect_trace=True)
+        assert multiprocessing.active_children() == []
+        for idx, run in enumerate(report.domains):
+            sources = [d for i, d in enumerate(BENCH) if i != idx]
+            server, rounds, trace = protocol.run_federation(
+                sources, config, TASK_ARCH, GEN_ARCH, BENCH[idx], collect_trace=True
+            )
+            assert run.target_domain == BENCH[idx].domain
+            assert run.rounds == rounds
+            assert run.final_task.values.tobytes() == server.global_task.values.tobytes()
+            assert not run.final_task.values.flags.writeable
+            assert trace and run.trace == trace
+
+    def test_first_failing_leg_in_index_order_raises(self, monkeypatch):
+        bench = data.make_benchmark(
+            data.BenchSpec(n_domains=4, n_classes=3, input_dim=6, samples_per_domain=60, seed=3)
+        )
+        run_federation = protocol.run_federation
+
+        def failing_legs(sources, config, task_arch, gen_arch, target, collect_trace):
+            if target.domain == 1:
+                time.sleep(0.2)  # with two or more workers, leg 3 then fails first
+            if target.domain in (1, 3):
+                raise ndag.DivergenceError(f"leg {target.domain}", 0)
+            return run_federation(sources, config, task_arch, gen_arch, target, collect_trace)
+
+        # The workers are forked, so they call the patched function.
+        monkeypatch.setattr(protocol, "run_federation", failing_legs)
+        config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=3)
+        with pytest.raises(ndag.DivergenceError, match="^client 0: leg 1$") as info:
+            protocol.run_lodo(bench, config, TASK_ARCH, GEN_ARCH)
+        assert info.value.client == 0
+        assert multiprocessing.active_children() == []
