@@ -1,7 +1,7 @@
 """Experiment entry point: run, ablate, sweep, export-bench.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence,
-4 I/O error.
+4 I/O error, 143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -53,7 +54,8 @@ def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index
         "round": round_index,
     }
     with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump writes the same bytes from Python.
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 
@@ -273,6 +275,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class Terminated(Exception):
+    """SIGTERM reached the process running a command."""
+
+
+def _raise_terminated(signum, frame):
+    # Unwinds the leg pool's with block, which terminates the workers, and
+    # atomic_open, which removes its temporary file.
+    raise Terminated
+
+
+def _default_sigterm_in_child():
+    # A forked leg worker takes SIGTERM's default action, so the pool's
+    # terminate() ends it whatever it is blocked in.
+    if signal.getsignal(signal.SIGTERM) is _raise_terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+os.register_at_fork(after_in_child=_default_sigterm_in_child)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {}
@@ -282,7 +304,9 @@ def main(argv=None) -> int:
         overrides["mode"] = args.mode
     if args.out is not None and args.command != "export-bench":
         overrides["out"] = args.out
+    previous = signal.getsignal(signal.SIGTERM)
     try:
+        signal.signal(signal.SIGTERM, _raise_terminated)
         cfg = cfgmod.load(args.config, overrides)
         if args.command == "run":
             return cmd_run(cfg)
@@ -300,6 +324,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except Terminated:
+        print("terminated", file=sys.stderr)
+        return 128 + signal.SIGTERM
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

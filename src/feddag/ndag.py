@@ -17,7 +17,9 @@ client's result does not depend on which clients share its stack.
 
 Students and generators start each round from the global models, and their
 momentum buffers start at zero.  The teacher rows are the only per-client
-state that a caller carries from one round to the next.
+state that a caller carries from one round to the next.  A round allocates
+each stack's gradient, momentum and scratch blocks once (params.SgdRows);
+the steps write into them and allocate no (C, P) array of their own.
 """
 
 from __future__ import annotations
@@ -218,15 +220,16 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     logits is (C, B, K) and labels (C, B), or (1, B) shared by all; the loss is (C,).
     """
     n = logits.shape[1]
-    zmax = logits.max(axis=2, keepdims=True)
-    ez = np.exp(logits - zmax)
-    sez = ez.sum(axis=2, keepdims=True)
-    logp = (logits - zmax) - np.log(sez)
+    logp = logits - logits.max(axis=2, keepdims=True)
+    dz = np.exp(logp)
+    sez = dz.sum(axis=2, keepdims=True)
+    logp -= np.log(sez)
     picked = (np.arange(logits.shape[0])[:, None], np.arange(n), labels)
     loss = -logp[picked].mean(axis=1)
-    dz = ez / sez
+    dz /= sez
     dz[picked] -= 1.0
-    return loss, dz * (1.0 / n)
+    dz *= 1.0 / n
+    return loss, dz
 
 
 def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
@@ -290,9 +293,9 @@ def generator_grad(
     dis = _row_dot(np.minimum(dist, hyper.m), weights)
     # The capped branch (dist >= m) carries exactly zero gradient.
     g_feats = dist_grad(-weights * (dist < hyper.m))
-    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats, frozen=True)
+    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats)
     g_out = x_hat_grad * inside * hyper.alpha * (1.0 - delta * delta)
-    grad = nets.mlp_backward(gen_layers, gen_acts, g_out)
+    grad = nets.mlp_backward(gen_layers, gen_acts, g_out, out=stack.generator.grad)
     return ce, dis, bad, grad, x_hat_grad
 
 
@@ -342,7 +345,7 @@ def student_grad(
     dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
-    grad = nets.mlp_backward(stu_layers, acts, g_logits, dist_grad(weights))
+    grad = nets.mlp_backward(stu_layers, acts, g_logits, dist_grad(weights), out=stack.student.grad)
     return ce, _row_dot(dist, weights), bad, grad
 
 
@@ -374,7 +377,7 @@ def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: n
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
     acts, logits = nets.mlp_forward(stu_layers, x)
     ce, g_logits = cross_entropy(logits, y)
-    grad = nets.mlp_backward(stu_layers, acts, g_logits)
+    grad = nets.mlp_backward(stu_layers, acts, g_logits, out=stack.student.grad)
     return ce, grad
 
 
@@ -396,36 +399,41 @@ def plain_step(
     return grad, ce
 
 
-def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.ndarray:
+def ema_update(
+    teacher: np.ndarray, student: np.ndarray, decay: float, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Teachers trail their students, in place: T' = decay * T + (1 - decay) * omega.
 
-    teacher and student are stacked rows (C, P).  The direct convex form
-    keeps the endpoints exact: decay 1 leaves a teacher unchanged, decay 0
-    copies the student.  Returns the rows that stayed finite.
+    teacher and student are stacked rows (C, P); (1 - decay) * omega is
+    computed in scratch, a block of the same shape, or in a new array.  The
+    direct convex form keeps the endpoints exact: decay 1 leaves a teacher
+    unchanged, decay 0 copies the student.  Returns the rows that stayed finite.
     """
     if teacher.shape != student.shape:
         raise DimensionMismatch(f"teacher shape {teacher.shape} != student {student.shape}")
     teacher *= decay
-    teacher += (1.0 - decay) * student
+    teacher += np.multiply(1.0 - decay, student, out=scratch)
     return np.isfinite(teacher).all(axis=1)
 
 
 def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
     """Batch step k for a stack of clients, in place; NDAG when it has generators.
 
-    Returns the student gradients, one BatchTrace per client (the NDAG
-    losses None without NDAG) and the stack's total degenerate feature rows.
+    The student gradients land in part.student.grad.  Returns one
+    BatchTrace per client (the NDAG losses None without NDAG) and the
+    stack's total degenerate feature rows.
     """
     if part.generator is None:
-        grad, l_cls = plain_step(part, task_arch, x, y, hyper)
-        return grad, [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], 0
+        _, l_cls = plain_step(part, task_arch, x, y, hyper)
+        return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], 0
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
-    grad, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
-    part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
+    _, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
+    student = part.student
+    part.check(ema_update(part.teacher, student.params, hyper.ema_decay, student.scratch),
                "teacher is non-finite")
     losses = zip(l_cls_g.tolist(), l_dis.tolist(), l_cls_s.tolist(), l_sim.tolist())
-    return grad, [BatchTrace(k, *row) for row in losses], int(bad_g.sum() + bad_s.sum())
+    return [BatchTrace(k, *row) for row in losses], int(bad_g.sum() + bad_s.sum())
 
 
 def client_round(
@@ -443,7 +451,10 @@ def client_round(
     """One local round over shuffled mini-batches for each client, in lockstep.
 
     student, generator and teacher hold one row per client (writable
-    float64) and are trained in place; the result holds the same arrays.
+    float64) and are trained in place; the result holds the same arrays,
+    and its last_grads is the round's student gradient block, where each
+    client's step writes directly (or through put() for rows that are not
+    consecutive).
     NDAG runs when the generator and teacher rows are given, and plain
     classification when both are None.  Momentum buffers start at zero.
 
@@ -490,7 +501,6 @@ def client_round(
     batch_idx = [None] * n_clients  # sample indices of each client's current batch
     traces: list[list[BatchTrace]] = [[] for _ in range(n_clients)]
     degenerate = 0
-    last_grads = np.empty_like(stack.student.params)
 
     for k in range(local_epochs * max(n_batches)):
         groups: dict[int, list[int]] = {}
@@ -509,10 +519,9 @@ def client_round(
                 yb = np.concatenate([ys[c][batch_idx[c]] for c in members])
                 xb = xb.reshape(len(members), size, -1)
                 yb = yb.reshape(len(members), size)
-                grad, batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
+                batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
                 stack.put(members, part)
                 degenerate += bad
-                last_grads[members] = grad
                 for c, t in zip(members, batch_traces):
                     traces[c].append(t)
         stack.raise_failure()
@@ -521,7 +530,7 @@ def client_round(
         student=stack.student.params,
         generator=None if stack.generator is None else stack.generator.params,
         teacher=stack.teacher,
-        last_grads=last_grads,
+        last_grads=stack.student.grad,
         mean_train_losses=[float(np.mean([t.l_cls_s for t in rows])) for rows in traces],
         traces=traces,
         degenerate_rows=degenerate,

@@ -142,37 +142,40 @@ def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     """
     acts = [x]
     for w, b in layers[:-1]:
-        x = np.maximum(x @ w + b, 0.0)
+        x = x @ w
+        x += b
+        np.maximum(x, 0.0, out=x)
         acts.append(x)
     wo, bo = layers[-1]
-    return acts, x @ wo + bo
+    out = x @ wo
+    out += bo
+    return acts, out
 
 
-def mlp_backward(layers, acts, g_out, g_hidden=None, frozen=False):
+def mlp_backward(layers, acts, g_out, g_hidden=None, out=None):
     """Backprop a scalar objective through an mlp_forward pass.
 
     g_out is the objective's gradient w.r.t. out; g_hidden, if given, is an
     extra gradient w.r.t. acts[-1] (a loss on the task net's features).
-    Returns the flat parameter gradient in pack order, (P,) or stacked
-    (C, P), or, for a frozen net, the gradient w.r.t. its input instead.
-    A relu passes gradient where its output is > 0, the same test as its
-    pre-activation > 0, so the relu masks are read off acts.
+    out is a (P,) or stacked (C, P) block that receives the flat parameter
+    gradient in pack order, each layer's part written through its
+    split_layers views, and is returned; with out None the net is frozen
+    and the gradient w.r.t. its input is returned instead.  A relu passes
+    gradient where its output is > 0, the same test as its pre-activation
+    > 0, so the relu masks are read off acts.
     """
-    chunks = []
+    grads = None if out is None else split_layers(out, [w.shape[-2:] for w, _ in layers])
     g = g_out
-    flat = g.shape[:-2] + (-1,)
     for i in range(len(layers) - 1, -1, -1):
-        if not frozen:
-            chunks.append(g.sum(axis=-2))
-            chunks.append((acts[i].swapaxes(-1, -2) @ g).reshape(flat))
+        if grads is not None:
+            gw, gb = grads[i]
+            np.sum(g, axis=-2, keepdims=True, out=gb)
+            np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
             if i == 0:
-                break
+                return out
         g = g @ layers[i][0].swapaxes(-1, -2)
         if g_hidden is not None and i == len(layers) - 1:
-            g = g + g_hidden
+            g += g_hidden
         if i > 0:
-            g = g * (acts[i] > 0.0)
-    if frozen:
-        return g
-    chunks.reverse()
-    return np.concatenate(chunks, axis=-1)
+            g *= acts[i] > 0.0
+    return g

@@ -66,25 +66,39 @@ def param_mean(rows: np.ndarray) -> ParamVector:
 
 @dataclass
 class SgdRows:
-    """Stacked parameter rows (C, P) and their momentum buffer, one client per row.
+    """Stacked parameter rows (C, P) and their per-round blocks, one client per row.
 
-    The buffer starts at zero; sgd_step updates both in place.
+    buf is the momentum buffer and starts at zero.  grad holds the gradient
+    of the latest sgd_step; the gradient routines write into it directly.
+    scratch is sgd_step's workspace, so a step allocates no (C, P) array.
+    sgd_step updates params and buf in place.
     """
 
     params: np.ndarray
     buf: np.ndarray | None = None
+    grad: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
     def __post_init__(self):
         if self.buf is None:
             self.buf = np.zeros_like(self.params)
+        if self.grad is None:
+            self.grad = np.empty_like(self.params)
+        if self.scratch is None:
+            self.scratch = np.empty_like(self.params)
 
     def take(self, rows) -> SgdRows:
-        """The given rows: views for a slice, copies for an index array."""
-        return SgdRows(self.params[rows], self.buf[rows])
+        """The given rows: views for a slice, copies for an index array.
+
+        The scratch holds nothing between steps, so its first rows serve.
+        """
+        params = self.params[rows]
+        return SgdRows(params, self.buf[rows], self.grad[rows], self.scratch[: len(params)])
 
     def put(self, rows, part: SgdRows) -> None:
         self.params[rows] = part.params
         self.buf[rows] = part.buf
+        self.grad[rows] = part.grad
 
 
 def sgd_step(
@@ -97,6 +111,8 @@ def sgd_step(
     p    <- p - lr * buf
 
     A new SgdRows buffer is zero, so a round's first step is plain SGD.
+    grads is kept in rows.grad, which costs no copy when grads is that
+    block, and the temporaries go to rows.scratch.
 
     A row whose gradient or new parameters hold NaN or +/-inf comes back
     False: training has diverged there, and continuing would silently
@@ -104,10 +120,11 @@ def sgd_step(
     """
     if grads.shape != rows.params.shape:
         raise DimensionMismatch(f"gradient shape {grads.shape} != params {rows.params.shape}")
+    rows.grad[...] = grads
     finite = np.isfinite(grads).all(axis=1)
-    g = weight_decay * rows.params
+    g = np.multiply(weight_decay, rows.params, out=rows.scratch)
     g += grads
     rows.buf *= momentum
     rows.buf += g
-    rows.params -= lr * rows.buf
+    rows.params -= np.multiply(lr, rows.buf, out=rows.scratch)
     return finite & np.isfinite(rows.params).all(axis=1)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +71,23 @@ class TestCheckpoint:
         _, arch, role, _ = cli.load_checkpoint(path)
         assert arch == self.GEN
         assert role == "generator"
+
+    def test_bytes_match_the_streaming_encoder(self, tmp_path):
+        # json.dumps (C encoder) must write what json.dump (pure Python) wrote.
+        arch = TaskArch(input_dim=16, hidden_dims=(32, 32), feature_dim=16, num_classes=3)
+        values = np.random.default_rng(4).normal(size=arch.param_count())
+        values[:3] = [0.1, -0.0, 1e-300]
+        path = tmp_path / "ckpt.json"
+        cli.save_checkpoint(str(path), ParamVector(values), arch, role="global_task", round_index=14)
+        doc = {
+            "arch": {"kind": "task", **dataclasses.asdict(arch)},
+            "values": values.tolist(),
+            "role": "global_task",
+            "round": 14,
+        }
+        expected = io.StringIO()
+        json.dump(doc, expected, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected.getvalue() + "\n"
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -622,6 +642,59 @@ def test_file_io_names_its_encoding(tmp_path):
             env=env, capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+def session_pids(sid: int) -> list[int]:
+    """Live processes of session sid, read from /proc."""
+    pids = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat", encoding="ascii") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, session, ...
+        fields = stat[stat.rindex(")") + 2 :].split()
+        if int(fields[3]) == sid and fields[0] != "Z":
+            pids.append(int(name))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigterm_stops_the_run_and_its_leg_workers(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 200}))
+    out = tmp_path / "out"
+    err_path = tmp_path / "stderr.txt"
+    workers = min(len(os.sched_getaffinity(0)), 5)  # one per usable CPU, at most one per leg
+    with open(err_path, "w", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "feddag.cli", "run", "--config", str(cfg), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=err,
+        )
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(session_pids(proc.pid)) < 1 + workers:
+            assert proc.poll() is None and time.monotonic() < deadline, "workers never started"
+            time.sleep(0.02)
+        os.kill(proc.pid, signal.SIGTERM)
+        deadline = time.monotonic() + 2.0
+        while session_pids(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        left = session_pids(proc.pid)
+        assert proc.wait(timeout=5) == 143
+        assert not left
+    finally:
+        for pid in session_pids(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.wait()
+    stderr = err_path.read_text(encoding="utf-8")
+    assert "Traceback" not in stderr and "terminated" in stderr
+    assert not list(out.rglob("*.tmp"))
 
 
 class TestParser:
