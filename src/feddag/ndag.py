@@ -17,9 +17,14 @@ client's result does not depend on which clients share its stack.
 
 Students and generators start each round from the global models, and their
 momentum buffers start at zero.  The teacher rows are the only per-client
-state that a caller carries from one round to the next.  A round allocates
-each stack's gradient, momentum and scratch blocks once (params.SgdRows);
-the steps write into them and allocate no (C, P) array of their own.
+state that a caller carries from one round to the next.  Every array a step
+works in comes from a params.Workspace that the caller keeps for all rounds
+of a federation: the gradient, momentum and scratch row blocks
+(params.SgdRows), the gathered batch, and each pass's activations,
+gradients, relu masks and loss temporaries.  The teacher, generator and
+student passes of a step keep their arrays under roles of their own, since
+they are alive at the same time.  After a federation's first round a step
+allocates nothing larger than one value per batch row, (C, B).
 """
 
 from __future__ import annotations
@@ -29,17 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
-from .params import DimensionMismatch, SgdRows, sgd_step
+from .params import DimensionMismatch, SgdRows, Workspace, out_array, sgd_step
 
 
 # Feature rows with a smaller norm have no direction to compare.
 DEGENERATE_NORM = 1e-12
-
-# Most rows (clients x batch rows) one stacked step holds.  All of a stack's
-# activations stay alive until its backward pass ends, so peak memory grows
-# with the stack: one stack of 16 clients with 179-row batches raised a run's
-# peak RSS from 44.6 to 48.9 MB.  A batch of more than half the cap trains alone.
-MAX_STACK_ROWS = 256
 
 
 class DivergenceError(RuntimeError):
@@ -94,6 +93,11 @@ class BatchTrace:
     l_cls_s: float
     l_sim: float | None
 
+    def __reduce__(self):
+        # The dataclass default walks fields() for every object; leg workers
+        # pickle thousands of these.
+        return BatchTrace, (self.batch, self.l_cls_g, self.l_dis, self.l_cls_s, self.l_sim)
+
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -122,15 +126,20 @@ def generate(
     gen_arch: nets.GenArch,
     x_batch: np.ndarray,
     alpha: float,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Perturbed batch clip(x + alpha * G(x), 0, 1); alpha=0 returns x clipped.
 
     The bounds are the data's range: both loaders normalize features to [0, 1].
 
     gen_params is a ParamVector, or stacked rows (C, G) with x (C, B, d).
+    With a workspace the batch is computed in place in the generator's
+    output array.
     """
-    delta = nets.gen_apply(gen_params, gen_arch, x_batch)
-    return np.clip(np.asarray(x_batch, dtype=np.float64) + alpha * delta, 0.0, 1.0)
+    delta = nets.gen_apply(gen_params, gen_arch, x_batch, ws)
+    out = None if ws is None else delta
+    x = np.asarray(x_batch, dtype=np.float64)
+    return np.clip(np.add(x, np.multiply(alpha, delta, out=out), out=out), 0.0, 1.0, out=out)
 
 
 @dataclass
@@ -139,12 +148,15 @@ class ClientStack:
 
     generator and teacher are None when the round runs without NDAG.
     errors maps a row to the first check it failed in the current step.
+    workspace holds the arrays the steps work in; a stack taken from this
+    one shares it.
     """
 
     student: SgdRows
     generator: SgdRows | None = None
     teacher: np.ndarray | None = None
     errors: dict[int, DivergenceError] = field(default_factory=dict)
+    workspace: Workspace = field(default_factory=Workspace)
 
     def take(self, positions: list[int]) -> ClientStack:
         """The given rows (ascending) as a stack of their own.
@@ -157,15 +169,20 @@ class ClientStack:
             self.student.take(rows),
             None if self.generator is None else self.generator.take(rows),
             None if self.teacher is None else self.teacher[rows],
+            workspace=self.workspace,
         )
 
     def put(self, positions: list[int], part: ClientStack) -> None:
-        """Adopt a taken part's updates and failures."""
+        """Adopt a taken part's updates and failures.
+
+        The student gradients come back too (they are the round's
+        last_grads); the generator's are not read after the step.
+        """
         rows = _rows(positions)
         if not isinstance(rows, slice):
             self.student.put(rows, part.student)
             if self.generator is not None:
-                self.generator.put(rows, part.generator)
+                self.generator.put(rows, part.generator, grad=False)
                 self.teacher[rows] = part.teacher
         for row, exc in part.errors.items():
             self.errors.setdefault(positions[row], exc)
@@ -214,17 +231,21 @@ def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (values[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
     """Mean softmax cross-entropy (max-shifted) per client and its logit gradient.
 
     logits is (C, B, K) and labels (C, B), or (1, B) shared by all; the loss is (C,).
+    With a workspace the gradient and the temporaries are its "ce_*" arrays.
     """
-    n = logits.shape[1]
-    logp = logits - logits.max(axis=2, keepdims=True)
-    dz = np.exp(logp)
-    sez = dz.sum(axis=2, keepdims=True)
-    logp -= np.log(sez)
-    picked = (np.arange(logits.shape[0])[:, None], np.arange(n), labels)
+    c, n, _ = logits.shape
+    shift = np.maximum.reduce(
+        logits, axis=2, keepdims=True, out=out_array(ws, "ce_shift", (c, n, 1))
+    )
+    logp = np.subtract(logits, shift, out=out_array(ws, "ce_logp", logits.shape))
+    dz = np.exp(logp, out=out_array(ws, "ce_dz", logits.shape))
+    sez = np.add.reduce(dz, axis=2, keepdims=True, out=out_array(ws, "ce_sez", (c, n, 1)))
+    logp -= np.log(sez, out=None if ws is None else shift)
+    picked = (np.arange(c)[:, None], np.arange(n), labels)
     loss = -logp[picked].mean(axis=1)
     dz /= sez
     dz[picked] -= 1.0
@@ -232,30 +253,37 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, dz
 
 
-def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
+def _feature_distance(t_feats: np.ndarray, feats: np.ndarray, ws: Workspace):
     """Row-wise || t/||t|| - f/||f|| ||^2 between (C, B, D) feature stacks.
 
     Rows where either side has norm < DEGENERATE_NORM are invalid: their
     distance is 0 and no gradient flows through them.  Returns (distances,
     valid, finite, grad), the first three (C, B): finite marks the rows where
     both norms are finite, and grad(g) is the gradient of sum(g * distances)
-    w.r.t. feats.
+    w.r.t. feats, ws's array "fd_grad".
     """
-    nt = np.linalg.norm(t_feats, axis=2)
-    nf = np.linalg.norm(feats, axis=2)
+    # np.linalg.norm(axis=2) as numpy computes it, the squares in ws.
+    square = ws.array("fd_square", feats.shape)
+    nt = np.sqrt(np.add.reduce(np.multiply(t_feats, t_feats, out=square), axis=2))
+    nf = np.sqrt(np.add.reduce(np.multiply(feats, feats, out=square), axis=2))
     valid = (nt >= DEGENERATE_NORM) & (nf >= DEGENERATE_NORM)
     finite = np.isfinite(nt + nf)
     safe_nf = np.where(valid, nf, 1.0)
-    u = t_feats / np.where(valid, nt, 1.0)[:, :, None]
-    v = feats / safe_nf[:, :, None]
-    diff = u - v
-    dist = np.where(valid, (diff * diff).sum(axis=2), 0.0)
-    uv = (u * v).sum(axis=2)
+    shape = feats.shape
+    u = np.divide(t_feats, np.where(valid, nt, 1.0)[:, :, None], out=ws.array("fd_u", shape))
+    v = np.divide(feats, safe_nf[:, :, None], out=ws.array("fd_v", shape))
+    diff = np.subtract(u, v, out=ws.array("fd_tmp", shape))
+    dist = np.where(valid, np.multiply(diff, diff, out=diff).sum(axis=2), 0.0)
+    uv = np.multiply(u, v, out=diff).sum(axis=2)
 
     def grad(g):
         # d = 2 - 2 u.v on unit vectors, so dd/df = -2 (u - (u.v) v) / ||f||
         gv = np.where(valid, g, 0.0)[:, :, None]
-        return gv * (-2.0) * (u - uv[:, :, None] * v) / safe_nf[:, :, None]
+        out = np.multiply(uv[:, :, None], v, out=ws.array("fd_grad", shape))
+        np.subtract(u, out, out=out)
+        np.multiply(gv * (-2.0), out, out=out)
+        out /= safe_nf[:, :, None]
+        return out
 
     return dist, valid, finite, grad
 
@@ -279,23 +307,29 @@ def generator_grad(
     Clients whose features collapse or are non-finite are recorded in stack.errors.
     """
     n = x.shape[1]
+    gen_ws, stu_ws = stack.workspace.part("gen"), stack.workspace.part("student")
     gen_layers = nets.split_layers(stack.generator.params, gen_arch.layer_dims())
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    gen_acts, gen_out = nets.mlp_forward(gen_layers, x)
-    delta = np.tanh(gen_out)
-    pre = x + delta * hyper.alpha
-    inside = (pre >= 0.0) & (pre <= 1.0)
-    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, 0.0, 1.0))
-    ce, g_logits = cross_entropy(logits, y)
-    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
+    gen_acts, gen_out = nets.mlp_forward(gen_layers, x, gen_ws)
+    delta = np.tanh(gen_out, out=gen_out)
+    pre = np.multiply(delta, hyper.alpha, out=gen_ws.array("pre", x.shape))
+    np.add(x, pre, out=pre)
+    inside = np.greater_equal(pre, 0.0, out=gen_ws.array("inside", x.shape, bool))
+    inside &= np.less_equal(pre, 1.0, out=gen_ws.array("below_one", x.shape, bool))
+    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, 0.0, 1.0, out=pre), stu_ws)
+    ce, g_logits = cross_entropy(logits, y, stu_ws)
+    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1], stu_ws)
     bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
     dis = _row_dot(np.minimum(dist, hyper.m), weights)
     # The capped branch (dist >= m) carries exactly zero gradient.
     g_feats = dist_grad(-weights * (dist < hyper.m))
-    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats)
-    g_out = x_hat_grad * inside * hyper.alpha * (1.0 - delta * delta)
-    grad = nets.mlp_backward(gen_layers, gen_acts, g_out, out=stack.generator.grad)
+    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats, ws=stu_ws)
+    # x_hat_grad * inside * alpha * (1 - delta^2), with delta's array reused last.
+    g_out = np.multiply(x_hat_grad, inside, out=gen_ws.array("g_out", x.shape))
+    g_out *= hyper.alpha
+    g_out *= np.subtract(1.0, np.multiply(delta, delta, out=delta), out=delta)
+    grad = nets.mlp_backward(gen_layers, gen_acts, g_out, out=stack.generator.grad, ws=gen_ws)
     return ce, dis, bad, grad, x_hat_grad
 
 
@@ -338,14 +372,17 @@ def student_grad(
     grad) with grad the flat student gradient (C, P) in pack order.
     """
     n = x.shape[1]
-    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha)
+    stu_ws = stack.workspace.part("student")
+    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha, stack.workspace.part("gen"))
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    acts, logits = nets.mlp_forward(stu_layers, x_hat)
-    ce, g_logits = cross_entropy(logits, y)
-    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
+    acts, logits = nets.mlp_forward(stu_layers, x_hat, stu_ws)
+    ce, g_logits = cross_entropy(logits, y, stu_ws)
+    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1], stu_ws)
     bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
-    grad = nets.mlp_backward(stu_layers, acts, g_logits, dist_grad(weights), out=stack.student.grad)
+    grad = nets.mlp_backward(
+        stu_layers, acts, g_logits, dist_grad(weights), out=stack.student.grad, ws=stu_ws
+    )
     return ce, _row_dot(dist, weights), bad, grad
 
 
@@ -374,10 +411,11 @@ def student_step(
 
 def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: np.ndarray):
     """Mean L_cls of each student on its raw batch; returns (l_cls, grad)."""
+    ws = stack.workspace.part("student")
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    acts, logits = nets.mlp_forward(stu_layers, x)
-    ce, g_logits = cross_entropy(logits, y)
-    grad = nets.mlp_backward(stu_layers, acts, g_logits, out=stack.student.grad)
+    acts, logits = nets.mlp_forward(stu_layers, x, ws)
+    ce, g_logits = cross_entropy(logits, y, ws)
+    grad = nets.mlp_backward(stu_layers, acts, g_logits, out=stack.student.grad, ws=ws)
     return ce, grad
 
 
@@ -426,7 +464,7 @@ def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
     if part.generator is None:
         _, l_cls = plain_step(part, task_arch, x, y, hyper)
         return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], 0
-    t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
+    t_feats, _ = nets.task_apply(part.teacher, task_arch, x, part.workspace.part("teacher"))
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     _, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     student = part.student
@@ -447,6 +485,7 @@ def client_round(
     hyper: NdagHyper,
     rngs: list[np.random.Generator],
     local_epochs: int = 1,
+    workspace: Workspace | None = None,
 ) -> RoundResult:
     """One local round over shuffled mini-batches for each client, in lockstep.
 
@@ -457,12 +496,16 @@ def client_round(
     consecutive).
     NDAG runs when the generator and teacher rows are given, and plain
     classification when both are None.  Momentum buffers start at zero.
+    The steps work in the arrays of workspace, which a caller keeps across
+    rounds so that no round allocates them again; the result's student,
+    generator and last_grads are then the workspace's blocks, valid until
+    its next round.  Without one, the round uses a workspace of its own.
 
     Client c trains on (xs[c], ys[c]) and shuffles with rngs[c], drawing
     one permutation per local epoch, so it sees exactly the batches it
     would see alone.  At local step k the clients that still have a batch
-    are grouped by batch size, and each group trains as stacks of at most
-    MAX_STACK_ROWS rows (a batch is never padded).
+    are grouped by batch size, and each group trains as one stack (a batch
+    is never padded).
 
     With NDAG the order per batch is: perturb, generator step, re-perturb,
     student step, EMA the teacher.  Teacher features are computed once per
@@ -491,9 +534,10 @@ def client_round(
         if labels.shape != (n,):
             raise ValueError(f"target shape {labels.shape} does not match {n} inputs")
 
-    stack = ClientStack(SgdRows(student))
+    ws = Workspace() if workspace is None else workspace
+    stack = ClientStack(SgdRows.from_workspace(student, ws.part("student")), workspace=ws)
     if teacher is not None:
-        stack.generator = SgdRows(generator)
+        stack.generator = SgdRows.from_workspace(generator, ws.part("gen"))
         stack.teacher = teacher
     batch = hyper.batch_size
     n_batches = [-(-n // batch) for n in sizes]
@@ -511,19 +555,18 @@ def client_round(
             batch_idx[c] = orders[c][epoch][j * batch : (j + 1) * batch]
             groups.setdefault(len(batch_idx[c]), []).append(c)
         for size, clients in groups.items():
-            per_stack = max(1, MAX_STACK_ROWS // size)
-            for s in range(0, len(clients), per_stack):
-                members = clients[s : s + per_stack]
-                part = stack.take(members)
-                xb = np.concatenate([xs[c][batch_idx[c]] for c in members])
-                yb = np.concatenate([ys[c][batch_idx[c]] for c in members])
-                xb = xb.reshape(len(members), size, -1)
-                yb = yb.reshape(len(members), size)
-                batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
-                stack.put(members, part)
-                degenerate += bad
-                for c, t in zip(members, batch_traces):
-                    traces[c].append(t)
+            part = stack.take(clients)
+            xb = ws.array("xb", (len(clients), size, xs[clients[0]].shape[1]))
+            for row, c in zip(xb, clients):
+                # The indices are in range; mode "raise" would gather into a copy first.
+                np.take(xs[c], batch_idx[c], axis=0, out=row, mode="clip")
+            yb = np.concatenate([ys[c][batch_idx[c]] for c in clients])
+            yb = yb.reshape(len(clients), size)
+            batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
+            stack.put(clients, part)
+            degenerate += bad
+            for c, t in zip(clients, batch_traces):
+                traces[c].append(t)
         stack.raise_failure()
 
     return RoundResult(

@@ -13,21 +13,23 @@ NDAG teacher rows and the SHA snapshot histories.
 
 The leave-one-domain-out legs share no state, so run_lodo runs them in
 forked worker processes, one per CPU this process may use, with no setting
-to change that; each leg's result is pickled back to the caller.  Warnings
-raised while training, numpy's among them, therefore come from the workers.
+to change that.  The workers inherit run_lodo's inputs with their memory,
+are sent only leg indices, and pickle each leg's result back to the caller.
+Warnings raised while training, numpy's among them, therefore come from the
+workers.
 """
 
 from __future__ import annotations
 
-import functools
 import os
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics, ndag, nets, sha
 from .data import DomainDataset
-from .params import ParamVector, param_mean
+from .params import ParamVector, Workspace, param_mean
 
 MODES = ("feddag", "no_ndag", "no_sha", "fedavg")
 
@@ -36,6 +38,9 @@ _INIT_TASK_TAG = 21
 _INIT_GEN_TAG = 22
 _BATCH_TAG = 23
 _EVAL_PICK_TAG = 24
+
+# prctl option: the signal the kernel sends a process when its parent ends.
+_PR_SET_PDEATHSIG = 1
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,7 @@ def run_round(
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
     trace: list[TraceEntry] | None = None,
+    workspace: Workspace | None = None,
 ) -> RoundMetrics:
     """One communication round over the clients' source domains; mutates server.
 
@@ -164,20 +170,31 @@ def run_round(
     diverges, the ndag.DivergenceError names the lowest-index client among
     those that fail at the earliest failing local step; if scoring does,
     sha.ScoringDivergence names the lowest-index client it failed on.
+
+    The local round trains in workspace's arrays (ndag.client_round); the
+    federation passes the same workspace to every round, so a round
+    allocates none of its (C, P) blocks again.
     """
     round_idx = server.round
     warmup = round_idx < config.warmup_rounds
     ndag_on = config.ndag_active and not warmup
     n = len(sources)
+    ws = Workspace() if workspace is None else workspace
+
+    def sent(name: str, model: ParamVector) -> np.ndarray:
+        """One row of model per client, in ws's rows block of name."""
+        rows = ws.part(name).array("rows", (n, model.dim))
+        rows[...] = model.values
+        return rows
 
     generators = None
     if ndag_on:
-        generators = np.tile(server.global_gen.values, (n, 1))
+        generators = sent("gen", server.global_gen)
         if server.teachers is None:
             server.teachers = np.tile(server.global_task.values, (n, 1))
     rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c]) for c in range(n)]
     result = ndag.client_round(
-        np.tile(server.global_task.values, (n, 1)),
+        sent("student", server.global_task),
         generators,
         server.teachers,
         task_arch,
@@ -187,6 +204,7 @@ def run_round(
         config.ndag,
         rngs,
         config.local_epochs,
+        ws,
     )
     if trace is not None:
         for domain, rows in zip(sources, result.traces):
@@ -272,16 +290,22 @@ def run_federation(
     target: DomainDataset | None = None,
     collect_trace: bool = False,
 ) -> tuple[ServerState, list[RoundMetrics], list[TraceEntry]]:
-    """Train a federation over the source domains for config.rounds."""
+    """Train a federation over the source domains for config.rounds.
+
+    Its rounds share one params.Workspace, which holds the arrays the local
+    steps train in, about clients x batch x layer widths of memory.
+    """
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
     server = init(config, task_arch, gen_arch)
+    workspace = Workspace()
     trace: list[TraceEntry] = []
     round_log: list[RoundMetrics] = []
     target_xy = _domain_eval_arrays(target) if target is not None else None
     for r in range(config.rounds):
         rm = run_round(
-            server, sources, config, task_arch, gen_arch, trace if collect_trace else None
+            server, sources, config, task_arch, gen_arch, trace if collect_trace else None,
+            workspace,
         )
         probe = target_xy is not None and (config.probe_every_round or r == config.rounds - 1)
         if probe:
@@ -290,15 +314,37 @@ def run_federation(
     return server, round_log, trace
 
 
-def _run_leg(
-    benchmark: list[DomainDataset],
-    config: FederationConfig,
-    task_arch: nets.TaskArch,
-    gen_arch: nets.GenArch,
-    collect_trace: bool,
-    idx: int,
-) -> DomainRun:
-    """The LODO leg whose held-out target is benchmark[idx]."""
+# run_lodo's (benchmark, config, task_arch, gen_arch, collect_trace), in a leg worker.
+_leg_inputs: tuple | None = None
+
+
+def _start_leg_worker(parent: int, inputs: tuple) -> None:
+    """Pool initializer of a leg worker: keep run_lodo's inputs, die with the parent.
+
+    A fork start passes the inputs on in the worker's copy of memory, so
+    they are never pickled.  The worker then asks the kernel to SIGKILL it
+    when its parent ends (prctl PR_SET_PDEATHSIG), so a parent killed by a
+    signal no handler can catch leaves no worker training on, and exits at
+    once if the parent already ended before that request.  Where libc has
+    no prctl (outside Linux) it does neither, and such workers run on until
+    their current leg ends.
+    """
+    global _leg_inputs
+    _leg_inputs = inputs
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _run_leg(idx: int) -> DomainRun:
+    """The LODO leg whose held-out target is benchmark[idx], in a leg worker."""
+    benchmark, config, task_arch, gen_arch, collect_trace = _leg_inputs
     target = benchmark[idx]
     sources = [d for i, d in enumerate(benchmark) if i != idx]
     leg_config = replace(config, n_clients=len(sources))
@@ -324,7 +370,10 @@ def run_lodo(
 
     Each leg runs in a forked worker process, one worker per CPU this
     process may use (at most one per leg), with no setting for it.  Forked
-    workers import nothing and call this process's functions as they are.
+    workers import nothing, call this process's functions as they are and
+    read the inputs from their copy of this process's memory; each task
+    sends a leg index, each result a DomainRun.  A worker ends when this
+    process does, even when it is killed (see _start_leg_worker).
     A fork copies only the calling thread, so call this from a process with
     no other threads that hold locks.  The legs are read back in index
     order, so the first failing leg in that order raises its error, and
@@ -338,9 +387,10 @@ def run_lodo(
     import multiprocessing
 
     workers = min(len(os.sched_getaffinity(0)), len(benchmark))
-    leg = functools.partial(_run_leg, benchmark, config, task_arch, gen_arch, collect_trace)
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        runs = list(pool.imap(leg, range(len(benchmark)), chunksize=1))
+    inputs = (benchmark, config, task_arch, gen_arch, collect_trace)
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, _start_leg_worker, (os.getpid(), inputs)) as pool:
+        runs = list(pool.imap(_run_leg, range(len(benchmark)), chunksize=1))
     avg = {
         "acc": float(np.mean([r.final.acc for r in runs])),
         "f1": float(np.mean([r.final.f1 for r in runs])),

@@ -662,8 +662,11 @@ def session_pids(sid: int) -> list[int]:
     return pids
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
-def test_sigterm_stops_the_run_and_its_leg_workers(tmp_path):
+def start_run_with_leg_workers(tmp_path):
+    """A long `feddag run` in a session of its own, once all its leg workers run.
+
+    Returns (proc, stderr path); the caller kills what is left of the session.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rounds": 200}))
@@ -676,25 +679,53 @@ def test_sigterm_stops_the_run_and_its_leg_workers(tmp_path):
             env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=err,
         )
+    deadline = time.monotonic() + 60.0
+    while len(session_pids(proc.pid)) < 1 + workers:
+        assert proc.poll() is None and time.monotonic() < deadline, "workers never started"
+        time.sleep(0.02)
+    return proc, err_path
+
+
+def processes_left_after(sid: int, seconds: float) -> list[int]:
+    """The live processes of session sid once it is empty or seconds have passed."""
+    deadline = time.monotonic() + seconds
+    while session_pids(sid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return session_pids(sid)
+
+
+def kill_session(proc) -> None:
+    for pid in session_pids(proc.pid):
+        os.kill(pid, signal.SIGKILL)
+    proc.wait()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigterm_stops_the_run_and_its_leg_workers(tmp_path):
+    proc, err_path = start_run_with_leg_workers(tmp_path)
     try:
-        deadline = time.monotonic() + 60.0
-        while len(session_pids(proc.pid)) < 1 + workers:
-            assert proc.poll() is None and time.monotonic() < deadline, "workers never started"
-            time.sleep(0.02)
         os.kill(proc.pid, signal.SIGTERM)
-        deadline = time.monotonic() + 2.0
-        while session_pids(proc.pid) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        left = session_pids(proc.pid)
+        left = processes_left_after(proc.pid, 2.0)
         assert proc.wait(timeout=5) == 143
         assert not left
     finally:
-        for pid in session_pids(proc.pid):
-            os.kill(pid, signal.SIGKILL)
-        proc.wait()
+        kill_session(proc)
     stderr = err_path.read_text(encoding="utf-8")
     assert "Traceback" not in stderr and "terminated" in stderr
-    assert not list(out.rglob("*.tmp"))
+    assert not list((tmp_path / "out").rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers die with their parent through prctl")
+def test_sigkill_of_the_run_ends_its_leg_workers(tmp_path):
+    # No handler sees SIGKILL; the kernel ends each worker with its parent.
+    proc, _ = start_run_with_leg_workers(tmp_path)
+    try:
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=5) == -signal.SIGKILL
+        assert not processes_left_after(proc.pid, 2.0)
+    finally:
+        kill_session(proc)
 
 
 class TestParser:

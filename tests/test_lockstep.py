@@ -1,9 +1,10 @@
 """Lockstep client rounds: a stacked round equals each client trained alone.
 
-ndag.client_round trains all clients of a round together, grouping the
-clients that have a batch of the same size at each local step into stacks
-of at most ndag.MAX_STACK_ROWS rows.  These tests run the same clients as
-one stacked round and as stacks of one, and demand identical bits.
+ndag.client_round trains all clients of a round together: at each local
+step the clients that have a batch of the same size train as one stack,
+however many rows it holds, in arrays the round's workspace keeps.  These
+tests run the same clients as one stacked round and as stacks of one, and
+demand identical bits.
 """
 
 from __future__ import annotations
@@ -92,11 +93,9 @@ def test_unequal_clients_match_stacks_of_one(ndag_enabled, local_epochs):
 
 
 @pytest.mark.parametrize("ndag_enabled", [True, False])
-def test_group_over_the_row_cap_splits_into_stacks(monkeypatch, ndag_enabled):
-    # Ten clients with full batches of 32 rows make a 320-row group: one
-    # stack of 8 clients and one of 2, then the ragged 8-row batches of all
-    # ten fit one stack.
-    assert ndag.MAX_STACK_ROWS == 256
+def test_large_group_trains_as_one_stack(monkeypatch, ndag_enabled):
+    # Ten clients with full batches of 32 rows make a 320-row group, which
+    # trains as one stack of ten, as do the ragged 8-row batches after it.
     shapes = []
     step = "generator_step" if ndag_enabled else "plain_step"
     original = getattr(ndag, step)
@@ -108,7 +107,7 @@ def test_group_over_the_row_cap_splits_into_stacks(monkeypatch, ndag_enabled):
     monkeypatch.setattr(ndag, step, recording)
     hyper = ndag.NdagHyper(batch_size=32, lr=0.05, ema_decay=0.9)
     together, alone = stacked_and_alone([40] * 10, hyper, ndag_enabled, 1, seed=3)
-    assert shapes[:3] == [8, 2, 10]
+    assert shapes[:2] == [10, 10]
     assert_same_round(together, alone)
 
 

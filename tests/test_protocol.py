@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import time
 from dataclasses import replace
 
@@ -417,6 +418,39 @@ class TestRunLodo:
             assert run.final_task.values.tobytes() == server.global_task.values.tobytes()
             assert not run.final_task.values.flags.writeable
             assert trace and run.trace == trace
+
+    def test_leg_inputs_are_not_pickled(self):
+        # Forked workers inherit the benchmark; only leg indices and results
+        # cross the pipes.
+        class Unpicklable(data.DomainDataset):
+            def __reduce__(self):
+                raise TypeError("a leg input was pickled")
+
+        bench = [Unpicklable(d.domain, d.train_x, d.train_y, d.val_x, d.val_y) for d in BENCH]
+        config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=2)
+        with pytest.raises(TypeError, match="a leg input was pickled"):
+            pickle.dumps(bench[0])
+        report = protocol.run_lodo(bench, config, TASK_ARCH, GEN_ARCH)
+        expected = protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
+        assert report.averages == expected.averages
+        for a, b in zip(report.domains, expected.domains):
+            assert a.final_task.values.tobytes() == b.final_task.values.tobytes()
+
+    def test_leg_result_survives_pickling(self):
+        # Warmup rounds leave the NDAG losses of every trace entry None.
+        config = fed(mode="feddag", rounds=2, warmup=1, n_clients=2, seed=6)
+        server, rounds, trace = protocol.run_federation(
+            BENCH[:2], config, TASK_ARCH, GEN_ARCH, BENCH[2], collect_trace=True
+        )
+        run = protocol.DomainRun(2, rounds, server.global_task, trace)
+        assert any(entry[2].l_dis is None for entry in trace)
+        assert any(entry[2].l_dis is not None for entry in trace)
+        back = pickle.loads(pickle.dumps(run))
+        assert back.target_domain == 2
+        assert back.rounds == run.rounds
+        assert back.trace == run.trace
+        assert [type(entry[2]) for entry in back.trace] == [ndag.BatchTrace] * len(trace)
+        assert back.final_task.values.tobytes() == run.final_task.values.tobytes()
 
     def test_first_failing_leg_in_index_order_raises(self, monkeypatch):
         bench = data.make_benchmark(
