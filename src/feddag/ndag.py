@@ -17,14 +17,9 @@ client's result does not depend on which clients share its stack.
 
 Students and generators start each round from the global models, and their
 momentum buffers start at zero.  The teacher rows are the only per-client
-state that a caller carries from one round to the next.  Every array a step
-works in comes from a params.Workspace that the caller keeps for all rounds
-of a federation: the gradient, momentum and scratch row blocks
-(params.SgdRows), the gathered batch, and each pass's activations,
-gradients, relu masks and loss temporaries.  The teacher, generator and
-student passes of a step keep their arrays under roles of their own, since
-they are alive at the same time.  After a federation's first round a step
-allocates nothing larger than one value per batch row, (C, B).
+state that a caller carries from one round to the next.  A round allocates
+each stack's gradient and momentum blocks once (params.SgdRows), and the
+student and generator gradients are written straight into them.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets
-from .params import DimensionMismatch, SgdRows, Workspace, out_array, sgd_step
+from .params import DimensionMismatch, SgdRows, sgd_step
 
 
 # Feature rows with a smaller norm have no direction to compare.
@@ -126,20 +121,15 @@ def generate(
     gen_arch: nets.GenArch,
     x_batch: np.ndarray,
     alpha: float,
-    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Perturbed batch clip(x + alpha * G(x), 0, 1); alpha=0 returns x clipped.
 
     The bounds are the data's range: both loaders normalize features to [0, 1].
 
     gen_params is a ParamVector, or stacked rows (C, G) with x (C, B, d).
-    With a workspace the batch is computed in place in the generator's
-    output array.
     """
-    delta = nets.gen_apply(gen_params, gen_arch, x_batch, ws)
-    out = None if ws is None else delta
-    x = np.asarray(x_batch, dtype=np.float64)
-    return np.clip(np.add(x, np.multiply(alpha, delta, out=out), out=out), 0.0, 1.0, out=out)
+    delta = nets.gen_apply(gen_params, gen_arch, x_batch)
+    return np.clip(np.asarray(x_batch, dtype=np.float64) + alpha * delta, 0.0, 1.0)
 
 
 @dataclass
@@ -148,15 +138,12 @@ class ClientStack:
 
     generator and teacher are None when the round runs without NDAG.
     errors maps a row to the first check it failed in the current step.
-    workspace holds the arrays the steps work in; a stack taken from this
-    one shares it.
     """
 
     student: SgdRows
     generator: SgdRows | None = None
     teacher: np.ndarray | None = None
     errors: dict[int, DivergenceError] = field(default_factory=dict)
-    workspace: Workspace = field(default_factory=Workspace)
 
     def take(self, positions: list[int]) -> ClientStack:
         """The given rows (ascending) as a stack of their own.
@@ -169,7 +156,6 @@ class ClientStack:
             self.student.take(rows),
             None if self.generator is None else self.generator.take(rows),
             None if self.teacher is None else self.teacher[rows],
-            workspace=self.workspace,
         )
 
     def put(self, positions: list[int], part: ClientStack) -> None:
@@ -231,20 +217,16 @@ def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (values[:, None, :] @ weights[:, None])[:, 0, 0]
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, ws: Workspace | None = None):
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean softmax cross-entropy (max-shifted) per client and its logit gradient.
 
     logits is (C, B, K) and labels (C, B), or (1, B) shared by all; the loss is (C,).
-    With a workspace the gradient and the temporaries are its "ce_*" arrays.
     """
     c, n, _ = logits.shape
-    shift = np.maximum.reduce(
-        logits, axis=2, keepdims=True, out=out_array(ws, "ce_shift", (c, n, 1))
-    )
-    logp = np.subtract(logits, shift, out=out_array(ws, "ce_logp", logits.shape))
-    dz = np.exp(logp, out=out_array(ws, "ce_dz", logits.shape))
-    sez = np.add.reduce(dz, axis=2, keepdims=True, out=out_array(ws, "ce_sez", (c, n, 1)))
-    logp -= np.log(sez, out=None if ws is None else shift)
+    logp = logits - logits.max(axis=2, keepdims=True)
+    dz = np.exp(logp)
+    sez = dz.sum(axis=2, keepdims=True)
+    logp -= np.log(sez)
     picked = (np.arange(c)[:, None], np.arange(n), labels)
     loss = -logp[picked].mean(axis=1)
     dz /= sez
@@ -253,37 +235,30 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, ws: Workspace | None =
     return loss, dz
 
 
-def _feature_distance(t_feats: np.ndarray, feats: np.ndarray, ws: Workspace):
+def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
     """Row-wise || t/||t|| - f/||f|| ||^2 between (C, B, D) feature stacks.
 
     Rows where either side has norm < DEGENERATE_NORM are invalid: their
     distance is 0 and no gradient flows through them.  Returns (distances,
     valid, finite, grad), the first three (C, B): finite marks the rows where
     both norms are finite, and grad(g) is the gradient of sum(g * distances)
-    w.r.t. feats, ws's array "fd_grad".
+    w.r.t. feats.
     """
-    # np.linalg.norm(axis=2) as numpy computes it, the squares in ws.
-    square = ws.array("fd_square", feats.shape)
-    nt = np.sqrt(np.add.reduce(np.multiply(t_feats, t_feats, out=square), axis=2))
-    nf = np.sqrt(np.add.reduce(np.multiply(feats, feats, out=square), axis=2))
+    nt = np.linalg.norm(t_feats, axis=2)
+    nf = np.linalg.norm(feats, axis=2)
     valid = (nt >= DEGENERATE_NORM) & (nf >= DEGENERATE_NORM)
     finite = np.isfinite(nt + nf)
     safe_nf = np.where(valid, nf, 1.0)
-    shape = feats.shape
-    u = np.divide(t_feats, np.where(valid, nt, 1.0)[:, :, None], out=ws.array("fd_u", shape))
-    v = np.divide(feats, safe_nf[:, :, None], out=ws.array("fd_v", shape))
-    diff = np.subtract(u, v, out=ws.array("fd_tmp", shape))
-    dist = np.where(valid, np.multiply(diff, diff, out=diff).sum(axis=2), 0.0)
-    uv = np.multiply(u, v, out=diff).sum(axis=2)
+    u = t_feats / np.where(valid, nt, 1.0)[:, :, None]
+    v = feats / safe_nf[:, :, None]
+    diff = u - v
+    dist = np.where(valid, (diff * diff).sum(axis=2), 0.0)
+    uv = (u * v).sum(axis=2)
 
     def grad(g):
         # d = 2 - 2 u.v on unit vectors, so dd/df = -2 (u - (u.v) v) / ||f||
         gv = np.where(valid, g, 0.0)[:, :, None]
-        out = np.multiply(uv[:, :, None], v, out=ws.array("fd_grad", shape))
-        np.subtract(u, out, out=out)
-        np.multiply(gv * (-2.0), out, out=out)
-        out /= safe_nf[:, :, None]
-        return out
+        return gv * (-2.0) * (u - uv[:, :, None] * v) / safe_nf[:, :, None]
 
     return dist, valid, finite, grad
 
@@ -307,29 +282,23 @@ def generator_grad(
     Clients whose features collapse or are non-finite are recorded in stack.errors.
     """
     n = x.shape[1]
-    gen_ws, stu_ws = stack.workspace.part("gen"), stack.workspace.part("student")
     gen_layers = nets.split_layers(stack.generator.params, gen_arch.layer_dims())
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    gen_acts, gen_out = nets.mlp_forward(gen_layers, x, gen_ws)
-    delta = np.tanh(gen_out, out=gen_out)
-    pre = np.multiply(delta, hyper.alpha, out=gen_ws.array("pre", x.shape))
-    np.add(x, pre, out=pre)
-    inside = np.greater_equal(pre, 0.0, out=gen_ws.array("inside", x.shape, bool))
-    inside &= np.less_equal(pre, 1.0, out=gen_ws.array("below_one", x.shape, bool))
-    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, 0.0, 1.0, out=pre), stu_ws)
-    ce, g_logits = cross_entropy(logits, y, stu_ws)
-    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1], stu_ws)
+    gen_acts, gen_out = nets.mlp_forward(gen_layers, x)
+    delta = np.tanh(gen_out)
+    pre = x + delta * hyper.alpha
+    inside = (pre >= 0.0) & (pre <= 1.0)
+    acts, logits = nets.mlp_forward(stu_layers, np.clip(pre, 0.0, 1.0))
+    ce, g_logits = cross_entropy(logits, y)
+    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
     dis = _row_dot(np.minimum(dist, hyper.m), weights)
     # The capped branch (dist >= m) carries exactly zero gradient.
     g_feats = dist_grad(-weights * (dist < hyper.m))
-    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats, ws=stu_ws)
-    # x_hat_grad * inside * alpha * (1 - delta^2), with delta's array reused last.
-    g_out = np.multiply(x_hat_grad, inside, out=gen_ws.array("g_out", x.shape))
-    g_out *= hyper.alpha
-    g_out *= np.subtract(1.0, np.multiply(delta, delta, out=delta), out=delta)
-    grad = nets.mlp_backward(gen_layers, gen_acts, g_out, out=stack.generator.grad, ws=gen_ws)
+    x_hat_grad = nets.mlp_backward(stu_layers, acts, g_logits, g_feats)
+    g_out = x_hat_grad * inside * hyper.alpha * (1.0 - delta * delta)
+    grad = nets.mlp_backward(gen_layers, gen_acts, g_out, out=stack.generator.grad)
     return ce, dis, bad, grad, x_hat_grad
 
 
@@ -372,17 +341,14 @@ def student_grad(
     grad) with grad the flat student gradient (C, P) in pack order.
     """
     n = x.shape[1]
-    stu_ws = stack.workspace.part("student")
-    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha, stack.workspace.part("gen"))
+    x_hat = generate(stack.generator.params, gen_arch, x, hyper.alpha)
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    acts, logits = nets.mlp_forward(stu_layers, x_hat, stu_ws)
-    ce, g_logits = cross_entropy(logits, y, stu_ws)
-    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1], stu_ws)
+    acts, logits = nets.mlp_forward(stu_layers, x_hat)
+    ce, g_logits = cross_entropy(logits, y)
+    dist, valid, finite, dist_grad = _feature_distance(teacher_feats, acts[-1])
     bad = _collapse_guard(stack, valid, finite)
     weights = np.full(n, 1.0 / n)
-    grad = nets.mlp_backward(
-        stu_layers, acts, g_logits, dist_grad(weights), out=stack.student.grad, ws=stu_ws
-    )
+    grad = nets.mlp_backward(stu_layers, acts, g_logits, dist_grad(weights), out=stack.student.grad)
     return ce, _row_dot(dist, weights), bad, grad
 
 
@@ -411,11 +377,10 @@ def student_step(
 
 def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: np.ndarray):
     """Mean L_cls of each student on its raw batch; returns (l_cls, grad)."""
-    ws = stack.workspace.part("student")
     stu_layers = nets.split_layers(stack.student.params, task_arch.layer_dims())
-    acts, logits = nets.mlp_forward(stu_layers, x, ws)
-    ce, g_logits = cross_entropy(logits, y, ws)
-    grad = nets.mlp_backward(stu_layers, acts, g_logits, out=stack.student.grad, ws=ws)
+    acts, logits = nets.mlp_forward(stu_layers, x)
+    ce, g_logits = cross_entropy(logits, y)
+    grad = nets.mlp_backward(stu_layers, acts, g_logits, out=stack.student.grad)
     return ce, grad
 
 
@@ -437,20 +402,17 @@ def plain_step(
     return grad, ce
 
 
-def ema_update(
-    teacher: np.ndarray, student: np.ndarray, decay: float, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.ndarray:
     """Teachers trail their students, in place: T' = decay * T + (1 - decay) * omega.
 
-    teacher and student are stacked rows (C, P); (1 - decay) * omega is
-    computed in scratch, a block of the same shape, or in a new array.  The
-    direct convex form keeps the endpoints exact: decay 1 leaves a teacher
-    unchanged, decay 0 copies the student.  Returns the rows that stayed finite.
+    teacher and student are stacked rows (C, P).  The direct convex form
+    keeps the endpoints exact: decay 1 leaves a teacher unchanged, decay 0
+    copies the student.  Returns the rows that stayed finite.
     """
     if teacher.shape != student.shape:
         raise DimensionMismatch(f"teacher shape {teacher.shape} != student {student.shape}")
     teacher *= decay
-    teacher += np.multiply(1.0 - decay, student, out=scratch)
+    teacher += (1.0 - decay) * student
     return np.isfinite(teacher).all(axis=1)
 
 
@@ -464,11 +426,10 @@ def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
     if part.generator is None:
         _, l_cls = plain_step(part, task_arch, x, y, hyper)
         return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], 0
-    t_feats, _ = nets.task_apply(part.teacher, task_arch, x, part.workspace.part("teacher"))
+    t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     _, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
-    student = part.student
-    part.check(ema_update(part.teacher, student.params, hyper.ema_decay, student.scratch),
+    part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
                "teacher is non-finite")
     losses = zip(l_cls_g.tolist(), l_dis.tolist(), l_cls_s.tolist(), l_sim.tolist())
     return [BatchTrace(k, *row) for row in losses], int(bad_g.sum() + bad_s.sum())
@@ -485,7 +446,6 @@ def client_round(
     hyper: NdagHyper,
     rngs: list[np.random.Generator],
     local_epochs: int = 1,
-    workspace: Workspace | None = None,
 ) -> RoundResult:
     """One local round over shuffled mini-batches for each client, in lockstep.
 
@@ -496,10 +456,6 @@ def client_round(
     consecutive).
     NDAG runs when the generator and teacher rows are given, and plain
     classification when both are None.  Momentum buffers start at zero.
-    The steps work in the arrays of workspace, which a caller keeps across
-    rounds so that no round allocates them again; the result's student,
-    generator and last_grads are then the workspace's blocks, valid until
-    its next round.  Without one, the round uses a workspace of its own.
 
     Client c trains on (xs[c], ys[c]) and shuffles with rngs[c], drawing
     one permutation per local epoch, so it sees exactly the batches it
@@ -534,10 +490,9 @@ def client_round(
         if labels.shape != (n,):
             raise ValueError(f"target shape {labels.shape} does not match {n} inputs")
 
-    ws = Workspace() if workspace is None else workspace
-    stack = ClientStack(SgdRows.from_workspace(student, ws.part("student")), workspace=ws)
+    stack = ClientStack(SgdRows(student))
     if teacher is not None:
-        stack.generator = SgdRows.from_workspace(generator, ws.part("gen"))
+        stack.generator = SgdRows(generator)
         stack.teacher = teacher
     batch = hyper.batch_size
     n_batches = [-(-n // batch) for n in sizes]
@@ -556,12 +511,8 @@ def client_round(
             groups.setdefault(len(batch_idx[c]), []).append(c)
         for size, clients in groups.items():
             part = stack.take(clients)
-            xb = ws.array("xb", (len(clients), size, xs[clients[0]].shape[1]))
-            for row, c in zip(xb, clients):
-                # The indices are in range; mode "raise" would gather into a copy first.
-                np.take(xs[c], batch_idx[c], axis=0, out=row, mode="clip")
-            yb = np.concatenate([ys[c][batch_idx[c]] for c in clients])
-            yb = yb.reshape(len(clients), size)
+            xb = np.stack([xs[c][batch_idx[c]] for c in clients])
+            yb = np.stack([ys[c][batch_idx[c]] for c in clients])
             batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
             stack.put(clients, part)
             degenerate += bad

@@ -13,10 +13,7 @@ each layer's activations and nothing else; mlp_backward, the closed-form
 batched backward pass of the training objectives, reads the relu masks off
 those activations.  Every pass also takes a leading client axis: parameter
 rows (C, P) with activations (C, B, d), each client's slice computed
-exactly as it would be alone.  Given a params.Workspace, the passes write
-their activations, gradients and masks into its arrays with out=, the same
-ops on the same operands, so training steps allocate none; evaluation
-passes no workspace and allocates.
+exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DimensionMismatch, ParamVector, Workspace, out_array
+from .params import DimensionMismatch, ParamVector
 
 
 @dataclass(frozen=True)
@@ -120,56 +117,43 @@ def _checked_layers(params, arch, x_batch):
     return split_layers(values, arch.layer_dims()), x
 
 
-def task_apply(params, arch: TaskArch, x_batch: np.ndarray, ws: Workspace | None = None):
+def task_apply(params, arch: TaskArch, x_batch: np.ndarray):
     """Batched forward pass: returns (features (B, F), logits (B, K)).
 
     Stacked parameter rows (C, P) with inputs (C, B, d) give (C, B, F) and
-    (C, B, K).  ws as in mlp_forward.
+    (C, B, K).
     """
-    acts, logits = mlp_forward(*_checked_layers(params, arch, x_batch), ws)
+    acts, logits = mlp_forward(*_checked_layers(params, arch, x_batch))
     return acts[-1], logits
 
 
-def gen_apply(params, arch: GenArch, x_batch: np.ndarray, ws: Workspace | None = None):
-    """Batched generator output in (-1, 1)^input_dim, stacked like task_apply.
-
-    With a workspace the output is its "out" array, where tanh runs in place.
-    """
-    out = mlp_forward(*_checked_layers(params, arch, x_batch), ws)[1]
-    return np.tanh(out, out=None if ws is None else out)
+def gen_apply(params, arch: GenArch, x_batch: np.ndarray) -> np.ndarray:
+    """Batched generator output in (-1, 1)^input_dim, stacked like task_apply."""
+    return np.tanh(mlp_forward(*_checked_layers(params, arch, x_batch))[1])
 
 
-def _product(x: np.ndarray, w: np.ndarray, ws: Workspace | None, role: str) -> np.ndarray:
-    """x @ w, written into ws's array for role when a workspace is given."""
-    return np.matmul(x, w, out=None if ws is None else ws.array(role, x.shape[:-1] + w.shape[-1:]))
-
-
-def mlp_forward(
-    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, ws: Workspace | None = None
-):
+def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     """Batched pass through relu hidden layers and a linear last layer.
 
     Takes split_layers output and inputs (B, d), or stacked (C, B, d).
     Returns (acts, out) for mlp_backward: acts[i] is the input of layer i
     (so acts[-1] is the task net's feature matrix) and out the last layer's
-    pre-activation.  Without a workspace every layer's output is a new
-    array, and stacked weights may broadcast over one shared input (1, B, d);
-    with one, the outputs are ws's arrays "act<i>" and "out", and x has the
-    weights' leading axes.
+    pre-activation.  Stacked weights may broadcast over one shared input
+    (1, B, d).
     """
     acts = [x]
-    for i, (w, b) in enumerate(layers[:-1], 1):
-        x = _product(x, w, ws, f"act{i}")
+    for w, b in layers[:-1]:
+        x = x @ w
         x += b
         np.maximum(x, 0.0, out=x)
         acts.append(x)
     wo, bo = layers[-1]
-    out = _product(x, wo, ws, "out")
+    out = x @ wo
     out += bo
     return acts, out
 
 
-def mlp_backward(layers, acts, g_out, g_hidden=None, out=None, ws: Workspace | None = None):
+def mlp_backward(layers, acts, g_out, g_hidden=None, out=None):
     """Backprop a scalar objective through an mlp_forward pass.
 
     g_out is the objective's gradient w.r.t. out; g_hidden, if given, is an
@@ -179,9 +163,7 @@ def mlp_backward(layers, acts, g_out, g_hidden=None, out=None, ws: Workspace | N
     split_layers views, and is returned; with out None the net is frozen
     and the gradient w.r.t. its input is returned instead.  A relu passes
     gradient where its output is > 0, the same test as its pre-activation
-    > 0, so the relu masks are read off acts.  With a workspace the
-    gradients w.r.t. the activations and the masks are its arrays "g<i>"
-    and "mask<i>".
+    > 0, so the relu masks are read off acts.
     """
     grads = None if out is None else split_layers(out, [w.shape[-2:] for w, _ in layers])
     g = g_out
@@ -192,9 +174,9 @@ def mlp_backward(layers, acts, g_out, g_hidden=None, out=None, ws: Workspace | N
             np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
             if i == 0:
                 return out
-        g = _product(g, layers[i][0].swapaxes(-1, -2), ws, f"g{i}")
+        g = g @ layers[i][0].swapaxes(-1, -2)
         if g_hidden is not None and i == len(layers) - 1:
             g += g_hidden
         if i > 0:
-            g *= np.greater(acts[i], 0.0, out=out_array(ws, f"mask{i}", acts[i].shape, bool))
+            g *= acts[i] > 0.0
     return g

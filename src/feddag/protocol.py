@@ -16,7 +16,9 @@ forked worker processes, one per CPU this process may use, with no setting
 to change that.  The workers inherit run_lodo's inputs with their memory,
 are sent only leg indices, and pickle each leg's result back to the caller.
 Warnings raised while training, numpy's among them, therefore come from the
-workers.
+workers.  A worker's allocator keeps the memory its arrays free (see
+_start_leg_worker), so the arrays of one step reuse the pages of the last
+one across steps, rounds and legs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import metrics, ndag, nets, sha
 from .data import DomainDataset
-from .params import ParamVector, Workspace, param_mean
+from .params import ParamVector, param_mean
 
 MODES = ("feddag", "no_ndag", "no_sha", "fedavg")
 
@@ -41,6 +43,14 @@ _EVAL_PICK_TAG = 24
 
 # prctl option: the signal the kernel sends a process when its parent ends.
 _PR_SET_PDEATHSIG = 1
+# glibc mallopt options and the values a leg worker sets.  By default glibc
+# maps every block of 128 KiB or more on its own and unmaps it on free, and
+# returns a free heap top over 128 KiB to the kernel, so each step would
+# fault its (C, P) blocks and (C, B, width) activations in anew.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -159,7 +169,6 @@ def run_round(
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
     trace: list[TraceEntry] | None = None,
-    workspace: Workspace | None = None,
 ) -> RoundMetrics:
     """One communication round over the clients' source domains; mutates server.
 
@@ -170,31 +179,20 @@ def run_round(
     diverges, the ndag.DivergenceError names the lowest-index client among
     those that fail at the earliest failing local step; if scoring does,
     sha.ScoringDivergence names the lowest-index client it failed on.
-
-    The local round trains in workspace's arrays (ndag.client_round); the
-    federation passes the same workspace to every round, so a round
-    allocates none of its (C, P) blocks again.
     """
     round_idx = server.round
     warmup = round_idx < config.warmup_rounds
     ndag_on = config.ndag_active and not warmup
     n = len(sources)
-    ws = Workspace() if workspace is None else workspace
-
-    def sent(name: str, model: ParamVector) -> np.ndarray:
-        """One row of model per client, in ws's rows block of name."""
-        rows = ws.part(name).array("rows", (n, model.dim))
-        rows[...] = model.values
-        return rows
 
     generators = None
     if ndag_on:
-        generators = sent("gen", server.global_gen)
+        generators = np.tile(server.global_gen.values, (n, 1))
         if server.teachers is None:
             server.teachers = np.tile(server.global_task.values, (n, 1))
     rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c]) for c in range(n)]
     result = ndag.client_round(
-        sent("student", server.global_task),
+        np.tile(server.global_task.values, (n, 1)),
         generators,
         server.teachers,
         task_arch,
@@ -204,7 +202,6 @@ def run_round(
         config.ndag,
         rngs,
         config.local_epochs,
-        ws,
     )
     if trace is not None:
         for domain, rows in zip(sources, result.traces):
@@ -290,22 +287,16 @@ def run_federation(
     target: DomainDataset | None = None,
     collect_trace: bool = False,
 ) -> tuple[ServerState, list[RoundMetrics], list[TraceEntry]]:
-    """Train a federation over the source domains for config.rounds.
-
-    Its rounds share one params.Workspace, which holds the arrays the local
-    steps train in, about clients x batch x layer widths of memory.
-    """
+    """Train a federation over the source domains for config.rounds."""
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
     server = init(config, task_arch, gen_arch)
-    workspace = Workspace()
     trace: list[TraceEntry] = []
     round_log: list[RoundMetrics] = []
     target_xy = _domain_eval_arrays(target) if target is not None else None
     for r in range(config.rounds):
         rm = run_round(
-            server, sources, config, task_arch, gen_arch, trace if collect_trace else None,
-            workspace,
+            server, sources, config, task_arch, gen_arch, trace if collect_trace else None
         )
         probe = target_xy is not None and (config.probe_every_round or r == config.rounds - 1)
         if probe:
@@ -322,7 +313,11 @@ def _start_leg_worker(parent: int, inputs: tuple) -> None:
     """Pool initializer of a leg worker: keep run_lodo's inputs, die with the parent.
 
     A fork start passes the inputs on in the worker's copy of memory, so
-    they are never pickled.  The worker then asks the kernel to SIGKILL it
+    they are never pickled.  The worker raises glibc's mmap threshold to
+    32 MiB and its trim threshold to 64 MiB (mallopt), so the arrays a step
+    frees stay in its heap and the next step's arrays reuse their pages
+    instead of faulting in fresh ones; where libc has no mallopt it keeps
+    the allocator's defaults.  The worker then asks the kernel to SIGKILL it
     when its parent ends (prctl PR_SET_PDEATHSIG), so a parent killed by a
     signal no handler can catch leaves no worker training on, and exits at
     once if the parent already ended before that request.  Where libc has
@@ -334,10 +329,16 @@ def _start_leg_worker(parent: int, inputs: tuple) -> None:
     import ctypes
 
     try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
+        libc = ctypes.CDLL(None)
+    except OSError:
         return
-    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    if not hasattr(libc, "prctl"):
+        return
+    libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)
 

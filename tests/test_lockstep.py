@@ -2,9 +2,8 @@
 
 ndag.client_round trains all clients of a round together: at each local
 step the clients that have a batch of the same size train as one stack,
-however many rows it holds, in arrays the round's workspace keeps.  These
-tests run the same clients as one stacked round and as stacks of one, and
-demand identical bits.
+however many rows it holds.  These tests run the same clients as one
+stacked round and as stacks of one, and demand identical bits.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
+import os
 import pickle
+import resource
 import time
 from dataclasses import replace
 
@@ -35,6 +38,24 @@ def fed(mode="feddag", rounds=3, warmup=1, n_clients=2, seed=0, ndag_kw=None, sh
         seed=seed,
         **kw,
     )
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+def _allocation_faults(_) -> list[int]:
+    """Minor page faults of four rounds that allocate, fill and free 8 x 1 MiB arrays."""
+    faults = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(1 << 17) for _ in range(8)]
+        del arrays
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults
 
 
 class TestFederationConfig:
@@ -451,6 +472,15 @@ class TestRunLodo:
         assert back.trace == run.trace
         assert [type(entry[2]) for entry in back.trace] == [ndag.BatchTrace] * len(trace)
         assert back.final_task.values.tobytes() == run.final_task.values.tobytes()
+
+    @pytest.mark.skipif(not _libc_has_mallopt(), reason="leg workers tune the heap with mallopt")
+    def test_leg_worker_reuses_freed_arrays(self):
+        # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
+        # would fault in about that many in every round.
+        context = multiprocessing.get_context("fork")
+        with context.Pool(1, protocol._start_leg_worker, (os.getpid(), None)) as pool:
+            faults = pool.map(_allocation_faults, [0])[0]
+        assert all(f < 256 for f in faults[1:]), faults
 
     def test_first_failing_leg_in_index_order_raises(self, monkeypatch):
         bench = data.make_benchmark(

@@ -1,24 +1,19 @@
-"""The per-federation workspace: lockstep steps write into arrays they are given.
+"""In-place lockstep passes: the same bits as their allocating forms.
 
 nets.mlp_backward writes each layer's gradient into a (C, P) block through
-split_layers views, sgd_step and ema_update keep their temporaries in a
-scratch block, and the forward and backward passes, the cross-entropy and
-the batch gather write into a params.Workspace that the rounds of a
-federation share, together with the (C, P) row blocks.  The bits must equal
-the earlier forms, which built the gradient with np.concatenate and
-allocated every temporary; a warmed step must allocate neither a row block
-nor one activation, and a federation's second round no row block.
+split_layers views, mlp_forward and mlp_backward add biases and apply the
+relu and its mask in place, and sgd_step and ema_update update their rows
+in place.  The bits must equal the earlier forms, which built the gradient
+with np.concatenate and allocated every intermediate.
 """
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from feddag import data, ndag, nets, protocol
-from feddag.params import SgdRows, Workspace, sgd_step
+from feddag import ndag, nets
+from feddag.params import SgdRows, sgd_step
 
 DEFAULT = (nets.TaskArch(16, (32, 32), 16, 3), nets.GenArch(16, (32,)))
 WIDE = (nets.TaskArch(16, (64, 64), 32, 3), nets.GenArch(16, (32,)))
@@ -124,7 +119,7 @@ def test_sgd_and_ema_match_their_allocating_forms():
     teacher = rng.normal(size=params.shape)
     expected = teacher * 0.999
     expected += (1.0 - 0.999) * rows.params
-    ndag.ema_update(teacher, rows.params, 0.999, rows.scratch)
+    ndag.ema_update(teacher, rows.params, 0.999)
     assert teacher.tobytes() == expected.tobytes()
 
 
@@ -135,7 +130,6 @@ def test_taken_rows_write_their_gradients_into_the_round_block():
     sgd_step(rows.take(slice(1, 3)), grads[1:3], 0.1, 0.0, 0.0)
     assert rows.grad[1:3].tolist() == grads[1:3].tolist()
     part = rows.take(np.array([0, 3]))
-    assert np.shares_memory(part.scratch, rows.scratch)
     sgd_step(part, grads[[0, 3]], 0.1, 0.0, 0.0)
     rows.put(np.array([0, 3]), part)
     assert rows.grad.tolist() == grads.tolist()
@@ -154,128 +148,3 @@ def test_nan_input_reaches_the_row_checks():
     assert "plain step: non-finite parameters or gradient" in str(stack.errors[2])
     finite = np.isfinite(stack.student.grad).all(axis=1)
     assert finite.tolist() == [True, True, False, True]
-
-
-def peak_bytes(fn, *args):
-    """Peak bytes that fn(*args) allocates, as tracemalloc (which sees numpy buffers) counts."""
-    fn(*args)  # once untraced, so one-off caches do not count
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def wide_stack(ndag_enabled, rng):
-    task_arch, gen_arch = WIDE
-    stack = ndag.ClientStack(SgdRows(stacked_params(task_arch, 4, rng)))
-    if ndag_enabled:
-        stack.generator = SgdRows(stacked_params(gen_arch, 4, rng))
-        stack.teacher = stacked_params(task_arch, 4, rng)
-    return stack
-
-
-class TestNoRowBlockTemporaries:
-    """On a (4, 7427) stack, no step allocates as much as one row block."""
-
-    def test_the_stack_is_over_the_mmap_threshold(self):
-        block = wide_stack(False, np.random.default_rng(0)).student.params
-        assert block.shape == (4, 7427)
-        assert block.nbytes > 128 * 1024
-
-    def test_sgd_step(self):
-        rng = np.random.default_rng(1)
-        rows = wide_stack(False, rng).student
-        grads = rng.normal(size=rows.params.shape)
-        assert peak_bytes(sgd_step, rows, grads, 0.01, 0.9, 5e-4) < rows.params.nbytes
-
-    def test_ema_update(self):
-        stack = wide_stack(True, np.random.default_rng(2))
-        student = stack.student
-        args = (stack.teacher, student.params, 0.999, student.scratch)
-        assert peak_bytes(ndag.ema_update, *args) < student.params.nbytes
-
-    @pytest.mark.parametrize("ndag_enabled", [False, True], ids=["plain", "ndag"])
-    def test_local_step(self, ndag_enabled):
-        # Activations grow with the batch: at 8 rows a whole NDAG step peaks
-        # near 140 KB, so one stray (C, P) temporary would cross the bound.
-        task_arch, gen_arch = WIDE
-        rng = np.random.default_rng(3)
-        stack = wide_stack(ndag_enabled, rng)
-        x = batch(task_arch, 4, 8, rng)
-        y = rng.integers(0, task_arch.num_classes, size=x.shape[:2])
-        peak = peak_bytes(ndag._local_step, stack, 0, task_arch, gen_arch, x, y, HYPER)
-        assert not stack.errors
-        assert peak < stack.student.params.nbytes
-
-
-class TestWorkspace:
-    def test_roles_reuse_their_memory_and_never_share_it(self):
-        ws = Workspace()
-        a = ws.array("a", (4, 3))
-        assert ws.array("a", (4, 3)) is a
-        smaller = ws.array("a", (2, 5))
-        assert smaller.shape == (2, 5) and np.shares_memory(smaller, a)
-        assert not np.shares_memory(ws.array("b", (4, 3)), a)
-        part = ws.part("p")
-        assert not np.shares_memory(part.array("a", (4, 3)), a)
-        assert part.array("a", (4, 3)) is ws.part("p").array("a", (4, 3))
-        mask = ws.array("mask", (4, 3), bool)
-        assert mask.dtype == bool
-        grown = ws.array("a", (5, 3))
-        assert grown.shape == (5, 3) and not np.shares_memory(grown, a)
-
-
-class TestWarmedDefaultArchStep:
-    """A (16, 179) stack of the default arch, the sha_many shape.
-
-    One (16, 179, 32) activation is 716.8 KB.  A warmed step, which finds its
-    arrays in the stack's workspace, allocates less than that: before the
-    workspace a plain step peaked at 3,441 KB and an NDAG step at 7,459 KB
-    (numpy 2.4.6); with it they peak near 75 KB and 216 KB, all of it arrays
-    of one value per batch row, (C, B) or smaller.
-    """
-
-    ACTIVATION = 16 * 179 * 32 * 8
-
-    @pytest.mark.parametrize("ndag_enabled", [False, True], ids=["plain", "ndag"])
-    def test_local_step(self, ndag_enabled):
-        task_arch, gen_arch = DEFAULT
-        rng = np.random.default_rng(4)
-        stack = ndag.ClientStack(SgdRows(stacked_params(task_arch, 16, rng)))
-        if ndag_enabled:
-            stack.generator = SgdRows(stacked_params(gen_arch, 16, rng))
-            stack.teacher = stacked_params(task_arch, 16, rng)
-        x = batch(task_arch, 16, 179, rng)
-        y = rng.integers(0, task_arch.num_classes, size=x.shape[:2])
-        peak = peak_bytes(ndag._local_step, stack, 0, task_arch, gen_arch, x, y, HYPER)
-        assert not stack.errors
-        assert peak < self.ACTIVATION
-
-
-def test_second_round_allocates_no_row_block():
-    # The fedavg_wide shape: the wide arch, plain steps, four clients.  Small
-    # domains keep the round's own arrays (batches, the source validation
-    # pass, the (P,) global model) below one (C, P) block, so the bound
-    # catches a row block that a round allocates anew.
-    task_arch, gen_arch = WIDE
-    bench = data.make_benchmark(
-        data.BenchSpec(n_domains=5, n_classes=3, input_dim=16, samples_per_domain=60, seed=0)
-    )
-    config = protocol.FederationConfig(
-        n_clients=4, rounds=3, warmup_rounds=1, mode="fedavg", ndag=HYPER
-    )
-    server = protocol.init(config, task_arch, gen_arch)
-    workspace = Workspace()
-    peaks = []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            protocol.run_round(server, bench[1:], config, task_arch, gen_arch, None, workspace)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    block = 4 * task_arch.param_count() * 8
-    assert peaks[0] > 4 * block  # the first round allocates rows, momentum, gradient, scratch
-    assert peaks[1] < block
