@@ -1,7 +1,12 @@
 """Experiment entry point: run, ablate, sweep, export-bench.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence,
-4 I/O error, 143 stopped by SIGTERM.
+4 I/O error, 5 a leg worker died, 143 stopped by SIGTERM.
+
+A command that trains builds every job it runs before any trains, which
+range-checks every key they read, and then runs them all in one
+protocol.run_lodo_jobs call (run through run_lodo, its one-job form), so
+one pool of leg workers serves the whole command.
 """
 
 from __future__ import annotations
@@ -89,19 +94,21 @@ def _bench_dims(bench) -> tuple[int, int]:
     return input_dim, max(n_classes, 2)
 
 
-def _lodo_inputs(cfg: dict) -> tuple[list, protocol.FederationConfig, TaskArch, GenArch]:
-    """run_lodo's bench, federation and arches; building them range-checks every key they read."""
+def _lodo_inputs(cfg: dict, collect_trace: bool = False) -> protocol.Job:
+    """The job of cfg's bench, federation and arches; building it range-checks every key read."""
     bench = cfgmod.benchmark(cfg)
     input_dim, n_classes = _bench_dims(bench)
     task_arch, gen_arch = cfgmod.arches(cfg, input_dim, n_classes)
-    return bench, cfgmod.fed_config(cfg, n_clients=len(bench) - 1), task_arch, gen_arch
+    fed = cfgmod.fed_config(cfg, n_clients=len(bench) - 1)
+    return protocol.Job(bench, fed, task_arch, gen_arch, collect_trace)
 
 
 def cmd_run(cfg: dict) -> int:
     out = cfg["out"]
-    bench, fed, task_arch, gen_arch = _lodo_inputs(cfg)
+    job = _lodo_inputs(cfg, collect_trace=True)
     os.makedirs(out, exist_ok=True)
-    report = protocol.run_lodo(bench, fed, task_arch, gen_arch, collect_trace=True)
+    # run_lodo is the one-job call, under the name and arguments perfbench/child.py times.
+    report = protocol.run_lodo(*job)
     reporting.write_report_json(os.path.join(out, "report.json"), cfg, report)
     reporting.write_metrics_csv(os.path.join(out, "metrics.csv"), report)
     reporting.write_sha_log_csv(os.path.join(out, "sha_log.csv"), report)
@@ -117,7 +124,7 @@ def cmd_run(cfg: dict) -> int:
         save_checkpoint(
             os.path.join(ckpt_dir, f"final_task_d{run.target_domain}.json"),
             run.final_task,
-            task_arch,
+            job.task_arch,
             role="global_task",
             round_index=cfg["rounds"],
         )
@@ -131,14 +138,10 @@ def cmd_run(cfg: dict) -> int:
 def cmd_ablate(cfg: dict) -> int:
     out = cfg["out"]
     seeds = cfg["seeds"]
-    # Every run's inputs are built, so every key they read is checked, before any trains.
-    inputs = {
-        (mode, seed): _lodo_inputs(dict(cfg, mode=mode, seed=seed))
-        for mode in protocol.MODES
-        for seed in seeds
-    }
+    keys = [(mode, seed) for mode in protocol.MODES for seed in seeds]
+    jobs = [_lodo_inputs(dict(cfg, mode=mode, seed=seed)) for mode, seed in keys]
     os.makedirs(out, exist_ok=True)
-    results = {key: protocol.run_lodo(*args) for key, args in inputs.items()}
+    results = dict(zip(keys, protocol.run_lodo_jobs(jobs)))
 
     domain_ids = [run.target_domain for run in results[(protocol.MODES[0], seeds[0])].domains]
     metric_names = ("acc", "f1", "auc")
@@ -215,10 +218,9 @@ def cmd_sweep(cfg: dict) -> int:
             return cfgmod.resolve(dict(cfg, n_domains=value + 1))
         return cfgmod.resolve(dict(cfg, **{param: value}))
 
-    # Check every point before the first one trains.
-    inputs = [_lodo_inputs(cfg_for(v)) for v in values]
+    jobs = [_lodo_inputs(cfg_for(v)) for v in values]
     os.makedirs(out, exist_ok=True)
-    reports = [protocol.run_lodo(*args) for args in inputs]
+    reports = protocol.run_lodo_jobs(jobs)
 
     write_csv(
         os.path.join(out, "sweep.csv"),
@@ -285,14 +287,30 @@ def _raise_terminated(signum, frame):
     raise Terminated
 
 
+def _block_sigterm():
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+
+
+def _unblock_sigterm():
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+
+
 def _default_sigterm_in_child():
     # A forked leg worker takes SIGTERM's default action, so the pool's
-    # terminate() ends it whatever it is blocked in.
+    # terminate() ends it whatever it is blocked in.  SIGTERM stays blocked
+    # from before the fork until the default is in place: one that arrives
+    # in between, say from the cleanup of a pool whose start was cut short,
+    # waits instead of reaching the parent's handler and being lost.
     if signal.getsignal(signal.SIGTERM) is _raise_terminated:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _unblock_sigterm()
 
 
-os.register_at_fork(after_in_child=_default_sigterm_in_child)
+os.register_at_fork(
+    before=_block_sigterm,
+    after_in_parent=_unblock_sigterm,
+    after_in_child=_default_sigterm_in_child,
+)
 
 
 def main(argv=None) -> int:
@@ -324,6 +342,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except protocol.LegWorkerDied as exc:
+        print(f"worker died: {exc}", file=sys.stderr)
+        return 5
     except Terminated:
         print("terminated", file=sys.stderr)
         return 128 + signal.SIGTERM

@@ -11,14 +11,15 @@ round starts from the global models with fresh momentum, so the only
 per-client state that persists across rounds is kept by the server: the
 NDAG teacher rows and the SHA snapshot histories.
 
-The leave-one-domain-out legs share no state, so run_lodo runs them in
-forked worker processes, one per CPU this process may use, with no setting
-to change that.  The workers inherit run_lodo's inputs with their memory,
-are sent only leg indices, and pickle each leg's result back to the caller.
-Warnings raised while training, numpy's among them, therefore come from the
-workers.  A worker's allocator keeps the memory its arrays free (see
-_start_leg_worker), so the arrays of one step reuse the pages of the last
-one across steps, rounds and legs.
+The leave-one-domain-out legs share no state, so run_lodo_jobs runs every
+leg of every job it is given in one pool of forked worker processes, one
+per CPU this process may use, with no setting to change that; run_lodo is
+its one-job case.  The workers inherit the job list with their memory, are
+sent only (job, leg) index pairs, and pickle each leg's result back to the
+caller.  Warnings raised while training, numpy's among them, therefore come
+from the workers.  A worker's allocator keeps the memory its arrays free
+(see _start_leg_worker), so the arrays of one step reuse the pages of the
+last one across steps, rounds, legs and jobs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,27 +307,44 @@ def run_federation(
     return server, round_log, trace
 
 
-# run_lodo's (benchmark, config, task_arch, gen_arch, collect_trace), in a leg worker.
-_leg_inputs: tuple | None = None
+class Job(NamedTuple):
+    """One leave-one-domain-out run: the inputs of run_lodo."""
+
+    benchmark: list[DomainDataset]
+    config: FederationConfig
+    task_arch: nets.TaskArch
+    gen_arch: nets.GenArch
+    collect_trace: bool = False
 
 
-def _start_leg_worker(parent: int, inputs: tuple) -> None:
-    """Pool initializer of a leg worker: keep run_lodo's inputs, die with the parent.
+class LegWorkerDied(RuntimeError):
+    """A leg worker process ended without returning its leg, e.g. killed by a signal."""
 
-    A fork start passes the inputs on in the worker's copy of memory, so
-    they are never pickled.  The worker raises glibc's mmap threshold to
-    32 MiB and its trim threshold to 64 MiB (mallopt), so the arrays a step
-    frees stay in its heap and the next step's arrays reuse their pages
-    instead of faulting in fresh ones; where libc has no mallopt it keeps
-    the allocator's defaults.  The worker then asks the kernel to SIGKILL it
-    when its parent ends (prctl PR_SET_PDEATHSIG), so a parent killed by a
-    signal no handler can catch leaves no worker training on, and exits at
-    once if the parent already ended before that request.  Where libc has
-    no prctl (outside Linux) it does neither, and such workers run on until
-    their current leg ends.
+
+# run_lodo_jobs's job list, in a leg worker.
+_leg_jobs: list[Job] | None = None
+
+
+def _start_leg_worker(parent: int, jobs: list[Job], started) -> None:
+    """Pool initializer of a leg worker: keep the jobs, count itself, die with the parent.
+
+    A fork start passes the jobs on in the worker's copy of memory, so they
+    are never pickled.  The worker adds 1 to the shared counter started, so
+    the parent can tell when the pool replaced a worker that died.  It
+    raises glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB (mallopt), so the arrays a step frees stay in its heap and the
+    next step's arrays reuse their pages instead of faulting in fresh ones;
+    where libc has no mallopt it keeps the allocator's defaults.  The
+    worker then asks the kernel to SIGKILL it when its parent ends (prctl
+    PR_SET_PDEATHSIG), so a parent killed by a signal no handler can catch
+    leaves no worker training on, and exits at once if the parent already
+    ended before that request.  Where libc has no prctl (outside Linux) it
+    does neither, and such workers run on until their current leg ends.
     """
-    global _leg_inputs
-    _leg_inputs = inputs
+    global _leg_jobs
+    _leg_jobs = jobs
+    with started.get_lock():
+        started.value += 1
     import ctypes
 
     try:
@@ -343,9 +362,10 @@ def _start_leg_worker(parent: int, inputs: tuple) -> None:
         os._exit(1)
 
 
-def _run_leg(idx: int) -> DomainRun:
-    """The LODO leg whose held-out target is benchmark[idx], in a leg worker."""
-    benchmark, config, task_arch, gen_arch, collect_trace = _leg_inputs
+def _run_leg(task: tuple[int, int]) -> DomainRun:
+    """Leg idx of job j, for task (j, idx): benchmark[idx] is held out, in a leg worker."""
+    j, idx = task
+    benchmark, config, task_arch, gen_arch, collect_trace = _leg_jobs[j]
     target = benchmark[idx]
     sources = [d for i, d in enumerate(benchmark) if i != idx]
     leg_config = replace(config, n_clients=len(sources))
@@ -364,38 +384,63 @@ def run_lodo(
     gen_arch: nets.GenArch,
     collect_trace: bool = False,
 ) -> RunReport:
-    """Leave-one-domain-out: hold out each domain, train on the rest.
+    """Leave-one-domain-out on one benchmark: run_lodo_jobs with this one job."""
+    return run_lodo_jobs([Job(benchmark, config, task_arch, gen_arch, collect_trace)])[0]
+
+
+def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
+    """Leave-one-domain-out for each job: hold out each domain, train on the rest.
 
     The held-out domain never contributes training, validation or scoring
     data; its full sample set (train + val splits) is the test set.
 
-    Each leg runs in a forked worker process, one worker per CPU this
-    process may use (at most one per leg), with no setting for it.  Forked
-    workers import nothing, call this process's functions as they are and
-    read the inputs from their copy of this process's memory; each task
-    sends a leg index, each result a DomainRun.  A worker ends when this
-    process does, even when it is killed (see _start_leg_worker).
-    A fork copies only the calling thread, so call this from a process with
-    no other threads that hold locks.  The legs are read back in index
-    order, so the first failing leg in that order raises its error, and
-    leaving the pool's with block terminates every worker.
+    Every leg of every job runs in one pool of forked worker processes, one
+    worker per CPU this process may use (at most one per leg), with no
+    setting for it.  Forked workers import nothing, call this process's
+    functions as they are and read the jobs from their copy of this
+    process's memory; each task sends a (job, leg) index pair, each result
+    a DomainRun.  A worker ends when this process does, even when it is
+    killed (see _start_leg_worker).  A fork copies only the calling thread,
+    so call this from a process with no other threads that hold locks.  The
+    legs are read back in (job, leg) order, so the first failing leg in that
+    order raises its error, and leaving the pool's with block terminates
+    every worker.  A worker that dies mid-leg (killed from outside, say by
+    the OOM killer) loses its task, and the pool starts a replacement that
+    the started count reveals; then LegWorkerDied is raised within about
+    half a second instead of waiting for that leg forever.  A worker that
+    dies idle, holding the lock of the pool's task queue, still leaves the
+    pool's terminate() waiting for that lock.
     """
-    if len(benchmark) < 2:
+    if any(len(job.benchmark) < 2 for job in jobs):
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
     # Imported here, not at module level: the import costs about 20 ms, which
     # commands that train nothing (export-bench, a rejected config) skip.
     import multiprocessing
 
-    workers = min(len(os.sched_getaffinity(0)), len(benchmark))
-    inputs = (benchmark, config, task_arch, gen_arch, collect_trace)
+    tasks = [(j, idx) for j, job in enumerate(jobs) for idx in range(len(job.benchmark))]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
     context = multiprocessing.get_context("fork")
-    with context.Pool(workers, _start_leg_worker, (os.getpid(), inputs)) as pool:
-        runs = list(pool.imap(_run_leg, range(len(benchmark)), chunksize=1))
-    avg = {
-        "acc": float(np.mean([r.final.acc for r in runs])),
-        "f1": float(np.mean([r.final.f1 for r in runs])),
-    }
-    aucs = [r.final.auc for r in runs if r.final.auc is not None]
-    avg["auc"] = float(np.mean(aucs)) if aucs else None
-    return RunReport(domains=runs, averages=avg)
+    started = context.Value("i", 0)
+    done = []
+    with context.Pool(workers, _start_leg_worker, (os.getpid(), jobs, started)) as pool:
+        results = pool.imap(_run_leg, tasks, chunksize=1)
+        while len(done) < len(tasks):
+            if started.value > workers:
+                raise LegWorkerDied("a leg worker process ended before returning its leg")
+            try:
+                done.append(results.next(timeout=0.5))
+            except multiprocessing.TimeoutError:
+                pass
+    legs = iter(done)
+    reports = []
+    for job in jobs:
+        runs = [next(legs) for _ in job.benchmark]
+        avg = {
+            "acc": float(np.mean([r.final.acc for r in runs])),
+            "f1": float(np.mean([r.final.f1 for r in runs])),
+        }
+        aucs = [r.final.auc for r in runs if r.final.auc is not None]
+        avg["auc"] = float(np.mean(aucs)) if aucs else None
+        reports.append(RunReport(domains=runs, averages=avg))
+    return reports

@@ -61,14 +61,23 @@ def criterion(capsys, num: int, label: str):
     _announce(capsys, num, label, True)
 
 
-def seed_accs(bench, task_arch, gen_arch, base: dict, mode: str, seeds) -> list[float]:
-    accs = []
-    for seed in seeds:
-        cfg = config.resolve(dict(base, mode=mode, seed=seed))
-        fed = config.fed_config(cfg, n_clients=len(bench) - 1)
-        report = protocol.run_lodo(bench, fed, task_arch, gen_arch)
-        accs.append(report.averages["acc"])
-    return accs
+def seed_accs(runs, seeds) -> list[list[float]]:
+    """LODO mean accuracy at each seed, per (base config, mode) of runs.
+
+    The bench and arches come from the base config, so its bench seed must be
+    pinned.  Every (run, seed) is one job of a single run_lodo_jobs call.
+    """
+    jobs = []
+    for base, mode in runs:
+        cfg = config.resolve(base)
+        bench = config.benchmark(cfg)
+        task_arch, gen_arch = config.arches(cfg, cfg["input_dim"], cfg["n_classes"])
+        for seed in seeds:
+            seed_cfg = config.resolve(dict(base, mode=mode, seed=seed))
+            fed = config.fed_config(seed_cfg, n_clients=len(bench) - 1)
+            jobs.append(protocol.Job(bench, fed, task_arch, gen_arch))
+    accs = iter(report.averages["acc"] for report in protocol.run_lodo_jobs(jobs))
+    return [[next(accs) for _ in seeds] for _ in runs]
 
 
 def test_criterion_01_gradient_check(capsys):
@@ -267,13 +276,7 @@ def test_criterion_06_ema_contraction(capsys):
 def test_criterion_07_ablation_ordering(capsys):
     with criterion(capsys, 7, "ablation ordering, >= 2 point gap, >= 4/5 seed wins, < 15 min"):
         start = time.perf_counter()
-        cfg = config.resolve(ABLATION_RECIPE)
-        bench = config.benchmark(cfg)
-        task_arch, gen_arch = config.arches(cfg, cfg["input_dim"], cfg["n_classes"])
-        accs = {
-            mode: seed_accs(bench, task_arch, gen_arch, ABLATION_RECIPE, mode, range(5))
-            for mode in MODES
-        }
+        accs = dict(zip(MODES, seed_accs([(ABLATION_RECIPE, mode) for mode in MODES], range(5))))
         elapsed = time.perf_counter() - start
         means = {mode: float(np.mean(vals)) for mode, vals in accs.items()}
         assert means["feddag"] >= means["no_ndag"], means
@@ -290,15 +293,10 @@ def test_criterion_07_ablation_ordering(capsys):
 @pytest.mark.slow
 def test_criterion_08_style_strength_monotonicity(capsys):
     with criterion(capsys, 8, "improvement over FedAvg non-decreasing in style strength"):
-        improvements = []
-        for strength in (0.0, 0.5, 1.0):
-            base = {"style_strength": strength, "bench_seed": 0}
-            cfg = config.resolve(base)
-            bench = config.benchmark(cfg)
-            task_arch, gen_arch = config.arches(cfg, cfg["input_dim"], cfg["n_classes"])
-            full = np.mean(seed_accs(bench, task_arch, gen_arch, base, "feddag", range(5)))
-            plain = np.mean(seed_accs(bench, task_arch, gen_arch, base, "fedavg", range(5)))
-            improvements.append(float(full - plain))
+        bases = [{"style_strength": strength, "bench_seed": 0} for strength in (0.0, 0.5, 1.0)]
+        runs = [(base, mode) for base in bases for mode in ("feddag", "fedavg")]
+        accs = iter(seed_accs(runs, range(5)))
+        improvements = [float(np.mean(next(accs)) - np.mean(next(accs))) for _ in bases]
         assert improvements[0] <= improvements[1] <= improvements[2], improvements
 
 

@@ -312,7 +312,7 @@ class TestExitCodes:
     def test_out_of_range_fails_before_any_training(self, tmp_path, monkeypatch, command, doc):
         """Each command builds every typed config it reads before the first run trains."""
         calls = []
-        monkeypatch.setattr(cli.protocol, "run_lodo", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(cli.protocol, "run_lodo_jobs", lambda jobs: calls.append(jobs))
         # The swept key takes the sweep's values, so sweep a key the case leaves alone.
         sweep = dict(sweep_param="beta" if "k" in doc else "k", sweep_values=[1])
         cfg = write_cfg(tmp_path, **sweep, **doc)
@@ -458,6 +458,33 @@ def test_malformed_input(attempt, expected, message, tmp_path):
     assert type(info.value) is expected
 
 
+def counting_run_lodo_jobs(monkeypatch) -> list[list]:
+    """Records the job list of every protocol.run_lodo_jobs call, which still runs."""
+    calls = []
+    run_lodo_jobs = cli.protocol.run_lodo_jobs
+
+    def counting(jobs):
+        calls.append(jobs)
+        return run_lodo_jobs(jobs)
+
+    monkeypatch.setattr(cli.protocol, "run_lodo_jobs", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, doc, n_jobs",
+    [
+        ("ablate", {}, 4 * len(SMALL["seeds"])),
+        ("sweep", {"sweep_param": "n_clients", "sweep_values": [2, 3]}, 2),
+    ],
+)
+def test_command_trains_every_job_in_one_call(tmp_path, monkeypatch, command, doc, n_jobs):
+    calls = counting_run_lodo_jobs(monkeypatch)
+    cfg = write_cfg(tmp_path, **doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert [len(jobs) for jobs in calls] == [n_jobs]
+
+
 class TestAblate:
     def test_table_shape_and_labels(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -557,14 +584,7 @@ class TestSweep:
         [("alpha", [0.0, 0.3, 2.0]), ("eval_clients_per_round", [0, 2, 9])],
     )
     def test_bad_point_fails_before_any_training(self, tmp_path, monkeypatch, param, values):
-        calls = []
-        run_lodo = cli.protocol.run_lodo
-
-        def counting_run_lodo(*args, **kwargs):
-            calls.append(args)
-            return run_lodo(*args, **kwargs)
-
-        monkeypatch.setattr(cli.protocol, "run_lodo", counting_run_lodo)
+        calls = counting_run_lodo_jobs(monkeypatch)
         cfg = write_cfg(tmp_path, sweep_param=param, sweep_values=values)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert calls == []
@@ -726,6 +746,50 @@ def test_sigkill_of_the_run_ends_its_leg_workers(tmp_path):
         assert not processes_left_after(proc.pid, 2.0)
     finally:
         kill_session(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigkill_of_a_leg_worker_exits_5(tmp_path):
+    # The pool replaces the dead worker but loses its leg; the run must not wait for it.
+    # The kill lands mid-leg: a worker killed while it holds one of the pool's queue
+    # locks (fetching a task, sending a result) still hangs the pool's terminate().
+    proc, err_path = start_run_with_leg_workers(tmp_path)
+    try:
+        time.sleep(1.0)
+        worker = next(pid for pid in session_pids(proc.pid) if pid != proc.pid)
+        os.kill(worker, signal.SIGKILL)
+        assert proc.wait(timeout=5) == 5
+        assert not processes_left_after(proc.pid, 2.0)
+    finally:
+        kill_session(proc)
+    stderr = err_path.read_text(encoding="utf-8")
+    assert "Traceback" not in stderr and "worker died" in stderr
+    assert not list((tmp_path / "out").rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="leg workers are forked")
+def test_sigterm_reaching_a_just_forked_worker_ends_it(tmp_path):
+    # The parent's cleanup can SIGTERM a worker before the worker's fork hook
+    # resets the handler; a hook that runs first sends that SIGTERM here.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    script = tmp_path / "fork.py"
+    script.write_text(
+        "import os, signal, time\n"
+        "os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGTERM))\n"
+        "from feddag import cli\n"
+        "signal.signal(signal.SIGTERM, cli._raise_terminated)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    time.sleep(3)\n"
+        "    os._exit(0)\n"
+        "print(os.waitpid(pid, 0)[1])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30,
+    )
+    status = int(result.stdout)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGTERM, result.stderr
 
 
 class TestParser:

@@ -25,6 +25,9 @@ GEN_ARCH = nets.GenArch(6, (5,))
 BENCH = data.make_benchmark(
     data.BenchSpec(n_domains=3, n_classes=3, input_dim=6, samples_per_domain=60, seed=3)
 )
+BENCH4 = data.make_benchmark(
+    data.BenchSpec(n_domains=4, n_classes=3, input_dim=6, samples_per_domain=60, seed=3)
+)
 
 
 def fed(mode="feddag", rounds=3, warmup=1, n_clients=2, seed=0, ndag_kw=None, sha_kw=None, **kw):
@@ -441,21 +444,51 @@ class TestRunLodo:
             assert trace and run.trace == trace
 
     def test_leg_inputs_are_not_pickled(self):
-        # Forked workers inherit the benchmark; only leg indices and results
-        # cross the pipes.
+        # Forked workers inherit the jobs; only (job, leg) indices and
+        # results cross the pipes.
         class Unpicklable(data.DomainDataset):
             def __reduce__(self):
                 raise TypeError("a leg input was pickled")
 
-        bench = [Unpicklable(d.domain, d.train_x, d.train_y, d.val_x, d.val_y) for d in BENCH]
+        def unpicklable(bench):
+            return [Unpicklable(d.domain, d.train_x, d.train_y, d.val_x, d.val_y) for d in bench]
+
         config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=2)
         with pytest.raises(TypeError, match="a leg input was pickled"):
-            pickle.dumps(bench[0])
-        report = protocol.run_lodo(bench, config, TASK_ARCH, GEN_ARCH)
-        expected = protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
-        assert report.averages == expected.averages
-        for a, b in zip(report.domains, expected.domains):
-            assert a.final_task.values.tobytes() == b.final_task.values.tobytes()
+            pickle.dumps(unpicklable(BENCH)[0])
+        benches = (BENCH, BENCH4)
+        reports = protocol.run_lodo_jobs(
+            [protocol.Job(unpicklable(b), config, TASK_ARCH, GEN_ARCH) for b in benches]
+        )
+        for report, bench in zip(reports, benches):
+            expected = protocol.run_lodo(bench, config, TASK_ARCH, GEN_ARCH)
+            assert report.averages == expected.averages
+            assert len(report.domains) == len(bench)
+            for a, b in zip(report.domains, expected.domains):
+                assert a.final_task.values.tobytes() == b.final_task.values.tobytes()
+
+    def test_jobs_equal_one_job_calls(self):
+        # The jobs differ in bench, task arch, mode and trace collection.
+        wide = nets.TaskArch(6, (8, 8), 4, 3)
+        jobs = [
+            protocol.Job(BENCH, fed(mode="feddag", seed=2), TASK_ARCH, GEN_ARCH, True),
+            protocol.Job(BENCH4, fed(mode="no_ndag", n_clients=3, seed=2), TASK_ARCH, GEN_ARCH),
+            protocol.Job(BENCH, fed(mode="no_sha", seed=3), wide, GEN_ARCH),
+            protocol.Job(BENCH4, fed(mode="feddag", n_clients=3, seed=3), wide, GEN_ARCH, True),
+        ]
+        reports = protocol.run_lodo_jobs(jobs)
+        assert len(reports) == len(jobs)
+        assert multiprocessing.active_children() == []
+        for job, report in zip(jobs, reports):
+            expected = protocol.run_lodo(*job)
+            assert report.averages == expected.averages
+            assert len(report.domains) == len(job.benchmark)
+            for a, b in zip(report.domains, expected.domains):
+                assert a.target_domain == b.target_domain
+                assert a.final_task.values.tobytes() == b.final_task.values.tobytes()
+                assert a.rounds == b.rounds
+                assert a.trace == b.trace
+                assert bool(a.trace) == job.collect_trace
 
     def test_leg_result_survives_pickling(self):
         # Warmup rounds leave the NDAG losses of every trace entry None.
@@ -478,9 +511,22 @@ class TestRunLodo:
         # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
         # would fault in about that many in every round.
         context = multiprocessing.get_context("fork")
-        with context.Pool(1, protocol._start_leg_worker, (os.getpid(), None)) as pool:
+        initargs = (os.getpid(), [], context.Value("i", 0))
+        with context.Pool(1, protocol._start_leg_worker, initargs) as pool:
             faults = pool.map(_allocation_faults, [0])[0]
         assert all(f < 256 for f in faults[1:]), faults
+
+    def test_every_started_worker_is_counted(self):
+        # More workers than CPUs start at once; a lost increment would let a
+        # replacement worker go unseen.
+        context = multiprocessing.get_context("fork")
+        started = context.Value("i", 0)
+        with context.Pool(8, protocol._start_leg_worker, (os.getpid(), [], started)):
+            deadline = time.monotonic() + 10.0
+            while started.value < 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert started.value == 8
+        assert multiprocessing.active_children() == []
 
     def test_first_failing_leg_in_index_order_raises(self, monkeypatch):
         bench = data.make_benchmark(
@@ -489,16 +535,20 @@ class TestRunLodo:
         run_federation = protocol.run_federation
 
         def failing_legs(sources, config, task_arch, gen_arch, target, collect_trace):
-            if target.domain == 1:
-                time.sleep(0.2)  # with two or more workers, leg 3 then fails first
-            if target.domain in (1, 3):
-                raise ndag.DivergenceError(f"leg {target.domain}", 0)
+            if config.seed == 0 and target.domain == 1:
+                time.sleep(0.2)  # with two or more workers, leg 3 and job 1 then fail first
+            if (config.seed, target.domain) in ((0, 1), (0, 3), (1, 0)):
+                raise ndag.DivergenceError(f"job {config.seed} leg {target.domain}", 0)
             return run_federation(sources, config, task_arch, gen_arch, target, collect_trace)
 
         # The workers are forked, so they call the patched function.
         monkeypatch.setattr(protocol, "run_federation", failing_legs)
-        config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=3)
-        with pytest.raises(ndag.DivergenceError, match="^client 0: leg 1$") as info:
-            protocol.run_lodo(bench, config, TASK_ARCH, GEN_ARCH)
+        jobs = [
+            protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1, n_clients=3, seed=s),
+                         TASK_ARCH, GEN_ARCH)
+            for s in (0, 1)
+        ]
+        with pytest.raises(ndag.DivergenceError, match="^client 0: job 0 leg 1$") as info:
+            protocol.run_lodo_jobs(jobs)
         assert info.value.client == 0
         assert multiprocessing.active_children() == []
