@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 training divergence,
 A command that trains builds every job it runs before any trains, which
 range-checks every key they read, and then runs them all in one
 protocol.run_lodo_jobs call (run through run_lodo, its one-job form), so
-one pool of leg workers serves the whole command.
+one set of leg workers serves the whole command.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ MODE_LABELS = {
     "fedavg": "w/o Both",
 }
 
-# Checkpoint document fields; this is the on-disk contract.  The arch
-# object holds "kind" plus every field of the named architecture class.
-CHECKPOINT_FIELDS = ("arch", "values", "role", "round")
+# A checkpoint's arch object holds "kind", a key of ARCH_KINDS, plus every
+# field of that architecture class.
 ARCH_KINDS = {"task": TaskArch, "gen": GenArch}
 
 # ablation_stats.csv: what is compared, then the fields of its PairedComparison.
@@ -62,30 +61,6 @@ def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index
         # json.dumps runs the C encoder; json.dump writes the same bytes from Python.
         fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
-
-
-def load_checkpoint(path: str):
-    """Returns (params, arch, role, round) from a checkpoint document."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    missing = [f for f in CHECKPOINT_FIELDS if f not in doc]
-    if missing:
-        raise ValueError(f"checkpoint {path} missing fields: {missing}")
-    desc = doc["arch"]
-    cls = ARCH_KINDS.get(desc.get("kind"))
-    if cls is None:
-        raise ValueError(f"checkpoint {path}: unknown arch kind {desc.get('kind')!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
-    missing = [name for name in names if name not in desc]
-    if missing:
-        raise ValueError(f"checkpoint {path}: arch missing keys: {missing}")
-    fields = {name: desc[name] for name in names}
-    fields["hidden_dims"] = tuple(fields["hidden_dims"])
-    arch = cls(**fields)
-    params = ParamVector(np.asarray(doc["values"], dtype=np.float64))
-    if params.dim != arch.param_count():
-        raise ValueError(f"checkpoint {path}: {params.dim} values for {arch.param_count()} params")
-    return params, arch, doc["role"], doc["round"]
 
 
 def _bench_dims(bench) -> tuple[int, int]:
@@ -282,8 +257,8 @@ class Terminated(Exception):
 
 
 def _raise_terminated(signum, frame):
-    # Unwinds the leg pool's with block, which terminates the workers, and
-    # atomic_open, which removes its temporary file.
+    # Unwinds run_lodo_jobs, which kills its leg workers, and atomic_open,
+    # which removes its temporary file.
     raise Terminated
 
 
@@ -296,11 +271,11 @@ def _unblock_sigterm():
 
 
 def _default_sigterm_in_child():
-    # A forked leg worker takes SIGTERM's default action, so the pool's
-    # terminate() ends it whatever it is blocked in.  SIGTERM stays blocked
-    # from before the fork until the default is in place: one that arrives
-    # in between, say from the cleanup of a pool whose start was cut short,
-    # waits instead of reaching the parent's handler and being lost.
+    # A forked leg worker takes SIGTERM's default action, so a SIGTERM sent
+    # to it ends it whatever it is blocked in.  SIGTERM stays blocked from
+    # before the fork until the default is in place: one that arrives in
+    # between, say sent to the command's whole process group, waits instead
+    # of reaching the parent's handler and being lost.
     if signal.getsignal(signal.SIGTERM) is _raise_terminated:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _unblock_sigterm()

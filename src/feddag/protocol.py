@@ -12,20 +12,25 @@ per-client state that persists across rounds is kept by the server: the
 NDAG teacher rows and the SHA snapshot histories.
 
 The leave-one-domain-out legs share no state, so run_lodo_jobs runs every
-leg of every job it is given in one pool of forked worker processes, one
-per CPU this process may use, with no setting to change that; run_lodo is
-its one-job case.  The workers inherit the job list with their memory, are
-sent only (job, leg) index pairs, and pickle each leg's result back to the
-caller.  Warnings raised while training, numpy's among them, therefore come
-from the workers.  A worker's allocator keeps the memory its arrays free
-(see _start_leg_worker), so the arrays of one step reuse the pages of the
-last one across steps, rounds, legs and jobs.
+leg of every job it is given on forked worker processes, one per CPU this
+process may use, with no setting to change that; run_lodo is its one-job
+case.  The workers inherit the job list with their memory, are sent only
+(job, leg) index pairs over a pipe of their own, and pickle each leg's
+result back to the caller over another.  Warnings raised while training,
+numpy's among them, therefore come from the workers.  A worker's allocator
+keeps the memory its arrays free (see _start_leg_worker), so the arrays of
+one step reuse the pages of the last one across steps, rounds, legs and
+jobs.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import pickle
+import select
 import signal
+import struct
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -53,6 +58,10 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
+# A leg worker's pipes: each task is a (job, leg) index pair, and each
+# outcome a pickle behind its byte length.
+_TASK = struct.Struct("<II")
+_LENGTH = struct.Struct("<Q")
 
 
 @dataclass(frozen=True)
@@ -321,17 +330,10 @@ class LegWorkerDied(RuntimeError):
     """A leg worker process ended without returning its leg, e.g. killed by a signal."""
 
 
-# run_lodo_jobs's job list, in a leg worker.
-_leg_jobs: list[Job] | None = None
+def _start_leg_worker(parent: int) -> None:
+    """Set up a just-forked leg worker: keep freed arrays in its heap, die with the parent.
 
-
-def _start_leg_worker(parent: int, jobs: list[Job], started) -> None:
-    """Pool initializer of a leg worker: keep the jobs, count itself, die with the parent.
-
-    A fork start passes the jobs on in the worker's copy of memory, so they
-    are never pickled.  The worker adds 1 to the shared counter started, so
-    the parent can tell when the pool replaced a worker that died.  It
-    raises glibc's mmap threshold to 32 MiB and its trim threshold to
+    It raises glibc's mmap threshold to 32 MiB and its trim threshold to
     64 MiB (mallopt), so the arrays a step frees stay in its heap and the
     next step's arrays reuse their pages instead of faulting in fresh ones;
     where libc has no mallopt it keeps the allocator's defaults.  The
@@ -341,10 +343,6 @@ def _start_leg_worker(parent: int, jobs: list[Job], started) -> None:
     ended before that request.  Where libc has no prctl (outside Linux) it
     does neither, and such workers run on until their current leg ends.
     """
-    global _leg_jobs
-    _leg_jobs = jobs
-    with started.get_lock():
-        started.value += 1
     import ctypes
 
     try:
@@ -362,10 +360,9 @@ def _start_leg_worker(parent: int, jobs: list[Job], started) -> None:
         os._exit(1)
 
 
-def _run_leg(task: tuple[int, int]) -> DomainRun:
-    """Leg idx of job j, for task (j, idx): benchmark[idx] is held out, in a leg worker."""
-    j, idx = task
-    benchmark, config, task_arch, gen_arch, collect_trace = _leg_jobs[j]
+def _run_leg(jobs: list[Job], j: int, idx: int) -> DomainRun:
+    """Leg idx of job j: benchmark[idx] is held out."""
+    benchmark, config, task_arch, gen_arch, collect_trace = jobs[j]
     target = benchmark[idx]
     sources = [d for i, d in enumerate(benchmark) if i != idx]
     leg_config = replace(config, n_clients=len(sources))
@@ -375,6 +372,81 @@ def _run_leg(task: tuple[int, int]) -> DomainRun:
     return DomainRun(
         target_domain=target.domain, rounds=rounds, final_task=server.global_task, trace=trace
     )
+
+
+def _read_exactly(fd: int, n: int) -> bytearray | None:
+    """The next n bytes of pipe fd, or None if it ends before them."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            return None
+        buf += chunk
+    return buf
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
+    """A leg worker's loop: run each (job, leg) read from pipe tasks, write its outcome to results.
+
+    The outcome is the leg's DomainRun, or the exception the leg raised,
+    pickled behind its length.  Returns when the task pipe ends.
+    """
+    while (task := _read_exactly(tasks, _TASK.size)) is not None:
+        try:
+            outcome = _run_leg(jobs, *_TASK.unpack(task))
+        except Exception as exc:
+            outcome = exc
+        body = pickle.dumps(outcome)
+        _write_all(results, _LENGTH.pack(len(body)))
+        _write_all(results, body)
+
+
+def _fork_leg_worker(jobs: list[Job], inherited: list[int]) -> tuple[int, int, int]:
+    """Fork a leg worker that serves legs of jobs until its task pipe ends.
+
+    Returns its pid, the write end of its task pipe and the read end of its
+    result pipe.  inherited lists this process's ends of the earlier
+    workers' pipes, which the new worker closes, so only this process holds
+    them.
+    """
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (task_r, task_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (task_w, result_r, *inherited):
+                os.close(fd)
+            _start_leg_worker(parent)
+            _serve_legs(jobs, task_r, result_w)
+            code = 0
+        finally:
+            # Never return into the caller's stack, nor run its exit handlers.
+            os._exit(code)
+    os.close(task_r)
+    os.close(result_w)
+    return pid, task_w, result_r
+
+
+def _receive(fd: int):
+    """The next outcome on result pipe fd; LegWorkerDied if the pipe ends first."""
+    length = _read_exactly(fd, _LENGTH.size)
+    body = None if length is None else _read_exactly(fd, _LENGTH.unpack(length)[0])
+    if body is None:
+        raise LegWorkerDied("a leg worker process ended before returning its leg")
+    return pickle.loads(body)
 
 
 def run_lodo(
@@ -394,45 +466,73 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     The held-out domain never contributes training, validation or scoring
     data; its full sample set (train + val splits) is the test set.
 
-    Every leg of every job runs in one pool of forked worker processes, one
-    worker per CPU this process may use (at most one per leg), with no
-    setting for it.  Forked workers import nothing, call this process's
-    functions as they are and read the jobs from their copy of this
-    process's memory; each task sends a (job, leg) index pair, each result
-    a DomainRun.  A worker ends when this process does, even when it is
-    killed (see _start_leg_worker).  A fork copies only the calling thread,
-    so call this from a process with no other threads that hold locks.  The
-    legs are read back in (job, leg) order, so the first failing leg in that
-    order raises its error, and leaving the pool's with block terminates
-    every worker.  A worker that dies mid-leg (killed from outside, say by
-    the OOM killer) loses its task, and the pool starts a replacement that
-    the started count reveals; then LegWorkerDied is raised within about
-    half a second instead of waiting for that leg forever.  A worker that
-    dies idle, holding the lock of the pool's task queue, still leaves the
-    pool's terminate() waiting for that lock.
+    Every leg of every job runs in a forked worker process, one worker per
+    CPU this process may use (at most one per leg), with no setting for it.
+    Forked workers import nothing, call this process's functions as they
+    are and read the jobs from their copy of this process's memory.  Each
+    worker has a task pipe and a result pipe of its own, so no lock is
+    shared between workers: this process writes a (job, leg) index pair to
+    a worker whenever it is free and reads back the leg's DomainRun, or the
+    exception it raised, pickled behind its length.  Just before the first
+    fork the heap is collected and frozen (gc.freeze): the workers'
+    collections then leave the objects they share with this process, and
+    the pages those live on, untouched, and this process's collections, the
+    last one at exit included, skip them.  A fork copies only the calling thread, so call this from a
+    process with no other threads that hold locks.
+
+    The legs are read back in (job, leg) order, so the first failing leg in
+    that order raises its error as soon as every earlier leg has returned.
+    A worker that dies before it is stopped, training or idle (killed from
+    outside, say by the OOM killer), ends its result pipe, and
+    LegWorkerDied is raised at once.  However this returns or raises,
+    every worker is killed and reaped first; a worker also ends when this
+    process does, even when it is killed (see _start_leg_worker).
     """
     if any(len(job.benchmark) < 2 for job in jobs):
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
-    # Imported here, not at module level: the import costs about 20 ms, which
-    # commands that train nothing (export-bench, a rejected config) skip.
-    import multiprocessing
-
     tasks = [(j, idx) for j, job in enumerate(jobs) for idx in range(len(job.benchmark))]
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    context = multiprocessing.get_context("fork")
-    started = context.Value("i", 0)
-    done = []
-    with context.Pool(workers, _start_leg_worker, (os.getpid(), jobs, started)) as pool:
-        results = pool.imap(_run_leg, tasks, chunksize=1)
-        while len(done) < len(tasks):
-            if started.value > workers:
-                raise LegWorkerDied("a leg worker process ended before returning its leg")
-            try:
-                done.append(results.next(timeout=0.5))
-            except multiprocessing.TimeoutError:
-                pass
-    legs = iter(done)
+    outcomes: dict[int, DomainRun | Exception] = {}
+    pids: list[int] = []
+    task_pipes: dict[int, int] = {}  # a worker's result pipe -> its task pipe
+    busy: dict[int, int] = {}  # a training worker's result pipe -> its task
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+            pid, task_w, result_r = _fork_leg_worker(jobs, [*task_pipes, *task_pipes.values()])
+            pids.append(pid)
+            task_pipes[result_r] = task_w
+        poller = select.poll()
+        for result_r in task_pipes:
+            poller.register(result_r, select.POLLIN)
+        sent = returned = 0
+        while returned < len(tasks):
+            for result_r, task_w in task_pipes.items():
+                if result_r not in busy and sent < len(tasks):
+                    try:
+                        _write_all(task_w, _TASK.pack(*tasks[sent]))
+                    except BrokenPipeError:
+                        raise LegWorkerDied("a leg worker process ended before its leg") from None
+                    busy[result_r] = sent
+                    sent += 1
+            for result_r, _ in poller.poll():
+                outcome = _receive(result_r)
+                outcomes[busy.pop(result_r)] = outcome
+            while returned in outcomes:
+                if isinstance(outcomes[returned], Exception):
+                    raise outcomes[returned]
+                returned += 1
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for result_r, task_w in task_pipes.items():
+            os.close(result_r)
+            os.close(task_w)
+
+    legs = (outcomes[i] for i in range(len(tasks)))
     reports = []
     for job in jobs:
         runs = [next(legs) for _ in job.benchmark]

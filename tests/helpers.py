@@ -12,11 +12,13 @@ round runs.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from feddag import ndag
+from feddag import cli, ndag
 from feddag.params import ParamVector, SgdRows
 
 
@@ -311,3 +313,33 @@ def round_rows(clients, ndag_enabled=True):
         return student, None, None
     generator = np.stack([m.generator.values for m in clients])
     return student, generator, np.stack([m.teacher.values for m in clients])
+
+
+# ------------------------------------------------------------- checkpoints
+
+# The fields of a checkpoint document, as cli.save_checkpoint writes it.
+CHECKPOINT_FIELDS = ("arch", "values", "role", "round")
+
+
+def load_checkpoint(path: str):
+    """Returns (params, arch, role, round) from a checkpoint document."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    missing = [f for f in CHECKPOINT_FIELDS if f not in doc]
+    if missing:
+        raise ValueError(f"checkpoint {path} missing fields: {missing}")
+    desc = doc["arch"]
+    cls = cli.ARCH_KINDS.get(desc.get("kind"))
+    if cls is None:
+        raise ValueError(f"checkpoint {path}: unknown arch kind {desc.get('kind')!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    missing = [name for name in names if name not in desc]
+    if missing:
+        raise ValueError(f"checkpoint {path}: arch missing keys: {missing}")
+    fields = {name: desc[name] for name in names}
+    fields["hidden_dims"] = tuple(fields["hidden_dims"])
+    arch = cls(**fields)
+    params = ParamVector(np.asarray(doc["values"], dtype=np.float64))
+    if params.dim != arch.param_count():
+        raise ValueError(f"checkpoint {path}: {params.dim} values for {arch.param_count()} params")
+    return params, arch, doc["role"], doc["round"]

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import feddag
+import helpers
 from feddag import cli, ndag, sha
 from feddag.metrics import PairedComparison
 from feddag.nets import GenArch, TaskArch
@@ -58,7 +59,7 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt.json")
         params = ParamVector(np.linspace(-1.0, 1.0, self.TASK.param_count()))
         cli.save_checkpoint(path, params, self.TASK, role="global_task", round_index=7)
-        loaded, arch, role, rnd = cli.load_checkpoint(path)
+        loaded, arch, role, rnd = helpers.load_checkpoint(path)
         assert np.array_equal(loaded.values, params.values)
         assert arch == self.TASK
         assert role == "global_task"
@@ -68,7 +69,7 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt.json")
         params = ParamVector(np.zeros(self.GEN.param_count()))
         cli.save_checkpoint(path, params, self.GEN, role="generator", round_index=0)
-        _, arch, role, _ = cli.load_checkpoint(path)
+        _, arch, role, _ = helpers.load_checkpoint(path)
         assert arch == self.GEN
         assert role == "generator"
 
@@ -93,7 +94,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"arch": {}, "values": []}))
         with pytest.raises(ValueError, match="missing fields.*role"):
-            cli.load_checkpoint(str(path))
+            helpers.load_checkpoint(str(path))
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -101,7 +102,7 @@ class TestCheckpoint:
             json.dumps({"arch": {"kind": "rnn"}, "values": [], "role": "x", "round": 0})
         )
         with pytest.raises(ValueError, match="unknown arch kind"):
-            cli.load_checkpoint(str(path))
+            helpers.load_checkpoint(str(path))
 
     def test_value_count_mismatch(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -113,7 +114,7 @@ class TestCheckpoint:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         with pytest.raises(ValueError, match="values for"):
-            cli.load_checkpoint(path)
+            helpers.load_checkpoint(path)
 
     def test_unknown_arch_rejected_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="unknown arch type"):
@@ -195,7 +196,7 @@ class TestRun:
         cfg = write_cfg(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        params, arch, role, rnd = cli.load_checkpoint(
+        params, arch, role, rnd = helpers.load_checkpoint(
             str(out / "checkpoints" / "final_task_d1.json")
         )
         assert arch == TaskArch(input_dim=6, hidden_dims=(8,), feature_dim=4, num_classes=3)
@@ -425,7 +426,7 @@ def load_corrupted_checkpoint(tmp_path, corrupt):
     corrupt(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    return cli.load_checkpoint(path)
+    return helpers.load_checkpoint(path)
 
 
 MALFORMED_INPUTS = [
@@ -664,9 +665,9 @@ def test_file_io_names_its_encoding(tmp_path):
         assert result.returncode == 0, result.stderr
 
 
-def session_pids(sid: int) -> list[int]:
-    """Live processes of session sid, read from /proc."""
-    pids = []
+def session_stats(sid: int) -> dict[int, tuple[str, int]]:
+    """State and CPU time in clock ticks of each live process of session sid, read from /proc."""
+    stats = {}
     for name in os.listdir("/proc"):
         if not name.isdigit():
             continue
@@ -675,11 +676,33 @@ def session_pids(sid: int) -> list[int]:
                 stat = fh.read()
         except OSError:
             continue
-        # Fields after the parenthesised command: state, ppid, pgrp, session, ...
+        # Fields after the parenthesised command: state, ppid, pgrp, session, ...,
+        # utime and stime at positions 11 and 12.
         fields = stat[stat.rindex(")") + 2 :].split()
         if int(fields[3]) == sid and fields[0] != "Z":
-            pids.append(int(name))
-    return pids
+            stats[int(name)] = (fields[0], int(fields[11]) + int(fields[12]))
+    return stats
+
+
+def session_pids(sid: int) -> list[int]:
+    """Live processes of session sid."""
+    return list(session_stats(sid))
+
+
+def start_run(tmp_path, config: dict, preexec_fn=None):
+    """`feddag run` on config in a session of its own; returns (proc, stderr path)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "w", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "feddag.cli", "run", "--config", str(cfg), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=err, preexec_fn=preexec_fn,
+        )
+    return proc, err_path
 
 
 def start_run_with_leg_workers(tmp_path):
@@ -687,18 +710,8 @@ def start_run_with_leg_workers(tmp_path):
 
     Returns (proc, stderr path); the caller kills what is left of the session.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"rounds": 200}))
-    out = tmp_path / "out"
-    err_path = tmp_path / "stderr.txt"
+    proc, err_path = start_run(tmp_path, {"rounds": 200})
     workers = min(len(os.sched_getaffinity(0)), 5)  # one per usable CPU, at most one per leg
-    with open(err_path, "w", encoding="utf-8") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "feddag.cli", "run", "--config", str(cfg), "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
-            stdout=subprocess.DEVNULL, stderr=err,
-        )
     deadline = time.monotonic() + 60.0
     while len(session_pids(proc.pid)) < 1 + workers:
         assert proc.poll() is None and time.monotonic() < deadline, "workers never started"
@@ -748,17 +761,11 @@ def test_sigkill_of_the_run_ends_its_leg_workers(tmp_path):
         kill_session(proc)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
-def test_sigkill_of_a_leg_worker_exits_5(tmp_path):
-    # The pool replaces the dead worker but loses its leg; the run must not wait for it.
-    # The kill lands mid-leg: a worker killed while it holds one of the pool's queue
-    # locks (fetching a task, sending a result) still hangs the pool's terminate().
-    proc, err_path = start_run_with_leg_workers(tmp_path)
+def assert_killing_a_worker_exits_5(tmp_path, proc, err_path, find_worker) -> None:
+    """SIGKILLs the leg worker find_worker() returns; the run must exit 5 within 1 s, cleanly."""
     try:
-        time.sleep(1.0)
-        worker = next(pid for pid in session_pids(proc.pid) if pid != proc.pid)
-        os.kill(worker, signal.SIGKILL)
-        assert proc.wait(timeout=5) == 5
+        os.kill(find_worker(), signal.SIGKILL)
+        assert proc.wait(timeout=1.0) == 5
         assert not processes_left_after(proc.pid, 2.0)
     finally:
         kill_session(proc)
@@ -767,10 +774,79 @@ def test_sigkill_of_a_leg_worker_exits_5(tmp_path):
     assert not list((tmp_path / "out").rglob("*.tmp"))
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigkill_of_a_leg_worker_exits_5(tmp_path):
+    proc, err_path = start_run_with_leg_workers(tmp_path)
+
+    def training_worker():
+        return next(pid for pid in session_pids(proc.pid) if pid != proc.pid)
+
+    assert_killing_a_worker_exits_5(tmp_path, proc, err_path, training_worker)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigkill_of_a_just_forked_leg_worker_exits_5(tmp_path):
+    proc, err_path = start_run(tmp_path, {"rounds": 200})
+
+    def first_worker():
+        deadline = time.monotonic() + 60.0
+        while True:
+            workers = [pid for pid in session_pids(proc.pid) if pid != proc.pid]
+            if workers:
+                return workers[0]
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker started"
+
+    assert_killing_a_worker_exits_5(tmp_path, proc, err_path, first_worker)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two workers")
+def test_sigkill_of_an_idle_leg_worker_exits_5(tmp_path):
+    # 3 legs on 2 CPUs: after legs 0 and 1, one worker trains leg 2 and the other idles.
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    proc, err_path = start_run(
+        tmp_path, {"n_domains": 3, "rounds": 150},
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+
+    def idle_worker():
+        # A worker that has trained and then used no CPU time for 5 polls, 20 ms apart.
+        deadline = time.monotonic() + 60.0
+        seen = {}  # pid -> (CPU ticks, polls since they last changed)
+        while True:
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker went idle"
+            for pid, (state, ticks) in session_stats(proc.pid).items():
+                last, still = seen.get(pid, (None, 0))
+                still = still + 1 if state == "S" and ticks == last else 0
+                if pid != proc.pid and ticks > 0 and still >= 5:
+                    return pid
+                seen[pid] = (ticks, still)
+            time.sleep(0.02)
+
+    assert_killing_a_worker_exits_5(tmp_path, proc, err_path, idle_worker)
+
+
+def test_run_forks_workers_without_multiprocessing_from_a_frozen_heap(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    cfg = write_cfg(tmp_path)
+    script = (
+        "import gc, json, sys\n"
+        "from feddag import cli\n"
+        f"code = cli.main(['run', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps([code, 'multiprocessing' in sys.modules, gc.get_freeze_count()]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    code, imported, frozen = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0 and not imported and frozen > 0, result.stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="leg workers are forked")
 def test_sigterm_reaching_a_just_forked_worker_ends_it(tmp_path):
-    # The parent's cleanup can SIGTERM a worker before the worker's fork hook
-    # resets the handler; a hook that runs first sends that SIGTERM here.
+    # A SIGTERM sent to the process group can reach a worker before the
+    # worker's fork hook resets the handler; a hook that runs first sends it here.
     src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
     script = tmp_path / "fork.py"
     script.write_text(

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
 import pickle
 import resource
+import signal
 import time
 from dataclasses import replace
 
@@ -50,7 +50,7 @@ def _libc_has_mallopt() -> bool:
         return False
 
 
-def _allocation_faults(_) -> list[int]:
+def _allocation_faults(*_) -> list[int]:
     """Minor page faults of four rounds that allocate, fill and free 8 x 1 MiB arrays."""
     faults = []
     for _ in range(4):
@@ -59,6 +59,12 @@ def _allocation_faults(_) -> list[int]:
         del arrays
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return faults
+
+
+def assert_no_child_left():
+    # Raises ChildProcessError only once every child has been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestFederationConfig:
@@ -431,7 +437,7 @@ class TestRunLodo:
     def test_legs_equal_in_process_federations(self):
         config = fed(mode="feddag", rounds=3, warmup=1, n_clients=2, seed=4)
         report = protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH, collect_trace=True)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         for idx, run in enumerate(report.domains):
             sources = [d for i, d in enumerate(BENCH) if i != idx]
             server, rounds, trace = protocol.run_federation(
@@ -478,7 +484,7 @@ class TestRunLodo:
         ]
         reports = protocol.run_lodo_jobs(jobs)
         assert len(reports) == len(jobs)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         for job, report in zip(jobs, reports):
             expected = protocol.run_lodo(*job)
             assert report.averages == expected.averages
@@ -507,26 +513,34 @@ class TestRunLodo:
         assert back.final_task.values.tobytes() == run.final_task.values.tobytes()
 
     @pytest.mark.skipif(not _libc_has_mallopt(), reason="leg workers tune the heap with mallopt")
-    def test_leg_worker_reuses_freed_arrays(self):
+    def test_leg_worker_reuses_freed_arrays(self, monkeypatch):
         # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
         # would fault in about that many in every round.
-        context = multiprocessing.get_context("fork")
-        initargs = (os.getpid(), [], context.Value("i", 0))
-        with context.Pool(1, protocol._start_leg_worker, initargs) as pool:
-            faults = pool.map(_allocation_faults, [0])[0]
+        monkeypatch.setattr(protocol, "_run_leg", _allocation_faults)
+        pid, task_w, result_r = protocol._fork_leg_worker([], [])
+        try:
+            os.write(task_w, protocol._TASK.pack(0, 0))
+            faults = protocol._receive(result_r)
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(task_w)
+            os.close(result_r)
         assert all(f < 256 for f in faults[1:]), faults
 
-    def test_every_started_worker_is_counted(self):
-        # More workers than CPUs start at once; a lost increment would let a
-        # replacement worker go unseen.
-        context = multiprocessing.get_context("fork")
-        started = context.Value("i", 0)
-        with context.Pool(8, protocol._start_leg_worker, (os.getpid(), [], started)):
-            deadline = time.monotonic() + 10.0
-            while started.value < 8 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert started.value == 8
-        assert multiprocessing.active_children() == []
+    def test_worker_killed_mid_leg_raises_at_once(self, monkeypatch):
+        def killed_leg(sources, config, task_arch, gen_arch, target, collect_trace):
+            if target.domain == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(30.0)  # the other legs still train when leg 0's worker dies
+
+        monkeypatch.setattr(protocol, "run_federation", killed_leg)
+        config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=2)
+        start = time.monotonic()
+        with pytest.raises(protocol.LegWorkerDied):
+            protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
+        assert time.monotonic() - start < 10.0
+        assert_no_child_left()
 
     def test_first_failing_leg_in_index_order_raises(self, monkeypatch):
         bench = data.make_benchmark(
@@ -551,4 +565,4 @@ class TestRunLodo:
         with pytest.raises(ndag.DivergenceError, match="^client 0: job 0 leg 1$") as info:
             protocol.run_lodo_jobs(jobs)
         assert info.value.client == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
