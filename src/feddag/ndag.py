@@ -99,7 +99,8 @@ class RoundResult:
     """One local round of C clients; every array holds one row per client.
 
     generator and teacher are None when the round ran without NDAG.
-    degenerate_rows is the round's total over clients and batches.
+    client_degenerate_rows counts each client's degenerate feature rows over
+    its batches.
     """
 
     student: np.ndarray
@@ -108,7 +109,12 @@ class RoundResult:
     last_grads: np.ndarray
     mean_train_losses: list[float]
     traces: list[list[BatchTrace]]
-    degenerate_rows: int
+    client_degenerate_rows: tuple[int, ...]
+
+    @property
+    def degenerate_rows(self) -> int:
+        """The round's degenerate feature rows, totalled over clients and batches."""
+        return sum(self.client_degenerate_rows)
 
     @property
     def uploads(self) -> np.ndarray:
@@ -420,19 +426,19 @@ def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
     """Batch step k for a stack of clients, in place; NDAG when it has generators.
 
     The student gradients land in part.student.grad.  Returns one
-    BatchTrace per client (the NDAG losses None without NDAG) and the
-    stack's total degenerate feature rows.
+    BatchTrace per client (the NDAG losses None without NDAG) and each
+    client's degenerate feature rows.
     """
     if part.generator is None:
         _, l_cls = plain_step(part, task_arch, x, y, hyper)
-        return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], 0
+        return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], [0] * len(l_cls)
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     _, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
                "teacher is non-finite")
     losses = zip(l_cls_g.tolist(), l_dis.tolist(), l_cls_s.tolist(), l_sim.tolist())
-    return [BatchTrace(k, *row) for row in losses], int(bad_g.sum() + bad_s.sum())
+    return [BatchTrace(k, *row) for row in losses], (bad_g + bad_s).tolist()
 
 
 def client_round(
@@ -499,7 +505,7 @@ def client_round(
     orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]
     batch_idx = [None] * n_clients  # sample indices of each client's current batch
     traces: list[list[BatchTrace]] = [[] for _ in range(n_clients)]
-    degenerate = 0
+    degenerate = [0] * n_clients
 
     for k in range(local_epochs * max(n_batches)):
         groups: dict[int, list[int]] = {}
@@ -515,9 +521,9 @@ def client_round(
             yb = np.stack([ys[c][batch_idx[c]] for c in clients])
             batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
             stack.put(clients, part)
-            degenerate += bad
-            for c, t in zip(clients, batch_traces):
+            for c, t, rows in zip(clients, batch_traces, bad):
                 traces[c].append(t)
+                degenerate[c] += rows
         stack.raise_failure()
 
     return RoundResult(
@@ -527,5 +533,5 @@ def client_round(
         last_grads=stack.student.grad,
         mean_train_losses=[float(np.mean([t.l_cls_s for t in rows])) for rows in traces],
         traces=traces,
-        degenerate_rows=degenerate,
+        client_degenerate_rows=tuple(degenerate),
     )

@@ -14,8 +14,14 @@ NDAG teacher rows and the SHA snapshot histories.
 The leave-one-domain-out legs share no state, so run_lodo_jobs runs every
 leg of every job it is given on forked worker processes, one per CPU this
 process may use, with no setting to change that; run_lodo is its one-job
-case.  The workers inherit the job list with their memory, are sent only
-(job, leg) index pairs over a pipe of their own, and pickle each leg's
+case.  A worker trains a leg group, consecutive legs of one job chosen by
+leg_groups, as one federation of all their clients: each round is one
+lockstep ndag.client_round over the group's clients, after which each leg
+scores, aggregates and records its own (_group_round).  A client's bits do
+not depend on what shares its stack, so a leg computes the same bits in
+any group; run_round and run_federation are the one-leg case.  The
+workers inherit the job list with their memory, are sent only (job, first
+leg, leg count) triples over a pipe of their own, and pickle each leg's
 result back to the caller over another.  Warnings raised while training,
 numpy's among them, therefore come from the workers.  A worker's allocator
 keeps the memory its arrays free (see _start_leg_worker), so the arrays of
@@ -58,9 +64,14 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
-# A leg worker's pipes: each task is a (job, leg) index pair, and each
-# outcome a pickle behind its byte length.
-_TASK = struct.Struct("<II")
+# A leg worker's pipes: each task is a (job, first leg, leg count) triple,
+# and each leg's outcome a pickle behind its byte length.
+_TASK = struct.Struct("<III")
+# The most rows a local step of a group of two or more legs may train.  A
+# taller stack shares numpy's fixed cost per op among more rows: 128-row
+# legs cost about 30% less each in groups of three to five, while legs of
+# 2,864 rows gain nothing from stacking (2-vCPU VM, one BLAS thread).
+MAX_GROUP_ROWS = 1024
 _LENGTH = struct.Struct("<Q")
 
 
@@ -173,6 +184,25 @@ def _client_val_sets(
     return sets, scored_on
 
 
+@dataclass
+class _Leg:
+    """A federation trained in a leg group: its server, its clients and its records.
+
+    val_x and val_y join the clients' validation sets once, for every
+    round's source_val_loss.  trace is None unless batch traces are kept.
+    """
+
+    server: ServerState
+    sources: list[DomainDataset]
+    trace: list[TraceEntry] | None
+    val_x: np.ndarray = field(init=False)
+    val_y: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.val_x = np.concatenate([d.val_x for d in self.sources])
+        self.val_y = np.concatenate([d.val_y for d in self.sources])
+
+
 def run_round(
     server: ServerState,
     sources: list[DomainDataset],
@@ -183,83 +213,114 @@ def run_round(
 ) -> RoundMetrics:
     """One communication round over the clients' source domains; mutates server.
 
-    Every client's student starts from the global task model and, in
-    adversarial rounds, its generator from the global generator.  The
-    clients' local rounds run in lockstep (ndag.client_round): every client
-    finishes local step k before any client starts step k + 1.  If training
-    diverges, the ndag.DivergenceError names the lowest-index client among
-    those that fail at the earliest failing local step; if scoring does,
+    The one-leg case of _group_round: every client's student starts from
+    the global task model and, in adversarial rounds, its generator from
+    the global generator, and the clients' local rounds run in lockstep
+    (ndag.client_round): every client finishes local step k before any
+    client starts step k + 1.  If training diverges, the
+    ndag.DivergenceError names the lowest-index client among those that
+    fail at the earliest failing local step; if scoring does,
     sha.ScoringDivergence names the lowest-index client it failed on.
     """
-    round_idx = server.round
+    return _group_round([_Leg(server, sources, trace)], config, task_arch, gen_arch)[0]
+
+
+def _group_round(
+    legs: list[_Leg], config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenArch
+) -> list[RoundMetrics]:
+    """One communication round of each leg, all at the same round; mutates their servers.
+
+    Every leg has the same number of clients.  One ndag.client_round trains
+    all of them, each client on its leg's global models with its
+    leg-local rng stream, so it computes the bits it computes alone; then
+    each leg scores, aggregates and records its own clients.  An error is
+    raised with the client's position in the whole stack.
+    """
+    round_idx = legs[0].server.round
     warmup = round_idx < config.warmup_rounds
     ndag_on = config.ndag_active and not warmup
-    n = len(sources)
+    n = len(legs[0].sources)
+    servers = [leg.server for leg in legs]
 
-    generators = None
+    generators = teachers = None
     if ndag_on:
-        generators = np.tile(server.global_gen.values, (n, 1))
-        if server.teachers is None:
-            server.teachers = np.tile(server.global_task.values, (n, 1))
-    rngs = [np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c]) for c in range(n)]
+        generators = np.repeat([s.global_gen.values for s in servers], n, axis=0)
+        for s in servers:
+            if s.teachers is None:
+                s.teachers = np.tile(s.global_task.values, (n, 1))
+        teachers = np.concatenate([s.teachers for s in servers])
+    # Leg-local streams: client c of every leg shuffles as client c of a leg alone.
+    rngs = [
+        np.random.default_rng([config.seed, _BATCH_TAG, round_idx, c])
+        for _ in legs
+        for c in range(n)
+    ]
     result = ndag.client_round(
-        np.tile(server.global_task.values, (n, 1)),
+        np.repeat([s.global_task.values for s in servers], n, axis=0),
         generators,
-        server.teachers,
+        teachers,
         task_arch,
         gen_arch,
-        [d.train_x for d in sources],
-        [d.train_y for d in sources],
+        [d.train_x for leg in legs for d in leg.sources],
+        [d.train_y for leg in legs for d in leg.sources],
         config.ndag,
         rngs,
         config.local_epochs,
     )
-    if trace is not None:
-        for domain, rows in zip(sources, result.traces):
-            trace.extend((domain.domain, round_idx, row) for row in rows)
 
-    raw_scores = scores = None
-    if warmup or not config.sha_active:
-        weights = sha.AggregationWeights(np.full(n, 1.0 / n))
-        server.global_task = param_mean(result.uploads)
+    logged = []
+    for i, leg in enumerate(legs):
+        server, sources, own = leg.server, leg.sources, slice(i * n, (i + 1) * n)
+        uploads = result.uploads[own]
         if ndag_on:
-            server.global_gen = param_mean(result.generator)
-    else:
-        val_sets, scored_on = _client_val_sets(sources, config, round_idx)
-        theta_hat, _ = sha.probe_rows(result.uploads, result.last_grads, config.sha.rho)
-        raw = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
-        merged_rows, post_list = [], []
-        for c, row in enumerate(result.uploads):
-            current = sha.ScoredSnapshot(score=raw[c].score, round=round_idx, row=row.copy())
-            merged, server.histories[c] = sha.within_client_aggregate(
-                current, server.histories[c], config.sha.k, config.sha.history_cap
+            server.teachers = result.teacher[own]
+        if leg.trace is not None:
+            for domain, batches in zip(sources, result.traces[own]):
+                leg.trace.extend((domain.domain, round_idx, row) for row in batches)
+
+        raw_scores = scores = None
+        if warmup or not config.sha_active:
+            weights = sha.AggregationWeights(np.full(n, 1.0 / n))
+            server.global_task = param_mean(uploads)
+            if ndag_on:
+                server.global_gen = param_mean(result.generator[own])
+        else:
+            val_sets, scored_on = _client_val_sets(sources, config, round_idx)
+            theta_hat, _ = sha.probe_rows(uploads, result.last_grads[own], config.sha.rho)
+            raw = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
+            merged_rows, post_list = [], []
+            for c, row in enumerate(uploads):
+                current = sha.ScoredSnapshot(score=raw[c].score, round=round_idx, row=row.copy())
+                merged, server.histories[c] = sha.within_client_aggregate(
+                    current, server.histories[c], config.sha.k, config.sha.history_cap
+                )
+                merged_rows.append(merged.row)
+                post_list.append(merged.score)
+            weights = sha.softmax_weights(post_list, config.sha.beta)
+            server.global_task = sha.across_client_aggregate(np.array(merged_rows), weights)
+            if ndag_on:
+                server.global_gen = sha.across_client_aggregate(result.generator[own], weights)
+            raw_scores = tuple(r.score for r in raw)
+            scores = tuple(post_list)
+
+        server.round = round_idx + 1
+
+        _, logits = nets.task_apply(server.global_task, task_arch, leg.val_x)
+        source_val_loss, _ = ndag.cross_entropy(logits[None], leg.val_y[None])
+        logged.append(
+            RoundMetrics(
+                round=round_idx,
+                warmup=warmup,
+                train_losses=tuple(result.mean_train_losses[own]),
+                source_val_loss=float(source_val_loss[0]),
+                raw_scores=raw_scores,
+                scores=scores,
+                weights=tuple(weights.values.tolist()),
+                target=None,
+                degenerate_rows=sum(result.client_degenerate_rows[own]),
             )
-            merged_rows.append(merged.row)
-            post_list.append(merged.score)
-        weights = sha.softmax_weights(post_list, config.sha.beta)
-        server.global_task = sha.across_client_aggregate(np.array(merged_rows), weights)
-        if ndag_on:
-            server.global_gen = sha.across_client_aggregate(result.generator, weights)
-        raw_scores = tuple(r.score for r in raw)
-        scores = tuple(post_list)
-
-    server.round = round_idx + 1
-
-    val_x = np.concatenate([d.val_x for d in sources])
-    val_y = np.concatenate([d.val_y for d in sources])
-    _, logits = nets.task_apply(server.global_task, task_arch, val_x)
-    source_val_loss, _ = ndag.cross_entropy(logits[None], val_y[None])
-    return RoundMetrics(
-        round=round_idx,
-        warmup=warmup,
-        train_losses=tuple(result.mean_train_losses),
-        source_val_loss=float(source_val_loss[0]),
-        raw_scores=raw_scores,
-        scores=scores,
-        weights=tuple(weights.values.tolist()),
-        target=None,
-        degenerate_rows=result.degenerate_rows,
-    )
+        )
+    return logged
 
 
 @dataclass
@@ -298,22 +359,40 @@ def run_federation(
     target: DomainDataset | None = None,
     collect_trace: bool = False,
 ) -> tuple[ServerState, list[RoundMetrics], list[TraceEntry]]:
-    """Train a federation over the source domains for config.rounds."""
+    """Train a federation over the source domains for config.rounds: a group of one leg."""
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
-    server = init(config, task_arch, gen_arch)
-    trace: list[TraceEntry] = []
-    round_log: list[RoundMetrics] = []
-    target_xy = _domain_eval_arrays(target) if target is not None else None
+    return _run_group([sources], [target], config, task_arch, gen_arch, collect_trace)[0]
+
+
+def _run_group(
+    sources: list[list[DomainDataset]],
+    targets: list[DomainDataset | None],
+    config: FederationConfig,
+    task_arch: nets.TaskArch,
+    gen_arch: nets.GenArch,
+    collect_trace: bool,
+) -> list[tuple[ServerState, list[RoundMetrics], list[TraceEntry]]]:
+    """Train one federation per source list as a leg group, round by round in lockstep.
+
+    Returns each leg's server, round log and trace, as run_federation does;
+    a leg with a target evaluates the global model on it after the last
+    round, or after every round with probe_every_round.
+    """
+    legs = [
+        _Leg(init(config, task_arch, gen_arch), leg_sources, [] if collect_trace else None)
+        for leg_sources in sources
+    ]
+    target_xy = [None if t is None else _domain_eval_arrays(t) for t in targets]
+    logs: list[list[RoundMetrics]] = [[] for _ in legs]
     for r in range(config.rounds):
-        rm = run_round(
-            server, sources, config, task_arch, gen_arch, trace if collect_trace else None
-        )
-        probe = target_xy is not None and (config.probe_every_round or r == config.rounds - 1)
-        if probe:
-            rm = replace(rm, target=metrics.evaluate(server.global_task, task_arch, *target_xy))
-        round_log.append(rm)
-    return server, round_log, trace
+        probe = config.probe_every_round or r == config.rounds - 1
+        logged = _group_round(legs, config, task_arch, gen_arch)
+        for leg, rm, xy, log in zip(legs, logged, target_xy, logs):
+            if probe and xy is not None:
+                rm = replace(rm, target=metrics.evaluate(leg.server.global_task, task_arch, *xy))
+            log.append(rm)
+    return [(leg.server, log, leg.trace or []) for leg, log in zip(legs, logs)]
 
 
 class Job(NamedTuple):
@@ -360,18 +439,64 @@ def _start_leg_worker(parent: int) -> None:
         os._exit(1)
 
 
-def _run_leg(jobs: list[Job], j: int, idx: int) -> DomainRun:
-    """Leg idx of job j: benchmark[idx] is held out."""
-    benchmark, config, task_arch, gen_arch, collect_trace = jobs[j]
-    target = benchmark[idx]
-    sources = [d for i, d in enumerate(benchmark) if i != idx]
-    leg_config = replace(config, n_clients=len(sources))
-    server, rounds, trace = run_federation(
-        sources, leg_config, task_arch, gen_arch, target, collect_trace
-    )
-    return DomainRun(
-        target_domain=target.domain, rounds=rounds, final_task=server.global_task, trace=trace
-    )
+def leg_groups(step_rows: list[int], workers: int) -> list[list[int]]:
+    """Split a job's legs into contiguous groups, each trained as one stack.
+
+    step_rows[i] is the rows of one local step of leg i: the sum over its
+    clients of min(batch_size, train size).  The groups are the fewest, and
+    never fewer than min(workers, legs), that split the legs as evenly as
+    possible and keep every group of more than one leg within
+    MAX_GROUP_ROWS rows per step; a taller leg is a group of its own.
+    """
+    legs = len(step_rows)
+    for count in range(min(workers, legs), legs):
+        size, extra = divmod(legs, count)
+        bounds = [g * size + min(g, extra) for g in range(count + 1)]
+        groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        if all(len(g) == 1 or sum(step_rows[i] for i in g) <= MAX_GROUP_ROWS for g in groups):
+            return groups
+    return [[i] for i in range(legs)]
+
+
+def _step_rows(job: Job) -> list[int]:
+    """Rows of one local step of each leg of job (see leg_groups)."""
+    batch = [min(job.config.ndag.batch_size, len(d.train_y)) for d in job.benchmark]
+    return [sum(batch) - own for own in batch]
+
+
+def _run_legs(job: Job, legs: range) -> list[DomainRun]:
+    """The given legs of job, trained as one leg group; leg idx holds out benchmark[idx]."""
+    benchmark, config, task_arch, gen_arch, collect_trace = job
+    targets = [benchmark[idx] for idx in legs]
+    sources = [[d for i, d in enumerate(benchmark) if i != idx] for idx in legs]
+    leg_config = replace(config, n_clients=len(benchmark) - 1)
+    trained = _run_group(sources, targets, leg_config, task_arch, gen_arch, collect_trace)
+    return [
+        DomainRun(target_domain=t.domain, rounds=rounds, final_task=server.global_task, trace=trace)
+        for t, (server, rounds, trace) in zip(targets, trained)
+    ]
+
+
+def _leg_outcomes(job: Job, legs: range) -> list[DomainRun | Exception]:
+    """Each leg's DomainRun, or the exception it raised, in leg order.
+
+    A group that raises is run again one leg at a time, so a failing leg
+    raises the error, with the client index, that it raises alone; the
+    outcomes end at the first leg that raises, since no later one is read.
+    """
+    try:
+        return _run_legs(job, legs)
+    except Exception as exc:
+        if len(legs) == 1:
+            return [exc]
+    outcomes = []
+    for idx in legs:
+        try:
+            outcomes.append(_run_legs(job, range(idx, idx + 1))[0])
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
 
 
 def _read_exactly(fd: int, n: int) -> bytearray | None:
@@ -392,19 +517,18 @@ def _write_all(fd: int, data: bytes) -> None:
 
 
 def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
-    """A leg worker's loop: run each (job, leg) read from pipe tasks, write its outcome to results.
+    """A leg worker's loop: run each leg group read from pipe tasks, write its outcomes to results.
 
-    The outcome is the leg's DomainRun, or the exception the leg raised,
-    pickled behind its length.  Returns when the task pipe ends.
+    A task is (job, first leg, leg count).  Each leg's outcome, its
+    DomainRun or the exception it raised (see _leg_outcomes), goes out as
+    a pickle of its own behind its length.  Returns when the task pipe ends.
     """
     while (task := _read_exactly(tasks, _TASK.size)) is not None:
-        try:
-            outcome = _run_leg(jobs, *_TASK.unpack(task))
-        except Exception as exc:
-            outcome = exc
-        body = pickle.dumps(outcome)
-        _write_all(results, _LENGTH.pack(len(body)))
-        _write_all(results, body)
+        j, first, count = _TASK.unpack(task)
+        for outcome in _leg_outcomes(jobs[j], range(first, first + count)):
+            body = pickle.dumps(outcome)
+            _write_all(results, _LENGTH.pack(len(body)))
+            _write_all(results, body)
 
 
 def _fork_leg_worker(jobs: list[Job], inherited: list[int]) -> tuple[int, int, int]:
@@ -467,21 +591,26 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     data; its full sample set (train + val splits) is the test set.
 
     Every leg of every job runs in a forked worker process, one worker per
-    CPU this process may use (at most one per leg), with no setting for it.
-    Forked workers import nothing, call this process's functions as they
-    are and read the jobs from their copy of this process's memory.  Each
-    worker has a task pipe and a result pipe of its own, so no lock is
-    shared between workers: this process writes a (job, leg) index pair to
-    a worker whenever it is free and reads back the leg's DomainRun, or the
-    exception it raised, pickled behind its length.  Just before the first
-    fork the heap is collected and frozen (gc.freeze): the workers'
-    collections then leave the objects they share with this process, and
-    the pages those live on, untouched, and this process's collections, the
-    last one at exit included, skip them.  A fork copies only the calling thread, so call this from a
-    process with no other threads that hold locks.
+    CPU this process may use (at most one per leg group), with no setting
+    for it.  Each job's legs are split into contiguous leg groups
+    (leg_groups), and a worker trains a group as one federation of all its
+    legs' clients in lockstep (_run_group), which gives each leg the bits
+    it gets alone.  Forked workers import nothing, call this process's
+    functions as they are and read the jobs from their copy of this
+    process's memory.  Each worker has a task pipe and a result pipe of
+    its own, so no lock is shared between workers: this process writes a
+    (job, first leg, leg count) triple to a worker whenever it is free and
+    reads back each leg's DomainRun, or the exception it raised, pickled
+    behind its length.  Just before the first fork the heap is collected
+    and frozen (gc.freeze): the workers' collections then leave the
+    objects they share with this process, and the pages those live on,
+    untouched, and this process's collections, the last one at exit
+    included, skip them.  A fork copies only the calling thread, so call
+    this from a process with no other threads that hold locks.
 
     The legs are read back in (job, leg) order, so the first failing leg in
-    that order raises its error as soon as every earlier leg has returned.
+    that order raises its error, the one it raises when trained alone
+    (see _leg_outcomes), as soon as every earlier leg has returned.
     A worker that dies before it is stopped, training or idle (killed from
     outside, say by the OOM killer), ends its result pipe, and
     LegWorkerDied is raised at once.  However this returns or raises,
@@ -491,34 +620,48 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     if any(len(job.benchmark) < 2 for job in jobs):
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
-    tasks = [(j, idx) for j, job in enumerate(jobs) for idx in range(len(job.benchmark))]
+    cpus = len(os.sched_getaffinity(0))
+    n_legs = sum(len(job.benchmark) for job in jobs)
+    tasks = [
+        (j, group[0], len(group))
+        for j, job in enumerate(jobs)
+        for group in leg_groups(_step_rows(job), cpus)
+    ]
     outcomes: dict[int, DomainRun | Exception] = {}
     pids: list[int] = []
     task_pipes: dict[int, int] = {}  # a worker's result pipe -> its task pipe
-    busy: dict[int, int] = {}  # a training worker's result pipe -> its task
+    # A training worker's result pipe -> the legs it has yet to return, by
+    # their position in (job, leg) order.  A worker whose group failed
+    # stops after the failing leg and stays here until that leg raises.
+    busy: dict[int, list[int]] = {}
     gc.collect()
     gc.freeze()
     try:
-        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+        for _ in range(min(cpus, len(tasks))):
             pid, task_w, result_r = _fork_leg_worker(jobs, [*task_pipes, *task_pipes.values()])
             pids.append(pid)
             task_pipes[result_r] = task_w
         poller = select.poll()
         for result_r in task_pipes:
             poller.register(result_r, select.POLLIN)
-        sent = returned = 0
-        while returned < len(tasks):
+        sent = queued = returned = 0  # tasks sent, legs sent, legs returned
+        while returned < n_legs:
             for result_r, task_w in task_pipes.items():
                 if result_r not in busy and sent < len(tasks):
+                    j, first, count = tasks[sent]
                     try:
-                        _write_all(task_w, _TASK.pack(*tasks[sent]))
+                        _write_all(task_w, _TASK.pack(j, first, count))
                     except BrokenPipeError:
                         raise LegWorkerDied("a leg worker process ended before its leg") from None
-                    busy[result_r] = sent
+                    busy[result_r] = list(range(queued, queued + count))
+                    queued += count
                     sent += 1
             for result_r, _ in poller.poll():
                 outcome = _receive(result_r)
-                outcomes[busy.pop(result_r)] = outcome
+                pending = busy[result_r]
+                outcomes[pending.pop(0)] = outcome
+                if not pending:
+                    del busy[result_r]
             while returned in outcomes:
                 if isinstance(outcomes[returned], Exception):
                     raise outcomes[returned]
@@ -532,7 +675,7 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
             os.close(result_r)
             os.close(task_w)
 
-    legs = (outcomes[i] for i in range(len(tasks)))
+    legs = (outcomes[i] for i in range(n_legs))
     reports = []
     for job in jobs:
         runs = [next(legs) for _ in job.benchmark]

@@ -69,6 +69,7 @@ def assert_same_client(a: ndag.RoundResult, c: int, b: ndag.RoundResult, d: int 
             assert np.array_equal(rows_a[c], rows_b[d]), role
     assert a.traces[c] == b.traces[d]
     assert a.mean_train_losses[c] == b.mean_train_losses[d]
+    assert a.client_degenerate_rows[c] == b.client_degenerate_rows[d]
 
 
 def assert_same_round(together: ndag.RoundResult, alone: list[ndag.RoundResult]):
@@ -133,6 +134,7 @@ def test_degenerate_rows_are_totalled_over_the_round():
     together, alone = together_and_alone(models, xs, ys, hyper, True, 2, 9)
     assert type(together.degenerate_rows) is int
     assert together.degenerate_rows == 2 * 2 * len(sizes)
+    assert together.client_degenerate_rows == (2 * 2,) * len(sizes)
     assert_same_round(together, alone)
 
 

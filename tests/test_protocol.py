@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import helpers
-from feddag import data, ndag, nets, protocol
+from feddag import cli, config, data, ndag, nets, protocol, sha
+from feddag.atomic import write_csv
 from feddag.ndag import NdagHyper
 from feddag.protocol import FederationConfig
 from feddag.sha import ShaHyper
+from test_acceptance import ABLATION_RECIPE
 
 TASK_ARCH = nets.TaskArch(6, (8,), 4, 3)
 GEN_ARCH = nets.GenArch(6, (5,))
@@ -516,10 +518,10 @@ class TestRunLodo:
     def test_leg_worker_reuses_freed_arrays(self, monkeypatch):
         # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
         # would fault in about that many in every round.
-        monkeypatch.setattr(protocol, "_run_leg", _allocation_faults)
-        pid, task_w, result_r = protocol._fork_leg_worker([], [])
+        monkeypatch.setattr(protocol, "_run_legs", lambda job, legs: [_allocation_faults()])
+        pid, task_w, result_r = protocol._fork_leg_worker([None], [])
         try:
-            os.write(task_w, protocol._TASK.pack(0, 0))
+            os.write(task_w, protocol._TASK.pack(0, 0, 1))
             faults = protocol._receive(result_r)
         finally:
             os.kill(pid, signal.SIGKILL)
@@ -529,12 +531,12 @@ class TestRunLodo:
         assert all(f < 256 for f in faults[1:]), faults
 
     def test_worker_killed_mid_leg_raises_at_once(self, monkeypatch):
-        def killed_leg(sources, config, task_arch, gen_arch, target, collect_trace):
-            if target.domain == 0:
+        def killed_leg(job, legs):
+            if any(job.benchmark[idx].domain == 0 for idx in legs):
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(30.0)  # the other legs still train when leg 0's worker dies
 
-        monkeypatch.setattr(protocol, "run_federation", killed_leg)
+        monkeypatch.setattr(protocol, "_run_legs", killed_leg)
         config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=2)
         start = time.monotonic()
         with pytest.raises(protocol.LegWorkerDied):
@@ -546,17 +548,19 @@ class TestRunLodo:
         bench = data.make_benchmark(
             data.BenchSpec(n_domains=4, n_classes=3, input_dim=6, samples_per_domain=60, seed=3)
         )
-        run_federation = protocol.run_federation
+        run_legs = protocol._run_legs
 
-        def failing_legs(sources, config, task_arch, gen_arch, target, collect_trace):
-            if config.seed == 0 and target.domain == 1:
+        def failing_legs(job, legs):
+            seed = job.config.seed
+            if seed == 0 and 1 in legs:
                 time.sleep(0.2)  # with two or more workers, leg 3 and job 1 then fail first
-            if (config.seed, target.domain) in ((0, 1), (0, 3), (1, 0)):
-                raise ndag.DivergenceError(f"job {config.seed} leg {target.domain}", 0)
-            return run_federation(sources, config, task_arch, gen_arch, target, collect_trace)
+            for idx in legs:
+                if (seed, job.benchmark[idx].domain) in ((0, 1), (0, 3), (1, 0)):
+                    raise ndag.DivergenceError(f"job {seed} leg {job.benchmark[idx].domain}", 0)
+            return run_legs(job, legs)
 
         # The workers are forked, so they call the patched function.
-        monkeypatch.setattr(protocol, "run_federation", failing_legs)
+        monkeypatch.setattr(protocol, "_run_legs", failing_legs)
         jobs = [
             protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1, n_clients=3, seed=s),
                          TASK_ARCH, GEN_ARCH)
@@ -566,3 +570,208 @@ class TestRunLodo:
             protocol.run_lodo_jobs(jobs)
         assert info.value.client == 0
         assert_no_child_left()
+
+
+def lodo_job(bench, mode="feddag", batch_size=32, **kw):
+    """A job over bench with fast-moving models and every batch traced."""
+    ndag_kw = dict(lr=0.05, ema_decay=0.9, batch_size=batch_size)
+    fed_config = fed(mode=mode, rounds=4, warmup=1, n_clients=len(bench) - 1, seed=7,
+                     ndag_kw=ndag_kw, **kw)
+    return protocol.Job(bench, fed_config, TASK_ARCH, GEN_ARCH, True)
+
+
+def leg_alone(job, idx):
+    """Leg idx of job trained by run_federation in this process."""
+    sources = [d for i, d in enumerate(job.benchmark) if i != idx]
+    return protocol.run_federation(
+        sources, job.config, job.task_arch, job.gen_arch, job.benchmark[idx], job.collect_trace
+    )
+
+
+def unequal_csv_bench(path):
+    """A CSV bench of four domains with 40, 75, 110 and 150 samples, loaded back."""
+    spec = data.BenchSpec(n_domains=4, n_classes=3, input_dim=6, samples_per_domain=150, seed=5)
+    domains, labels, features = data.generate_table(spec)
+    rng = np.random.default_rng(5)
+    keep = np.sort(np.concatenate([
+        rng.choice(np.flatnonzero(domains == d), n, replace=False)
+        for d, n in enumerate((40, 75, 110, 150))
+    ]))
+    header = ["domain", "label"] + [f"f{i}" for i in range(spec.input_dim)]
+    write_csv(str(path), header, ([int(domains[i]), int(labels[i])]
+                                  + [repr(float(v)) for v in features[i]] for i in keep))
+    return data.load_csv(str(path), split_seed=5)
+
+
+class TestLegGroups:
+    """leg_groups: which legs of a job a worker trains as one stack."""
+
+    @staticmethod
+    def rows(cfg):
+        job = cli._lodo_inputs(config.resolve(cfg))
+        return protocol._step_rows(job)
+
+    def test_default_job_on_two_cpus(self):
+        rows = self.rows({})
+        assert rows == [128] * 5
+        assert protocol.leg_groups(rows, 2) == [[0, 1, 2], [3, 4]]
+
+    def test_one_cpu_stacks_every_leg(self):
+        rows = self.rows({})
+        assert protocol.leg_groups(rows, 1) == [[0, 1, 2, 3, 4]]
+        assert sum(rows) == 640 <= protocol.MAX_GROUP_ROWS
+
+    def test_eight_cpus_give_one_leg_each(self):
+        assert protocol.leg_groups(self.rows({}), 8) == [[0], [1], [2], [3], [4]]
+
+    def test_tall_legs_stay_alone(self, tmp_path):
+        # The sha_many workload: 17 CSV domains of 179 training rows and batches of 256.
+        spec = data.BenchSpec(n_domains=17, samples_per_domain=200, seed=0)
+        data.export_csv(spec, str(tmp_path / "bench.csv"))
+        rows = self.rows({"data_csv": str(tmp_path / "bench.csv"), "batch_size": 256,
+                          "mode": "no_ndag"})
+        assert rows == [16 * 179] * 17
+        assert protocol.MAX_GROUP_ROWS < rows[0]
+        for workers in (1, 2):
+            assert protocol.leg_groups(rows, workers) == [[i] for i in range(17)]
+
+    def test_ablation_jobs_give_two_groups_each(self):
+        # The 20 jobs of acceptance criterion 7, on 2 CPUs.
+        jobs = [
+            cli._lodo_inputs(config.resolve(dict(ABLATION_RECIPE, mode=mode, seed=seed)))
+            for mode in protocol.MODES for seed in range(5)
+        ]
+        assert len(jobs) == 20
+        for job in jobs:
+            assert protocol.leg_groups(protocol._step_rows(job), 2) == [[0, 1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_groups_are_even_and_within_the_row_limit(self, workers):
+        # Unequal legs: the first of two groups would step 1,100 rows, over
+        # the limit, so even one CPU gets three.
+        rows = [300, 300, 500, 200, 100]
+        groups = protocol.leg_groups(rows, workers)
+        assert [i for g in groups for i in g] == list(range(5))
+        assert len(groups) >= min(workers, 5)
+        assert max(map(len, groups)) - min(map(len, groups)) <= 1
+        assert all(len(g) == 1 or sum(rows[i] for i in g) <= protocol.MAX_GROUP_ROWS
+                   for g in groups)
+        if workers == 1:
+            assert groups == [[0, 1], [2, 3], [4]]
+
+
+class TestGroupedLegs:
+    """A leg group trains its legs' clients as one stack and each leg as it trains alone."""
+
+    @pytest.mark.parametrize(
+        "mode, kw",
+        [
+            ("feddag", {}),
+            ("no_ndag", {}),
+            ("no_sha", {}),
+            ("fedavg", {}),
+            ("feddag", dict(local_epochs=2)),
+            ("feddag", dict(eval_clients_per_round=2, sha_kw=dict(include_self=False))),
+            ("no_ndag", dict(probe_every_round=True)),
+        ],
+    )
+    def test_group_equals_legs_alone(self, monkeypatch, mode, kw):
+        self.assert_group_equals_legs_alone(monkeypatch, lodo_job(BENCH4, mode, **kw))
+
+    @pytest.mark.parametrize("mode", ["feddag", "no_ndag"])
+    def test_unequal_csv_domains_mix_batch_sizes(self, monkeypatch, tmp_path, mode):
+        # Batches of 48 over 36 to 135 training rows: at a step, clients of
+        # different legs with equal batch sizes share a stack.
+        bench = unequal_csv_bench(tmp_path / "bench.csv")
+        assert len({len(d.train_y) for d in bench}) == 4
+        self.assert_group_equals_legs_alone(monkeypatch, lodo_job(bench, mode, batch_size=48))
+
+    @staticmethod
+    def assert_group_equals_legs_alone(monkeypatch, job):
+        stacked = []
+        client_round = ndag.client_round
+
+        def recording(student, *args, **kwargs):
+            stacked.append(len(student))
+            return client_round(student, *args, **kwargs)
+
+        monkeypatch.setattr(ndag, "client_round", recording)
+        legs = range(len(job.benchmark))
+        runs = protocol._run_legs(job, legs)
+        clients = len(job.benchmark) - 1
+        assert stacked == [len(legs) * clients] * job.config.rounds
+        for idx, run in zip(legs, runs):
+            server, rounds, trace = leg_alone(job, idx)
+            assert run.target_domain == job.benchmark[idx].domain
+            assert run.final_task.values.tobytes() == server.global_task.values.tobytes()
+            assert run.rounds == rounds
+            assert trace and run.trace == trace
+
+    def test_degenerate_rows_count_each_legs_own_clients(self):
+        # An all-zero input of domain 0 meets the initial teachers' zero
+        # biases (warmup 0, decay 1), so in every round legs 1 and 2 count a
+        # degenerate feature row in one generator and one student step;
+        # leg 0 trains without domain 0 and counts none.
+        bench = [replace(BENCH[0], train_x=BENCH[0].train_x.copy()), *BENCH[1:]]
+        bench[0].train_x[0] = 0.0
+        config = fed(mode="feddag", rounds=2, warmup=0, n_clients=2, ndag_kw=dict(ema_decay=1.0))
+        job = protocol.Job(bench, config, TASK_ARCH, GEN_ARCH)
+        runs = protocol._run_legs(job, range(3))
+        counts = [[rm.degenerate_rows for rm in run.rounds] for run in runs]
+        assert counts == [[0, 0], [2, 2], [2, 2]]
+        for idx, run in enumerate(runs):
+            assert run.rounds == leg_alone(job, idx)[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestGroupFailures:
+    """A failing leg raises the error it raises alone, whatever shares its group."""
+
+    # Domain 0's huge inputs overflow the first plain step of legs 1 and 2,
+    # where it is client 0; in a group of all three legs, leg 1's client 0
+    # sits at position 2.
+    OVERFLOWING = replace(BENCH[0], train_x=BENCH[0].train_x * 1e300)
+
+    @staticmethod
+    def one_group(monkeypatch):
+        monkeypatch.setattr(protocol, "leg_groups", lambda rows, workers: [list(range(len(rows)))])
+
+    @staticmethod
+    def error_alone(job, idx):
+        with pytest.raises(ndag.DivergenceError) as info:
+            leg_alone(job, idx)
+        return info.value
+
+    def assert_raises_as_alone(self, monkeypatch, job, idx):
+        expected = self.error_alone(job, idx)
+        outcomes = protocol._leg_outcomes(job, range(3))
+        assert len(outcomes) == idx + 1
+        for i, run in enumerate(outcomes[:idx]):
+            assert run.rounds == leg_alone(job, i)[1]
+        assert type(outcomes[idx]) is type(expected) and str(outcomes[idx]) == str(expected)
+        self.one_group(monkeypatch)
+        with pytest.raises(type(expected)) as info:
+            protocol.run_lodo_jobs([job])
+        assert str(info.value) == str(expected)
+        assert info.value.client == expected.client
+        assert_no_child_left()
+        return expected
+
+    def test_beside_a_leg_that_succeeds(self, monkeypatch):
+        bench = [self.OVERFLOWING, *BENCH[1:]]
+        job = protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1), TASK_ARCH, GEN_ARCH)
+        with pytest.raises(ndag.DivergenceError, match="^client 2: "):
+            protocol._run_legs(job, range(3))
+        expected = self.assert_raises_as_alone(monkeypatch, job, 1)
+        assert str(expected).startswith("client 0: ")
+
+    def test_beside_an_earlier_leg_that_fails_later(self, monkeypatch):
+        # Domain 2's validation set is NaN, so leg 0 trains its first round
+        # and fails when SHA first scores, in round 1; leg 1 fails in round 0.
+        broken_val = replace(BENCH[2], val_x=np.full_like(BENCH[2].val_x, np.nan))
+        bench = [self.OVERFLOWING, BENCH[1], broken_val]
+        job = protocol.Job(bench, fed(mode="no_ndag", rounds=3, warmup=1), TASK_ARCH, GEN_ARCH)
+        with pytest.raises(ndag.DivergenceError, match="^client 2: "):
+            protocol._run_legs(job, range(3))
+        expected = self.assert_raises_as_alone(monkeypatch, job, 0)
+        assert isinstance(expected, sha.ScoringDivergence)
