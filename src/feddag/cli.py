@@ -262,32 +262,6 @@ def _raise_terminated(signum, frame):
     raise Terminated
 
 
-def _block_sigterm():
-    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-
-
-def _unblock_sigterm():
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-def _default_sigterm_in_child():
-    # A forked leg worker takes SIGTERM's default action, so a SIGTERM sent
-    # to it ends it whatever it is blocked in.  SIGTERM stays blocked from
-    # before the fork until the default is in place: one that arrives in
-    # between, say sent to the command's whole process group, waits instead
-    # of reaching the parent's handler and being lost.
-    if signal.getsignal(signal.SIGTERM) is _raise_terminated:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _unblock_sigterm()
-
-
-os.register_at_fork(
-    before=_block_sigterm,
-    after_in_parent=_unblock_sigterm,
-    after_in_child=_default_sigterm_in_child,
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {}

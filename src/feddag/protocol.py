@@ -19,14 +19,18 @@ leg_groups, as one federation of all their clients: each round is one
 lockstep ndag.client_round over the group's clients, after which each leg
 scores, aggregates and records its own (_group_round).  A client's bits do
 not depend on what shares its stack, so a leg computes the same bits in
-any group; run_round and run_federation are the one-leg case.  The
-workers inherit the job list with their memory, are sent only (job, first
-leg, leg count) triples over a pipe of their own, and pickle each leg's
-result back to the caller over another.  Warnings raised while training,
-numpy's among them, therefore come from the workers.  A worker's allocator
-keeps the memory its arrays free (see _start_leg_worker), so the arrays of
-one step reuse the pages of the last one across steps, rounds, legs and
-jobs.
+any group, a group of one leg included.  The workers inherit the job list
+with their memory, are sent only (job, first leg, leg count) triples over
+a pipe of their own, and pickle each leg's result back to the caller over
+another.  Warnings raised while training, numpy's among them, therefore
+come from the workers.  A worker's allocator keeps the memory its arrays
+free (see _start_leg_worker), so the arrays of one step reuse the pages of
+the last one across steps, rounds, legs and jobs.
+
+A worker takes SIGTERM's default action.  A SIGTERM sent mid-fork, say to
+the caller's process group, ends the new worker and reaches the caller's
+handler only once the worker is recorded for run_lodo_jobs to kill
+(_fork_leg_worker).
 """
 
 from __future__ import annotations
@@ -203,28 +207,6 @@ class _Leg:
         self.val_y = np.concatenate([d.val_y for d in self.sources])
 
 
-def run_round(
-    server: ServerState,
-    sources: list[DomainDataset],
-    config: FederationConfig,
-    task_arch: nets.TaskArch,
-    gen_arch: nets.GenArch,
-    trace: list[TraceEntry] | None = None,
-) -> RoundMetrics:
-    """One communication round over the clients' source domains; mutates server.
-
-    The one-leg case of _group_round: every client's student starts from
-    the global task model and, in adversarial rounds, its generator from
-    the global generator, and the clients' local rounds run in lockstep
-    (ndag.client_round): every client finishes local step k before any
-    client starts step k + 1.  If training diverges, the
-    ndag.DivergenceError names the lowest-index client among those that
-    fail at the earliest failing local step; if scoring does,
-    sha.ScoringDivergence names the lowest-index client it failed on.
-    """
-    return _group_round([_Leg(server, sources, trace)], config, task_arch, gen_arch)[0]
-
-
 def _group_round(
     legs: list[_Leg], config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenArch
 ) -> list[RoundMetrics]:
@@ -351,20 +333,6 @@ def _domain_eval_arrays(domain: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def run_federation(
-    sources: list[DomainDataset],
-    config: FederationConfig,
-    task_arch: nets.TaskArch,
-    gen_arch: nets.GenArch,
-    target: DomainDataset | None = None,
-    collect_trace: bool = False,
-) -> tuple[ServerState, list[RoundMetrics], list[TraceEntry]]:
-    """Train a federation over the source domains for config.rounds: a group of one leg."""
-    if len(sources) != config.n_clients:
-        raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
-    return _run_group([sources], [target], config, task_arch, gen_arch, collect_trace)[0]
-
-
 def _run_group(
     sources: list[list[DomainDataset]],
     targets: list[DomainDataset | None],
@@ -375,9 +343,9 @@ def _run_group(
 ) -> list[tuple[ServerState, list[RoundMetrics], list[TraceEntry]]]:
     """Train one federation per source list as a leg group, round by round in lockstep.
 
-    Returns each leg's server, round log and trace, as run_federation does;
-    a leg with a target evaluates the global model on it after the last
-    round, or after every round with probe_every_round.
+    Returns each leg's server, round log and trace (empty unless
+    collect_trace); a leg with a target evaluates the global model on it
+    after the last round, or after every round with probe_every_round.
     """
     legs = [
         _Leg(init(config, task_arch, gen_arch), leg_sources, [] if collect_trace else None)
@@ -531,37 +499,43 @@ def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
             _write_all(results, body)
 
 
-def _fork_leg_worker(jobs: list[Job], inherited: list[int]) -> tuple[int, int, int]:
+def _fork_leg_worker(jobs: list[Job], pids: list[int], task_pipes: dict[int, int]) -> None:
     """Fork a leg worker that serves legs of jobs until its task pipe ends.
 
-    Returns its pid, the write end of its task pipe and the read end of its
-    result pipe.  inherited lists this process's ends of the earlier
-    workers' pipes, which the new worker closes, so only this process holds
-    them.
+    Records this process's ends of its pipes in task_pipes (result read end
+    -> task write end) before the fork, and its pid in pids after, so the
+    caller's cleanup ends it even if something raises as the fork returns:
+    a worker whose pid went unrecorded reads the end of its task pipe and
+    exits.  The worker closes the earlier workers' ends, so only this
+    process holds them.  SIGTERM stays blocked in this thread until the pid
+    is recorded, and in the worker until it takes SIGTERM's default action.
     """
+    inherited = [*task_pipes, *task_pipes.values()]
     task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
+    task_pipes[result_r] = task_w
     parent = os.getpid()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         pid = os.fork()
-    except OSError:
-        for fd in (task_r, task_w, result_r, result_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            for fd in (task_w, result_r, *inherited):
-                os.close(fd)
-            _start_leg_worker(parent)
-            _serve_legs(jobs, task_r, result_w)
-            code = 0
-        finally:
-            # Never return into the caller's stack, nor run its exit handlers.
-            os._exit(code)
-    os.close(task_r)
-    os.close(result_w)
-    return pid, task_w, result_r
+        if pid == 0:
+            code = 1
+            try:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                for fd in (task_w, result_r, *inherited):
+                    os.close(fd)
+                _start_leg_worker(parent)
+                _serve_legs(jobs, task_r, result_w)
+                code = 0
+            finally:
+                # Never return into the caller's stack, nor run its exit handlers.
+                os._exit(code)
+        pids.append(pid)
+    finally:
+        os.close(task_r)
+        os.close(result_w)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _receive(fd: int):
@@ -638,9 +612,7 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     gc.freeze()
     try:
         for _ in range(min(cpus, len(tasks))):
-            pid, task_w, result_r = _fork_leg_worker(jobs, [*task_pipes, *task_pipes.values()])
-            pids.append(pid)
-            task_pipes[result_r] = task_w
+            _fork_leg_worker(jobs, pids, task_pipes)
         poller = select.poll()
         for result_r in task_pipes:
             poller.register(result_r, select.POLLIN)

@@ -6,8 +6,9 @@ cross-check the package against an independent code path instead of against
 itself.  The only thing shared with the package is the flat parameter layout
 (W row-major then b, layer by layer), which is the documented contract.
 The exceptions are one_client and round_rows, which put clients into the
-stacked form the package trains in, so tests drive the code every federation
-round runs.
+stacked form the package trains in, and run_round and run_federation, which
+train a leg group of one leg, so tests drive the code every federation round
+runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from feddag import cli, ndag
+from feddag import cli, ndag, protocol
 from feddag.params import ParamVector, SgdRows
 
 
@@ -313,6 +314,31 @@ def round_rows(clients, ndag_enabled=True):
         return student, None, None
     generator = np.stack([m.generator.values for m in clients])
     return student, generator, np.stack([m.teacher.values for m in clients])
+
+
+# ------------------------------------------------------ one-leg federations
+
+
+def run_round(server, sources, config, task_arch, gen_arch, trace=None):
+    """One communication round over the clients' source domains; mutates server.
+
+    Every client's student starts from the global task model and, in
+    adversarial rounds, its generator from the global generator, and the
+    clients' local rounds run in lockstep (ndag.client_round): every client
+    finishes local step k before any client starts step k + 1.  If training
+    diverges, the ndag.DivergenceError names the lowest-index client among
+    those that fail at the earliest failing local step; if scoring does,
+    sha.ScoringDivergence names the lowest-index client it failed on.
+    """
+    leg = protocol._Leg(server, sources, trace)
+    return protocol._group_round([leg], config, task_arch, gen_arch)[0]
+
+
+def run_federation(sources, config, task_arch, gen_arch, target=None, collect_trace=False):
+    """(server, round log, trace) of a federation over sources trained for config.rounds."""
+    if len(sources) != config.n_clients:
+        raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
+    return protocol._run_group([sources], [target], config, task_arch, gen_arch, collect_trace)[0]
 
 
 # ------------------------------------------------------------- checkpoints

@@ -207,7 +207,7 @@ def test_criterion_04_fedavg_equivalence(capsys):
         fedavg = protocol.FederationConfig(
             n_clients=4, rounds=3, warmup_rounds=0, mode="fedavg", seed=0
         )
-        server, _, _ = protocol.run_federation(sources, fedavg, task_arch, gen_arch)
+        server, _, _ = helpers.run_federation(sources, fedavg, task_arch, gen_arch)
         assert np.max(np.abs(server.global_task.values - ref)) <= 1e-12
 
         # alpha 0 leaves batches untouched, ema_decay 0 pins the teacher to
@@ -222,7 +222,7 @@ def test_criterion_04_fedavg_equivalence(capsys):
             ndag=ndag.NdagHyper(alpha=0.0, ema_decay=0.0),
             sha=sha.ShaHyper(beta=0.0, k=0, rho=0.0),
         )
-        server, _, _ = protocol.run_federation(sources, degenerate, task_arch, gen_arch)
+        server, _, _ = helpers.run_federation(sources, degenerate, task_arch, gen_arch)
         assert np.max(np.abs(server.global_task.values - ref)) <= 1e-12
 
 

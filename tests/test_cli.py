@@ -846,19 +846,20 @@ def test_run_forks_workers_without_multiprocessing_from_a_frozen_heap(tmp_path):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="leg workers are forked")
 def test_sigterm_reaching_a_just_forked_worker_ends_it(tmp_path):
     # A SIGTERM sent to the process group can reach a worker before the
-    # worker's fork hook resets the handler; a hook that runs first sends it here.
+    # worker resets the handler; an at-fork hook in the worker sends it here.
+    # Closing the task pipe ends a worker that outlives it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
     script = tmp_path / "fork.py"
     script.write_text(
-        "import os, signal, time\n"
+        "import os, signal\n"
         "os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGTERM))\n"
-        "from feddag import cli\n"
+        "from feddag import cli, protocol\n"
         "signal.signal(signal.SIGTERM, cli._raise_terminated)\n"
-        "pid = os.fork()\n"
-        "if pid == 0:\n"
-        "    time.sleep(3)\n"
-        "    os._exit(0)\n"
-        "print(os.waitpid(pid, 0)[1])\n"
+        "pids, task_pipes = [], {}\n"
+        "protocol._fork_leg_worker([], pids, task_pipes)\n"
+        "for task_w in task_pipes.values():\n"
+        "    os.close(task_w)\n"
+        "print(os.waitpid(pids[0], 0)[1])\n"
     )
     result = subprocess.run(
         [sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
@@ -866,6 +867,139 @@ def test_sigterm_reaching_a_just_forked_worker_ends_it(tmp_path):
     )
     status = int(result.stdout)
     assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGTERM, result.stderr
+
+
+def run_in_script(tmp_path, prelude: str, epilogue: str = ""):
+    """`cli.main(["run", ...])` on the SMALL config, from a script in a session of its own.
+
+    prelude runs before feddag.cli is imported, and epilogue after main
+    returns its exit code, which the script then exits with.  Returns the
+    finished process, its stdout and its stderr; the caller kills what is
+    left of the session.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    cfg, out = write_cfg(tmp_path), str(tmp_path / "out")
+    script = tmp_path / "script.py"
+    script.write_text(
+        "import json, os, signal, sys, threading, time\n"
+        + prelude
+        + "from feddag import cli\n"
+        + f"code = cli.main(['run', '--config', {cfg!r}, '--out', {out!r}])\n"
+        + epilogue
+        + "sys.exit(code)\n"
+    )
+    out_path, err_path = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out_path, "w", encoding="utf-8") as fout, open(err_path, "w", encoding="utf-8") as ferr:
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], start_new_session=True, stdout=fout, stderr=ferr,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        )
+    try:
+        proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        kill_session(proc)
+        raise
+    return proc, out_path.read_text(encoding="utf-8"), err_path.read_text(encoding="utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigterm_during_the_first_fork_stops_the_run(tmp_path):
+    # A before-fork hook sends it while the run forks its first leg worker.
+    prelude = (
+        "sent = []\n"
+        "def term_once():\n"
+        "    if not sent:\n"
+        "        sent.append(True)\n"
+        "        os.kill(os.getpid(), signal.SIGTERM)\n"
+        "os.register_at_fork(before=term_once)\n"
+    )
+    proc, _, stderr = run_in_script(tmp_path, prelude)
+    try:
+        assert proc.returncode == 143, stderr
+        assert not processes_left_after(proc.pid, 2.0)
+    finally:
+        kill_session(proc)
+    assert "terminated" in stderr
+    assert "Exception ignored" not in stderr and "Traceback" not in stderr
+    assert not list((tmp_path / "out").rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
+def test_sigterm_as_a_fork_returns_ends_the_new_worker(tmp_path):
+    # A thread that leaves SIGTERM unblocked, as BLAS threads do, runs the
+    # handler as soon as os.fork returns, before the worker's pid is recorded.
+    prelude = (
+        "threading.Thread(target=time.sleep, args=(60,), daemon=True).start()\n"
+        "fork, workers = os.fork, []\n"
+        "def fork_then_term():\n"
+        "    pid = fork()\n"
+        "    if pid and not workers:\n"
+        "        workers.append(pid)\n"
+        "        os.kill(os.getpid(), signal.SIGTERM)\n"
+        "    return pid\n"
+        "os.fork = fork_then_term\n"
+    )
+    epilogue = (
+        "time.sleep(0.5)\n"
+        "try:\n"
+        "    running = os.waitpid(workers[0], os.WNOHANG)[0] == 0\n"
+        "except ChildProcessError:\n"
+        "    running = False\n"
+        "print(json.dumps(running))\n"
+    )
+    proc, stdout, stderr = run_in_script(tmp_path, prelude, epilogue)
+    try:
+        assert proc.returncode == 143, stderr
+        assert json.loads(stdout) is False
+        assert not processes_left_after(proc.pid, 2.0)
+    finally:
+        kill_session(proc)
+
+
+def test_importing_the_cli_leaves_other_forks_alone(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    script = (
+        "import json, os, signal\n"
+        "blocked = []\n"
+        "os.register_at_fork(before=lambda: blocked.append(\n"
+        "    signal.SIGTERM in signal.pthread_sigmask(signal.SIG_BLOCK, [])))\n"
+        "import feddag.cli\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+        "print(json.dumps(blocked))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert json.loads(result.stdout) == [False], result.stderr
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_run_writes_the_same_bytes_on_one_and_two_cpus(tmp_path):
+    # Leg groups follow the usable CPUs: the 3 legs train as {0, 1, 2} on
+    # one CPU and as {0, 1} and {2} on two.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    cfg = write_cfg(tmp_path)
+    cpus = sorted(os.sched_getaffinity(0))
+    artifacts = []
+    for n in (1, 2):
+        out = tmp_path / f"out{n}"
+        subprocess.run(
+            [sys.executable, "-m", "feddag.cli", "run", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True, timeout=120,
+            preexec_fn=lambda n=n: os.sched_setaffinity(0, cpus[:n]),
+        )
+        artifacts.append({
+            str(path.relative_to(out)): path.read_bytes()
+            for path in out.rglob("*") if path.is_file()
+        })
+    one, two = artifacts
+    assert sorted(one) == sorted(two)
+    assert any(name.startswith("checkpoints") for name in one)
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 class TestParser:

@@ -124,7 +124,7 @@ class TestFedavgEquivalence:
     def test_fedavg_mode_matches_reference_bitwise(self):
         sources = BENCH[:2]
         config = fed(mode="fedavg", rounds=3, warmup=1, seed=5)
-        server, _, _ = protocol.run_federation(sources, config, TASK_ARCH, GEN_ARCH)
+        server, _, _ = helpers.run_federation(sources, config, TASK_ARCH, GEN_ARCH)
         ref = helpers.reference_fedavg(
             [(d.train_x, d.train_y) for d in sources], TASK_ARCH, seed=5, rounds=3
         )
@@ -144,7 +144,7 @@ class TestFedavgEquivalence:
             ndag_kw=dict(alpha=0.0, ema_decay=0.0),
             sha_kw=dict(beta=0.0, k=0, rho=0.0),
         )
-        server, _, _ = protocol.run_federation(sources, config, TASK_ARCH, GEN_ARCH)
+        server, _, _ = helpers.run_federation(sources, config, TASK_ARCH, GEN_ARCH)
         ref = helpers.reference_fedavg(
             [(d.train_x, d.train_y) for d in sources], TASK_ARCH, seed=5, rounds=3
         )
@@ -152,7 +152,7 @@ class TestFedavgEquivalence:
 
     def test_source_count_mismatch(self):
         with pytest.raises(ValueError, match="source domains for"):
-            protocol.run_federation(BENCH, fed(n_clients=2), TASK_ARCH, GEN_ARCH)
+            helpers.run_federation(BENCH, fed(n_clients=2), TASK_ARCH, GEN_ARCH)
 
 
 class TestTeacherLifecycle:
@@ -167,7 +167,7 @@ class TestTeacherLifecycle:
         for r in range(config.rounds):
             if r == config.warmup_rounds:
                 snapshot = server.global_task.values.copy()
-            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert server.teachers.shape == (2, TASK_ARCH.param_count())
         for row in server.teachers:
             assert np.array_equal(row, snapshot)
@@ -193,7 +193,7 @@ class TestTeacherLifecycle:
 
         monkeypatch.setattr(ndag, "client_round", recording)
         for _ in range(config.rounds):
-            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         warmup, first, second = calls
         assert warmup[1] is None
         # The first adversarial round copies the global model into the teachers ...
@@ -211,7 +211,7 @@ class TestTeacherLifecycle:
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
         kept = []
         for _ in range(config.rounds):
-            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
             kept.append([[s.row.copy() for s in hist] for hist in server.histories])
         for hist, first in zip(server.histories, kept[1]):
             assert len(hist) == 3
@@ -227,8 +227,8 @@ class TestTeacherLifecycle:
         server_fd = protocol.init(config_fd, TASK_ARCH, GEN_ARCH)
         server_fa = protocol.init(config_fa, TASK_ARCH, GEN_ARCH)
         for _ in range(2):
-            protocol.run_round(server_fd, sources, config_fd, TASK_ARCH, GEN_ARCH)
-            protocol.run_round(server_fa, sources, config_fa, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server_fd, sources, config_fd, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server_fa, sources, config_fa, TASK_ARCH, GEN_ARCH)
         assert np.array_equal(server_fd.global_task.values, server_fa.global_task.values)
 
     def test_generator_untouched_during_warmup(self):
@@ -236,11 +236,11 @@ class TestTeacherLifecycle:
         config = fed(mode="no_sha", rounds=3, warmup=2, seed=11)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
         gen0 = server.global_gen.values.copy()
-        protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
-        protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert np.array_equal(server.global_gen.values, gen0)
         assert server.teachers is None
-        protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert not np.array_equal(server.global_gen.values, gen0)
 
     def test_no_ndag_mode_never_builds_adversarial_state(self):
@@ -249,7 +249,7 @@ class TestTeacherLifecycle:
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
         gen0 = server.global_gen.values.copy()
         for _ in range(config.rounds):
-            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert np.array_equal(server.global_gen.values, gen0)
         assert server.teachers is None
 
@@ -257,7 +257,7 @@ class TestTeacherLifecycle:
         sources = BENCH[:2]
         config = fed(mode="feddag", rounds=2, warmup=0, seed=0)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
-        rm = protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+        rm = helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
         assert rm.warmup is False
         assert rm.raw_scores is not None
         assert server.teachers is not None and len(server.teachers) == 2
@@ -269,7 +269,7 @@ class TestRoundMetrics:
         config = fed(mode="feddag", rounds=3, warmup=2, seed=1)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
         log = [
-            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
             for _ in range(config.rounds)
         ]
         assert [rm.round for rm in log] == [0, 1, 2]
@@ -289,7 +289,7 @@ class TestRoundMetrics:
         config = fed(mode="no_sha", rounds=3, warmup=1, seed=1)
         server = protocol.init(config, TASK_ARCH, GEN_ARCH)
         log = [
-            protocol.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
+            helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
             for _ in range(config.rounds)
         ]
         assert all(rm.raw_scores is None for rm in log)
@@ -361,7 +361,7 @@ class TestValSetSelection:
 class TestRunFederation:
     def test_single_client_federation(self):
         config = fed(mode="feddag", rounds=3, warmup=1, n_clients=1, seed=6)
-        server, log, _ = protocol.run_federation(BENCH[:1], config, TASK_ARCH, GEN_ARCH)
+        server, log, _ = helpers.run_federation(BENCH[:1], config, TASK_ARCH, GEN_ARCH)
         assert server.round == 3
         assert log[-1].weights == (1.0,)
 
@@ -369,7 +369,7 @@ class TestRunFederation:
     def test_divergence_wraps_client_index(self):
         config = fed(mode="fedavg", rounds=1, warmup=0, ndag_kw=dict(lr=1e200))
         with pytest.raises(ndag.DivergenceError, match="^client 0: ") as excinfo:
-            protocol.run_federation(BENCH[:2], config, TASK_ARCH, GEN_ARCH)
+            helpers.run_federation(BENCH[:2], config, TASK_ARCH, GEN_ARCH)
         assert excinfo.value.client == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -382,13 +382,13 @@ class TestRunFederation:
         broken = replace(BENCH[1], train_x=x * 1e300 if mode == "fedavg" else x + np.inf)
         config = fed(mode=mode, rounds=1, warmup=0)
         with pytest.raises(ndag.DivergenceError, match="^client 1: ") as excinfo:
-            protocol.run_federation([BENCH[0], broken], config, TASK_ARCH, GEN_ARCH)
+            helpers.run_federation([BENCH[0], broken], config, TASK_ARCH, GEN_ARCH)
         assert excinfo.value.client == 1
 
     def test_trace_collection_only_on_request(self):
         config = fed(mode="feddag", rounds=2, warmup=1, seed=3)
-        _, _, quiet = protocol.run_federation(BENCH[:2], config, TASK_ARCH, GEN_ARCH)
-        _, _, chatty = protocol.run_federation(
+        _, _, quiet = helpers.run_federation(BENCH[:2], config, TASK_ARCH, GEN_ARCH)
+        _, _, chatty = helpers.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, collect_trace=True
         )
         assert quiet == []
@@ -398,12 +398,12 @@ class TestRunFederation:
 
     def test_probe_cadence(self):
         config = fed(mode="fedavg", rounds=3, warmup=1, seed=3)
-        _, log, _ = protocol.run_federation(
+        _, log, _ = helpers.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, target=BENCH[2]
         )
         assert [rm.target is None for rm in log] == [True, True, False]
         config = fed(mode="fedavg", rounds=3, warmup=1, seed=3, probe_every_round=True)
-        _, log, _ = protocol.run_federation(
+        _, log, _ = helpers.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, target=BENCH[2]
         )
         assert all(rm.target is not None for rm in log)
@@ -442,7 +442,7 @@ class TestRunLodo:
         assert_no_child_left()
         for idx, run in enumerate(report.domains):
             sources = [d for i, d in enumerate(BENCH) if i != idx]
-            server, rounds, trace = protocol.run_federation(
+            server, rounds, trace = helpers.run_federation(
                 sources, config, TASK_ARCH, GEN_ARCH, BENCH[idx], collect_trace=True
             )
             assert run.target_domain == BENCH[idx].domain
@@ -501,7 +501,7 @@ class TestRunLodo:
     def test_leg_result_survives_pickling(self):
         # Warmup rounds leave the NDAG losses of every trace entry None.
         config = fed(mode="feddag", rounds=2, warmup=1, n_clients=2, seed=6)
-        server, rounds, trace = protocol.run_federation(
+        server, rounds, trace = helpers.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, BENCH[2], collect_trace=True
         )
         run = protocol.DomainRun(2, rounds, server.global_task, trace)
@@ -519,7 +519,9 @@ class TestRunLodo:
         # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
         # would fault in about that many in every round.
         monkeypatch.setattr(protocol, "_run_legs", lambda job, legs: [_allocation_faults()])
-        pid, task_w, result_r = protocol._fork_leg_worker([None], [])
+        pids, task_pipes = [], {}
+        protocol._fork_leg_worker([None], pids, task_pipes)
+        [pid], [(result_r, task_w)] = pids, task_pipes.items()
         try:
             os.write(task_w, protocol._TASK.pack(0, 0, 1))
             faults = protocol._receive(result_r)
@@ -581,9 +583,9 @@ def lodo_job(bench, mode="feddag", batch_size=32, **kw):
 
 
 def leg_alone(job, idx):
-    """Leg idx of job trained by run_federation in this process."""
+    """Leg idx of job trained by helpers.run_federation in this process."""
     sources = [d for i, d in enumerate(job.benchmark) if i != idx]
-    return protocol.run_federation(
+    return helpers.run_federation(
         sources, job.config, job.task_arch, job.gen_arch, job.benchmark[idx], job.collect_trace
     )
 
