@@ -7,10 +7,14 @@ aggregation tiers: within a client, the latest better-scoring snapshots are
 densely averaged into the upload; across clients, scores are soft-balanced
 into simplex weights.
 
-A round's uploads are scored together as (C, P) rows: one stacked forward
-and cross-entropy per validation set, over every model scored on it.  The
-sets are not concatenated, since on narrow output layers (16 -> 3) OpenBLAS
-rounds a row's logits differently depending on the matrix height.
+A round's uploads are scored together as (C, P) rows.  The validation
+sets of one height are stacked on a new leading axis, (S, 1, n, d) against
+all C rows, and each chunk of at most MAX_SCORE_ROWS stacked rows runs one
+forward pass and one loss-only cross-entropy.  Every (set, model) product
+keeps the set's own height, so a model's loss has the bits of scoring it
+alone.  Sets of different heights are never concatenated into one matrix:
+on narrow output layers (16 -> 3) OpenBLAS rounds a row's logits
+differently depending on the matrix height.
 """
 
 from __future__ import annotations
@@ -21,11 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nets
-from .ndag import DivergenceError, cross_entropy
+from .ndag import DivergenceError, cross_entropy_loss
 from .params import DimensionMismatch, ParamVector, param_mean
 
 GRAD_NORM_FLOOR = 1e-12
 SCORE_CAP = 1e9
+# The most (set, model, sample) rows one stacked scoring pass computes.  Its
+# activations are (sets, C, n, width) blocks, so this bounds their memory
+# (1 MiB per 64 columns); a set whose C * n rows alone exceed it runs alone.
+MAX_SCORE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -103,10 +111,9 @@ def probe_rows(theta: np.ndarray, grads: np.ndarray, rho: float) -> tuple[np.nda
     if theta.shape != grads.shape:
         raise DimensionMismatch(f"gradient shape {grads.shape} != params {theta.shape}")
     rows = theta.copy()
-    norms = [float(np.linalg.norm(g)) for g in grads]
-    probed = np.array([norm >= GRAD_NORM_FLOOR for norm in norms], dtype=bool)
-    for c in np.flatnonzero(probed):
-        rows[c] = rho / norms[c] * grads[c] + theta[c]
+    norms = np.array([np.linalg.norm(g) for g in grads])
+    probed = norms >= GRAD_NORM_FLOOR
+    rows[probed] = (rho / norms[probed])[:, None] * grads[probed] + theta[probed]
     return rows, probed
 
 
@@ -119,20 +126,38 @@ def evaluate_score(
     """Generalization score 1 / sum of per-set mean CE losses, one per row of theta_hat.
 
     scored_on[s] lists, ascending, the rows scored on val_sets[s]; each
-    row's losses are summed in set order.  A near-zero total loss is capped
-    at SCORE_CAP and flagged instead of dividing by ~0.  Non-finite
-    parameters or totals raise ScoringDivergence for the lowest such row.
+    row's losses are summed in set order.  Every row is run on every set,
+    in stacked passes over the sets of one height (see the module
+    docstring), and only the scored losses are summed.  A near-zero total
+    loss is capped at SCORE_CAP and flagged instead of dividing by ~0.
+    Non-finite parameters or totals raise ScoringDivergence for the lowest
+    such row.
     """
-    if set(range(len(theta_hat))) - {row for rows in scored_on for row in rows}:
+    c = len(theta_hat)
+    if set(range(c)) - {row for rows in scored_on for row in rows}:
         raise ValueError("evaluate_score needs at least one validation set per row")
-    totals = [0.0] * len(theta_hat)
-    for (xs, ys), rows in zip(val_sets, scored_on, strict=True):
+    if len(scored_on) != len(val_sets):
+        raise ValueError("evaluate_score needs one list of scored rows per validation set")
+    by_height: dict[int, list[int]] = {}
+    for s, (xs, _) in enumerate(val_sets):
         if xs.shape[0] == 0:
             raise ValueError("empty validation set")
-        models = theta_hat if len(rows) == len(theta_hat) else theta_hat[rows]
-        _, logits = nets.task_apply(models, arch, xs[None])
-        for row, loss in zip(rows, cross_entropy(logits, ys[None])[0].tolist()):
-            totals[row] += loss
+        by_height.setdefault(xs.shape[0], []).append(s)
+    layers = nets.split_layers(theta_hat, arch.layer_dims())
+    losses = np.empty((len(val_sets), c))
+    for n, sets in by_height.items():
+        step = max(1, MAX_SCORE_ROWS // (c * n))
+        for i in range(0, len(sets), step):
+            chunk = sets[i : i + step]
+            xs = np.stack([val_sets[s][0] for s in chunk])[:, None]
+            ys = np.repeat([val_sets[s][1] for s in chunk], c, axis=0)
+            _, logits = nets.mlp_forward(layers, xs)
+            flat = logits.reshape(-1, n, logits.shape[-1])
+            losses[chunk] = cross_entropy_loss(flat, ys).reshape(-1, c)
+    totals = [0.0] * c
+    for rows, set_losses in zip(scored_on, losses.tolist()):
+        for row in rows:
+            totals[row] += set_losses[row]
     finite = np.isfinite(theta_hat).all(axis=1)
     for row, total in enumerate(totals):
         if not (finite[row] and np.isfinite(total)):

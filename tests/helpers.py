@@ -8,7 +8,7 @@ itself.  The only thing shared with the package is the flat parameter layout
 The exceptions are one_client and round_rows, which put clients into the
 stacked form the package trains in, and run_round and run_federation, which
 train a leg group of one leg, so tests drive the code every federation round
-runs.
+runs, and unequal_csv_bench, a bench fixture.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from feddag import cli, ndag, protocol
+from feddag import cli, data, ndag, protocol
+from feddag.atomic import write_csv
 from feddag.params import ParamVector, SgdRows
 
 
@@ -369,3 +370,20 @@ def load_checkpoint(path: str):
     if params.dim != arch.param_count():
         raise ValueError(f"checkpoint {path}: {params.dim} values for {arch.param_count()} params")
     return params, arch, doc["role"], doc["round"]
+
+
+def unequal_csv_bench(path, sizes=(40, 75, 110, 150)):
+    """A CSV bench of one domain per entry of sizes, with that many samples, loaded back."""
+    spec = data.BenchSpec(
+        n_domains=len(sizes), n_classes=3, input_dim=6, samples_per_domain=max(sizes), seed=5
+    )
+    domains, labels, features = data.generate_table(spec)
+    rng = np.random.default_rng(5)
+    keep = np.sort(np.concatenate([
+        rng.choice(np.flatnonzero(domains == d), n, replace=False)
+        for d, n in enumerate(sizes)
+    ]))
+    header = ["domain", "label"] + [f"f{i}" for i in range(spec.input_dim)]
+    write_csv(str(path), header, ([int(domains[i]), int(labels[i])]
+                                  + [repr(float(v)) for v in features[i]] for i in keep))
+    return data.load_csv(str(path), split_seed=5)

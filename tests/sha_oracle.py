@@ -1,9 +1,9 @@
 """Per-pair SHA scoring: the oracle for the stacked scorer in feddag.sha.
 
 sha.probe_rows and sha.evaluate_score probe and score a round's uploads
-together, one stacked forward and one stacked cross-entropy per validation
-set.  This module does it one (upload, set) pair at a time instead: each
-upload probed as its own ParamVector (a*x + y), each set through a
+together, in stacked forwards and cross-entropies over validation sets of
+one height.  This module does it one (upload, set) pair at a time instead:
+each upload probed as its own ParamVector (a*x + y), each set through a
 single-model task_apply and a 2-D cross-entropy.  Tests demand that both
 routes give the same bits.
 """

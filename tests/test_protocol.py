@@ -15,7 +15,6 @@ import pytest
 
 import helpers
 from feddag import cli, config, data, ndag, nets, protocol, sha
-from feddag.atomic import write_csv
 from feddag.ndag import NdagHyper
 from feddag.protocol import FederationConfig
 from feddag.sha import ShaHyper
@@ -590,21 +589,6 @@ def leg_alone(job, idx):
     )
 
 
-def unequal_csv_bench(path):
-    """A CSV bench of four domains with 40, 75, 110 and 150 samples, loaded back."""
-    spec = data.BenchSpec(n_domains=4, n_classes=3, input_dim=6, samples_per_domain=150, seed=5)
-    domains, labels, features = data.generate_table(spec)
-    rng = np.random.default_rng(5)
-    keep = np.sort(np.concatenate([
-        rng.choice(np.flatnonzero(domains == d), n, replace=False)
-        for d, n in enumerate((40, 75, 110, 150))
-    ]))
-    header = ["domain", "label"] + [f"f{i}" for i in range(spec.input_dim)]
-    write_csv(str(path), header, ([int(domains[i]), int(labels[i])]
-                                  + [repr(float(v)) for v in features[i]] for i in keep))
-    return data.load_csv(str(path), split_seed=5)
-
-
 class TestLegGroups:
     """leg_groups: which legs of a job a worker trains as one stack."""
 
@@ -684,7 +668,7 @@ class TestGroupedLegs:
     def test_unequal_csv_domains_mix_batch_sizes(self, monkeypatch, tmp_path, mode):
         # Batches of 48 over 36 to 135 training rows: at a step, clients of
         # different legs with equal batch sizes share a stack.
-        bench = unequal_csv_bench(tmp_path / "bench.csv")
+        bench = helpers.unequal_csv_bench(tmp_path / "bench.csv")
         assert len({len(d.train_y) for d in bench}) == 4
         self.assert_group_equals_legs_alone(monkeypatch, lodo_job(bench, mode, batch_size=48))
 

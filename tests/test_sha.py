@@ -282,6 +282,76 @@ class TestStackedScoringOracle:
         assert sum(r.near_perfect for r in stacked) == 1
 
 
+@pytest.fixture(scope="module")
+def unequal_sources(tmp_path_factory):
+    """The 8 source domains of a leg of a CSV bench of 40 to 150 samples per domain.
+
+    Their validation sets have 15, 7, 3, 12, 8, 15, 6 and 7 rows.
+    """
+    sizes = (40, 150, 75, 40, 110, 75, 150, 60, 75)
+    bench = helpers.unequal_csv_bench(tmp_path_factory.mktemp("bench") / "bench.csv", sizes)
+    task_arch, _ = config.arches(config.resolve({}), bench[0].train_x.shape[1], 3)
+    return bench[1:], task_arch
+
+
+def counting_forwards(monkeypatch):
+    """Count the nets.mlp_forward calls that follow."""
+    calls = []
+    forward = nets.mlp_forward
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return forward(*args)
+
+    monkeypatch.setattr(nets, "mlp_forward", counted)
+    return calls
+
+
+class TestChunkedScoring:
+    """Stacked scoring in chunks and over mixed set heights, against per-pair scoring."""
+
+    @pytest.mark.parametrize("sets_per_chunk", [1, 2, 5, 16])
+    def test_chunks_that_split_a_height_group(self, monkeypatch, sha_many_sources, sets_per_chunk):
+        sources, task_arch = sha_many_sources
+        uploads, grads, val_sets, scored_on = scoring_case(sources, task_arch, 1e-7, True, 0, 0)
+        [height] = {len(ys) for _, ys in val_sets}
+        monkeypatch.setattr(sha, "MAX_SCORE_ROWS", sets_per_chunk * len(uploads) * height)
+        theta_hat, _ = sha.probe_rows(uploads, grads, 1e-7)
+        calls = counting_forwards(monkeypatch)
+        stacked = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
+        assert len(calls) == -(-len(val_sets) // sets_per_chunk)
+        pairs = sha_oracle.score_round(uploads, grads, 1e-7, task_arch, val_sets, scored_on)
+        assert stacked == pairs
+
+    @pytest.mark.parametrize("max_rows", [1, 400, sha.MAX_SCORE_ROWS])
+    @pytest.mark.parametrize("eval_clients", [0, 3])
+    @pytest.mark.parametrize("include_self", [True, False])
+    @pytest.mark.parametrize("rho", [0.0, 0.05])
+    def test_mixed_heights_are_bitwise_equal(
+        self, monkeypatch, unequal_sources, rho, include_self, eval_clients, max_rows
+    ):
+        sources, task_arch = unequal_sources
+        monkeypatch.setattr(sha, "MAX_SCORE_ROWS", max_rows)
+        for seed in range(3):
+            uploads, grads, val_sets, scored_on = scoring_case(
+                sources, task_arch, rho, include_self, eval_clients, seed
+            )
+            theta_hat, _ = sha.probe_rows(uploads, grads, rho)
+            stacked = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
+            pairs = sha_oracle.score_round(uploads, grads, rho, task_arch, val_sets, scored_on)
+            assert stacked == pairs
+
+    def test_one_forward_per_height_at_the_default_chunk(self, monkeypatch, unequal_sources):
+        sources, task_arch = unequal_sources
+        uploads, grads, val_sets, scored_on = scoring_case(sources, task_arch, 1e-7, True, 0, 0)
+        calls = counting_forwards(monkeypatch)
+        sha.evaluate_score(uploads, task_arch, val_sets, scored_on)
+        heights = [len(ys) for _, ys in val_sets]
+        assert sorted(calls) == sorted(
+            (heights.count(n), 1, n, task_arch.input_dim) for n in set(heights)
+        )
+
+
 def latest_k_oracle(current, history, k):
     """Brute-force the densest qualifying subset: among all same-size subsets
     of better-scoring entries, the latest-rounds one is the unique choice."""
