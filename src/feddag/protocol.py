@@ -24,7 +24,7 @@ with their memory, are sent only (job, first leg, leg count) triples over
 a pipe of their own, and pickle each leg's result back to the caller over
 another.  Warnings raised while training, numpy's among them, therefore
 come from the workers.  A worker's allocator keeps the memory its arrays
-free (see _keep_freed_arrays), so the arrays of one step reuse the pages of
+free (see _start_leg_worker), so the arrays of one step reuse the pages of
 the last one across steps, rounds, legs and jobs.
 
 A worker takes SIGTERM's default action.  A SIGTERM sent mid-fork, say to
@@ -35,7 +35,6 @@ handler only once the worker is recorded for run_lodo_jobs to kill
 
 from __future__ import annotations
 
-import ctypes
 import gc
 import os
 import pickle
@@ -378,35 +377,29 @@ class LegWorkerDied(RuntimeError):
     """A leg worker process ended without returning its leg, e.g. killed by a signal."""
 
 
-def _keep_freed_arrays(libc) -> None:
-    """Keep the arrays a step frees in this process's heap (glibc mallopt through ctypes).
-
-    It raises glibc's mmap threshold to 32 MiB and its trim threshold to
-    64 MiB, so the next step's arrays reuse the freed pages instead of
-    faulting in fresh ones.  A libc without mallopt keeps the allocator's
-    defaults.
-    """
-    if hasattr(libc, "mallopt"):
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-        libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
 def _start_leg_worker(parent: int) -> None:
     """Set up a just-forked leg worker: keep freed arrays in its heap, die with the parent.
 
-    The heap keeps what it frees (_keep_freed_arrays).  The worker then
-    asks the kernel to SIGKILL it when its parent ends (prctl
+    It raises glibc's mmap threshold to 32 MiB and its trim threshold to
+    64 MiB (mallopt), so the arrays a step frees stay in its heap and the
+    next step's arrays reuse their pages instead of faulting in fresh ones;
+    where libc has no mallopt it keeps the allocator's defaults.  The
+    worker then asks the kernel to SIGKILL it when its parent ends (prctl
     PR_SET_PDEATHSIG), so a parent killed by a signal no handler can catch
     leaves no worker training on, and exits at once if the parent already
     ended before that request.  Where libc has no prctl (outside Linux) it
-    does not, and such workers run on until their current leg ends.
+    does neither, and such workers run on until their current leg ends.
     """
+    import ctypes
+
     try:
         libc = ctypes.CDLL(None)
     except OSError:
         return
-    _keep_freed_arrays(libc)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
     if not hasattr(libc, "prctl"):
         return
     libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)

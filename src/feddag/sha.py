@@ -30,9 +30,10 @@ from .params import DimensionMismatch, ParamVector, param_mean
 
 GRAD_NORM_FLOOR = 1e-12
 SCORE_CAP = 1e9
-# The most (set, model, sample) rows one stacked scoring pass computes.  Its
-# activations are (sets, C, n, width) blocks, so this bounds their memory
-# (1 MiB per 64 columns); a set whose C * n rows alone exceed it runs alone.
+# The most (set, model, sample) rows one stacked scoring pass computes.  It
+# is a memory bound, not a tuned speed setting: the activations are
+# (sets, C, n, width) blocks (1 MiB per 64 columns at this cap).  A set whose
+# C * n rows alone exceed it runs alone, as every set did before stacking.
 MAX_SCORE_ROWS = 2048
 
 
