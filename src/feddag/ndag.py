@@ -240,11 +240,26 @@ def _class_max(logits: np.ndarray) -> np.ndarray:
     return top
 
 
+def _class_sum(ez: np.ndarray) -> np.ndarray:
+    """ez.sum(axis=2, keepdims=True), bit for bit, as a running add below 8 classes.
+
+    numpy adds fewer than 8 entries in order, so K - 1 elementwise adds give
+    its bits: 12 us against 53 us for the reduction at (16, 179, 3).  From 8
+    entries on it sums pairwise, in an order a running add does not follow.
+    """
+    if ez.shape[2] >= 8:
+        return ez.sum(axis=2, keepdims=True)
+    total = ez[:, :, 0].copy()
+    for k in range(1, ez.shape[2]):
+        total += ez[:, :, k]
+    return total[:, :, None]
+
+
 def _log_softmax_parts(logits: np.ndarray):
     """(logits - class max, its exp, the exp's class sum with a last axis of 1)."""
     shifted = logits - _class_max(logits)[:, :, None]
     ez = np.exp(shifted)
-    return shifted, ez, ez.sum(axis=2, keepdims=True)
+    return shifted, ez, _class_sum(ez)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):

@@ -19,13 +19,24 @@ leg_groups, as one federation of all their clients: each round is one
 lockstep ndag.client_round over the group's clients, after which each leg
 scores, aggregates and records its own (_group_round).  A client's bits do
 not depend on what shares its stack, so a leg computes the same bits in
-any group, a group of one leg included.  The workers inherit the job list
-with their memory, are sent only (job, first leg, leg count) triples over
-a pipe of their own, and pickle each leg's result back to the caller over
-another.  Warnings raised while training, numpy's among them, therefore
-come from the workers.  A worker's allocator keeps the memory its arrays
-free (see _start_leg_worker), so the arrays of one step reuse the pages of
-the last one across steps, rounds, legs and jobs.
+any group, a group of one leg included, and it can move to another group
+between rounds.  The workers inherit the job list with their memory.
+
+Each worker has a task pipe and a result pipe, and every message on either
+is a pickle behind its byte length.  The caller sends on the task pipe:
+- (job, first leg, leg count): train these legs from scratch as a group;
+- _RELEASE: after this round, hand off the back half of the group;
+- a _Handoff and then its legs' state (_leg_state): train those legs as a
+  group from the round they reached.
+The worker sends on the result pipe:
+- its pid, once, first;
+- each leg's DomainRun, or the exception it raised, in leg order;
+- a _Handoff and then its legs' state: the legs it released.
+run_lodo_jobs says which worker owns a leg when.  Warnings raised while
+training, numpy's among them, come from the workers.  A worker's allocator
+keeps the memory its arrays free (see _start_leg_worker), so the arrays of
+one step reuse the pages of the last one across steps, rounds, legs and
+jobs.
 
 A worker takes SIGTERM's default action.  A SIGTERM sent mid-fork, say to
 the caller's process group, ends the new worker and reaches the caller's
@@ -36,11 +47,13 @@ handler only once the worker is recorded for run_lodo_jobs to kill
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import pickle
 import select
 import signal
 import struct
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -68,15 +81,15 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
-# A leg worker's pipes: each task is a (job, first leg, leg count) triple,
-# and each leg's outcome a pickle behind its byte length.
-_TASK = struct.Struct("<III")
 # The most rows a local step of a group of two or more legs may train.  A
 # taller stack shares numpy's fixed cost per op among more rows: 128-row
 # legs cost about 30% less each in groups of three to five, while legs of
 # 2,864 rows gain nothing from stacking (2-vCPU VM, one BLAS thread).
 MAX_GROUP_ROWS = 1024
+# Every message on a leg worker's pipes is a pickle behind its byte length.
 _LENGTH = struct.Struct("<Q")
+# The message that asks a training worker to release the back half of its group.
+_RELEASE = "release"
 
 
 @dataclass(frozen=True)
@@ -190,15 +203,20 @@ def _client_val_sets(
 
 @dataclass
 class _Leg:
-    """A federation trained in a leg group: its server, its clients and its records.
+    """A federation trained in a leg group: its server, clients, target and records.
 
-    val_x and val_y join the clients' validation sets once, for every
-    round's source_val_loss.  trace is None unless batch traces are kept.
+    idx is the leg's index in its job, and target the domain it holds out,
+    if any.  val_x and val_y join the clients' validation sets once, for
+    every round's source_val_loss.  trace is None unless batch traces are
+    kept.
     """
 
     server: ServerState
     sources: list[DomainDataset]
     trace: list[TraceEntry] | None
+    target: DomainDataset | None = None
+    idx: int = 0
+    log: list[RoundMetrics] = field(default_factory=list)
     val_x: np.ndarray = field(init=False)
     val_y: np.ndarray = field(init=False)
 
@@ -334,33 +352,31 @@ def _domain_eval_arrays(domain: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_group(
-    sources: list[list[DomainDataset]],
-    targets: list[DomainDataset | None],
+    legs: list[_Leg],
     config: FederationConfig,
     task_arch: nets.TaskArch,
     gen_arch: nets.GenArch,
-    collect_trace: bool,
-) -> list[tuple[ServerState, list[RoundMetrics], list[TraceEntry]]]:
-    """Train one federation per source list as a leg group, round by round in lockstep.
+    release: Callable[[list[_Leg]], bool] | None = None,
+) -> None:
+    """Train legs as a leg group, round by round in lockstep, from their servers' round.
 
-    Returns each leg's server, round log and trace (empty unless
-    collect_trace); a leg with a target evaluates the global model on it
+    Every leg starts at the same round.  Each leg's server, log and trace
+    grow in place, and a leg with a target evaluates the global model on it
     after the last round, or after every round with probe_every_round.
+    After each round but the last, a group of k >= 2 legs offers its back
+    k // 2 legs to release, which returns True if it has taken them: they
+    then leave legs, and the rest train on.
     """
-    legs = [
-        _Leg(init(config, task_arch, gen_arch), leg_sources, [] if collect_trace else None)
-        for leg_sources in sources
-    ]
-    target_xy = [None if t is None else _domain_eval_arrays(t) for t in targets]
-    logs: list[list[RoundMetrics]] = [[] for _ in legs]
-    for r in range(config.rounds):
+    while (r := legs[0].server.round) < config.rounds:
         probe = config.probe_every_round or r == config.rounds - 1
-        logged = _group_round(legs, config, task_arch, gen_arch)
-        for leg, rm, xy, log in zip(legs, logged, target_xy, logs):
-            if probe and xy is not None:
+        for leg, rm in zip(legs, _group_round(legs, config, task_arch, gen_arch)):
+            if probe and leg.target is not None:
+                xy = _domain_eval_arrays(leg.target)
                 rm = replace(rm, target=metrics.evaluate(leg.server.global_task, task_arch, *xy))
-            log.append(rm)
-    return [(leg.server, log, leg.trace or []) for leg, log in zip(legs, logs)]
+            leg.log.append(rm)
+        keep = (len(legs) + 1) // 2
+        if release is not None and keep < len(legs) and r + 1 < config.rounds and release(legs[keep:]):
+            del legs[keep:]
 
 
 class Job(NamedTuple):
@@ -432,39 +448,86 @@ def _step_rows(job: Job) -> list[int]:
     return [sum(batch) - own for own in batch]
 
 
-def _run_legs(job: Job, legs: range) -> list[DomainRun]:
-    """The given legs of job, trained as one leg group; leg idx holds out benchmark[idx]."""
+def _run_legs(
+    job: Job,
+    legs: Sequence[int],
+    state: bytes | bytearray | None = None,
+    release: Callable[[list[_Leg]], bool] | None = None,
+) -> list[DomainRun]:
+    """The given legs of job, trained as one leg group; leg idx holds out benchmark[idx].
+
+    A leg starts from scratch or, if state (see _leg_state) holds it, from
+    the round it had reached.  The legs that release takes (see _run_group)
+    are left out of the result.
+    """
     benchmark, config, task_arch, gen_arch, collect_trace = job
-    targets = [benchmark[idx] for idx in legs]
-    sources = [[d for i, d in enumerate(benchmark) if i != idx] for idx in legs]
-    leg_config = replace(config, n_clients=len(benchmark) - 1)
-    trained = _run_group(sources, targets, leg_config, task_arch, gen_arch, collect_trace)
+    config = replace(config, n_clients=len(benchmark) - 1)
+    resumed = {} if state is None else {idx: rest for idx, *rest in pickle.loads(state)}
+    group = []
+    for idx in legs:
+        server, log, trace = resumed.get(idx) or (
+            init(config, task_arch, gen_arch), [], [] if collect_trace else None
+        )
+        sources = [d for i, d in enumerate(benchmark) if i != idx]
+        group.append(_Leg(server, sources, trace, benchmark[idx], idx, log))
+    _run_group(group, config, task_arch, gen_arch, release)
     return [
-        DomainRun(target_domain=t.domain, rounds=rounds, final_task=server.global_task, trace=trace)
-        for t, (server, rounds, trace) in zip(targets, trained)
+        DomainRun(leg.target.domain, leg.log, leg.server.global_task, leg.trace or [])
+        for leg in group
     ]
 
 
-def _leg_outcomes(job: Job, legs: range) -> list[DomainRun | Exception]:
-    """Each leg's DomainRun, or the exception it raised, in leg order.
+def _leg_outcomes(
+    job: Job,
+    legs: Sequence[int],
+    state: bytes | bytearray | None = None,
+    release: Callable[[list[_Leg]], bool] | None = None,
+) -> list[DomainRun | Exception]:
+    """Each leg's DomainRun, or the exception it raised, in leg order, but for those release takes.
 
-    A group that raises is run again one leg at a time, so a failing leg
+    The legs train as one group (_run_legs).  A group that raises is run
+    again one leg it kept at a time, from the same start, so a failing leg
     raises the error, with the client index, that it raises alone; the
     outcomes end at the first leg that raises, since no later one is read.
     """
+    kept = list(legs)
+
+    def release_back(back: list[_Leg]) -> bool:
+        if not release(back):
+            return False
+        del kept[-len(back) :]
+        return True
+
     try:
-        return _run_legs(job, legs)
+        return _run_legs(job, legs, state, release and release_back)
     except Exception as exc:
-        if len(legs) == 1:
+        if len(kept) == 1:
             return [exc]
     outcomes = []
-    for idx in legs:
+    for idx in kept:
         try:
-            outcomes.append(_run_legs(job, range(idx, idx + 1))[0])
+            outcomes.append(_run_legs(job, [idx], state)[0])
         except Exception as exc:
             outcomes.append(exc)
             break
     return outcomes
+
+
+class _Handoff(NamedTuple):
+    """Legs of job that a worker released after a round, for another to train on.
+
+    On a pipe it comes just before a frame of the legs' state (_leg_state),
+    which the worker that resumes the legs unpickles and the process that
+    forwards it copies unopened.
+    """
+
+    job: int
+    legs: tuple[int, ...]
+
+
+def _leg_state(legs: list[_Leg]) -> bytes:
+    """Each leg's (idx, server, round log, trace), pickled: what a leg needs to train on."""
+    return pickle.dumps([(leg.idx, leg.server, leg.log, leg.trace) for leg in legs])
 
 
 def _read_exactly(fd: int, n: int) -> bytearray | None:
@@ -484,19 +547,79 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
-    """A leg worker's loop: run each leg group read from pipe tasks, write its outcomes to results.
+def _send_frame(fd: int, body: bytes) -> None:
+    """Write body to pipe fd behind its byte length."""
+    _write_all(fd, _LENGTH.pack(len(body)))
+    _write_all(fd, body)
 
-    A task is (job, first leg, leg count).  Each leg's outcome, its
-    DomainRun or the exception it raised (see _leg_outcomes), goes out as
-    a pickle of its own behind its length.  Returns when the task pipe ends.
+
+def _send(fd: int, message) -> None:
+    _send_frame(fd, pickle.dumps(message))
+
+
+def _read_frame(fd: int) -> bytearray | None:
+    """The body of the next frame on pipe fd, or None if the pipe ends first."""
+    length = _read_exactly(fd, _LENGTH.size)
+    return None if length is None else _read_exactly(fd, _LENGTH.unpack(length)[0])
+
+
+def _receive(fd: int):
+    """The next message on pipe fd, or None if the pipe ends first."""
+    body = _read_frame(fd)
+    return None if body is None else pickle.loads(body)
+
+
+def _forward_frame(src: int, dst: int) -> bool:
+    """Copy the next frame of pipe src to pipe dst a chunk at a time; False if src ends first."""
+    length = _read_exactly(src, _LENGTH.size)
+    if length is None:
+        return False
+    _write_all(dst, length)
+    left = _LENGTH.unpack(length)[0]
+    while left:
+        chunk = os.read(src, min(left, 1 << 16))
+        if not chunk:
+            return False
+        _write_all(dst, chunk)
+        left -= len(chunk)
+    return True
+
+
+def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
+    """A leg worker's loop: train each leg group read from pipe tasks, report on pipe results.
+
+    Its first message is its pid.  A task is a (job, first leg, leg count)
+    triple, or a _Handoff followed by its legs' state to resume, and each
+    leg's outcome, its DomainRun or the exception it raised (see
+    _leg_outcomes), goes out in leg order.  After each round of a group,
+    one non-blocking poll of the task pipe looks for _RELEASE; if it is
+    there, the back legs go out as a _Handoff and their state before any
+    outcome of the group, and the rest train on.  A _RELEASE read between
+    groups came too late and is dropped.  Returns when the task pipe ends.
     """
-    while (task := _read_exactly(tasks, _TASK.size)) is not None:
-        j, first, count = _TASK.unpack(task)
-        for outcome in _leg_outcomes(jobs[j], range(first, first + count)):
-            body = pickle.dumps(outcome)
-            _write_all(results, _LENGTH.pack(len(body)))
-            _write_all(results, body)
+    _send(results, os.getpid())
+    poller = select.poll()
+    poller.register(tasks, select.POLLIN)
+    while (task := _receive(tasks)) is not None:
+        if task == _RELEASE:
+            continue
+        if isinstance(task, _Handoff):
+            j, legs = task
+            if (state := _read_frame(tasks)) is None:
+                return
+        else:
+            j, first, count = task
+            legs, state = range(first, first + count), None
+
+        def release(back: list[_Leg]) -> bool:
+            if not poller.poll(0) or _receive(tasks) != _RELEASE:
+                return False
+            _send(results, _Handoff(j, tuple(leg.idx for leg in back)))
+            _send_frame(results, _leg_state(back))
+            return True
+
+        for outcome in _leg_outcomes(jobs[j], legs, state, release):
+            _send(results, outcome)
 
 
 def _fork_leg_worker(jobs: list[Job], pids: list[int], task_pipes: dict[int, int]) -> None:
@@ -505,46 +628,39 @@ def _fork_leg_worker(jobs: list[Job], pids: list[int], task_pipes: dict[int, int
     Records this process's ends of its pipes in task_pipes (result read end
     -> task write end) before the fork, and its pid in pids after, so the
     caller's cleanup ends it even if something raises as the fork returns:
-    a worker whose pid went unrecorded reads the end of its task pipe and
-    exits.  The worker closes the earlier workers' ends, so only this
+    the worker's first message is its pid (_serve_legs), which the cleanup
+    then reads.  The worker closes the earlier workers' ends, so only this
     process holds them.  SIGTERM stays blocked in this thread until the pid
     is recorded, and in the worker until it takes SIGTERM's default action.
     """
     inherited = [*task_pipes, *task_pipes.values()]
     task_r, task_w = os.pipe()
     result_r, result_w = os.pipe()
-    task_pipes[result_r] = task_w
-    parent = os.getpid()
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                for fd in (task_w, result_r, *inherited):
-                    os.close(fd)
-                _start_leg_worker(parent)
-                _serve_legs(jobs, task_r, result_w)
-                code = 0
-            finally:
-                # Never return into the caller's stack, nor run its exit handlers.
-                os._exit(code)
-        pids.append(pid)
+        task_pipes[result_r] = task_w
+        parent = os.getpid()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    for fd in (task_w, result_r, *inherited):
+                        os.close(fd)
+                    _start_leg_worker(parent)
+                    _serve_legs(jobs, task_r, result_w)
+                    code = 0
+                finally:
+                    # Never return into the caller's stack, nor run its exit handlers.
+                    os._exit(code)
+            pids.append(pid)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     finally:
         os.close(task_r)
         os.close(result_w)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _receive(fd: int):
-    """The next outcome on result pipe fd; LegWorkerDied if the pipe ends first."""
-    length = _read_exactly(fd, _LENGTH.size)
-    body = None if length is None else _read_exactly(fd, _LENGTH.unpack(length)[0])
-    if body is None:
-        raise LegWorkerDied("a leg worker process ended before returning its leg")
-    return pickle.loads(body)
 
 
 def run_lodo(
@@ -572,15 +688,26 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     it gets alone.  Forked workers import nothing, call this process's
     functions as they are and read the jobs from their copy of this
     process's memory.  Each worker has a task pipe and a result pipe of
-    its own, so no lock is shared between workers: this process writes a
-    (job, first leg, leg count) triple to a worker whenever it is free and
-    reads back each leg's DomainRun, or the exception it raised, pickled
-    behind its length.  Just before the first fork the heap is collected
-    and frozen (gc.freeze): the workers' collections then leave the
-    objects they share with this process, and the pages those live on,
-    untouched, and this process's collections, the last one at exit
-    included, skip them.  A fork copies only the calling thread, so call
-    this from a process with no other threads that hold locks.
+    its own, so no lock is shared between workers; the module docstring
+    lists the messages on them.
+
+    Which worker owns a leg: none, until this process sends the leg's group
+    to a free worker.  Once no group is left to send, a worker that owns
+    no leg steals: this process sends _RELEASE to a worker that owns two
+    or more legs, which hands off the back half of its group after its
+    current round.  This process forwards the _Handoff, and copies the
+    legs' state after it a chunk at a time without unpickling it, to the
+    free worker, which owns those legs from then on.  A worker that reads
+    _RELEASE in its last round, while it trains single legs after a
+    failure, or after its group has ended keeps its legs.  A leg stays
+    owned until its outcome returns.
+
+    Just before the first fork the heap is collected and frozen
+    (gc.freeze): the workers' collections then leave the objects they share
+    with this process, and the pages those live on, untouched, and this
+    process's collections, the last one at exit included, skip them.  A
+    fork copies only the calling thread, so call this from a process with
+    no other threads that hold locks.
 
     The legs are read back in (job, leg) order, so the first failing leg in
     that order raises its error, the one it raises when trained alone
@@ -588,14 +715,16 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     A worker that dies before it is stopped, training or idle (killed from
     outside, say by the OOM killer), ends its result pipe, and
     LegWorkerDied is raised at once.  However this returns or raises,
-    every worker is killed and reaped first; a worker also ends when this
-    process does, even when it is killed (see _start_leg_worker).
+    every worker is killed and reaped first, a worker whose pid only its
+    first message told included; a worker also ends when this process
+    does, even when it is killed (see _start_leg_worker).
     """
     if any(len(job.benchmark) < 2 for job in jobs):
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
     cpus = len(os.sched_getaffinity(0))
-    n_legs = sum(len(job.benchmark) for job in jobs)
+    first_leg = list(itertools.accumulate((len(job.benchmark) for job in jobs), initial=0))
+    n_legs = first_leg[-1]
     tasks = [
         (j, group[0], len(group))
         for j, job in enumerate(jobs)
@@ -604,10 +733,13 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     outcomes: dict[int, DomainRun | Exception] = {}
     pids: list[int] = []
     task_pipes: dict[int, int] = {}  # a worker's result pipe -> its task pipe
-    # A training worker's result pipe -> the legs it has yet to return, by
-    # their position in (job, leg) order.  A worker whose group failed
-    # stops after the failing leg and stays here until that leg raises.
-    busy: dict[int, list[int]] = {}
+    # A worker's result pipe -> the legs it owns, by their position in
+    # (job, leg) order.  A worker whose group failed stops after the
+    # failing leg and stays here until that leg raises.
+    owned: dict[int, list[int]] = {}
+    # A worker asked to release legs -> the free worker they are for.
+    thieves: dict[int, int] = {}
+
     gc.collect()
     gc.freeze()
     try:
@@ -616,29 +748,52 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
         poller = select.poll()
         for result_r in task_pipes:
             poller.register(result_r, select.POLLIN)
-        sent = queued = returned = 0  # tasks sent, legs sent, legs returned
+        sent = returned = 0  # tasks sent, legs returned in order
         while returned < n_legs:
-            for result_r, task_w in task_pipes.items():
-                if result_r not in busy and sent < len(tasks):
+            for worker in task_pipes:
+                if worker in owned or worker in thieves.values():
+                    continue
+                if sent < len(tasks):
                     j, first, count = tasks[sent]
-                    try:
-                        _write_all(task_w, _TASK.pack(j, first, count))
-                    except BrokenPipeError:
-                        raise LegWorkerDied("a leg worker process ended before its leg") from None
-                    busy[result_r] = list(range(queued, queued + count))
-                    queued += count
+                    _send(task_pipes[worker], tasks[sent])
+                    owned[worker] = list(range(first_leg[j] + first, first_leg[j] + first + count))
                     sent += 1
-            for result_r, _ in poller.poll():
-                outcome = _receive(result_r)
-                pending = busy[result_r]
-                outcomes[pending.pop(0)] = outcome
+                    continue
+                victim = next((w for w, legs in owned.items() if len(legs) > 1 and w not in thieves), None)
+                if victim is not None:
+                    _send(task_pipes[victim], _RELEASE)
+                    thieves[victim] = worker
+            for worker, _ in poller.poll():
+                message = _receive(worker)
+                if message is None:
+                    raise LegWorkerDied("a leg worker process ended before returning its leg")
+                if isinstance(message, int):  # the worker's pid
+                    continue
+                if isinstance(message, _Handoff):
+                    thief = thieves.pop(worker)
+                    _send(task_pipes[thief], message)
+                    if not _forward_frame(worker, task_pipes[thief]):
+                        raise LegWorkerDied("a leg worker process ended before returning its leg")
+                    moved = [first_leg[message.job] + idx for idx in message.legs]
+                    owned[worker] = [pos for pos in owned[worker] if pos not in moved]
+                    owned[thief] = moved
+                    continue
+                pending = owned[worker]
+                outcomes[pending.pop(0)] = message
                 if not pending:
-                    del busy[result_r]
+                    del owned[worker]
+                    thieves.pop(worker, None)  # it kept its legs
             while returned in outcomes:
                 if isinstance(outcomes[returned], Exception):
                     raise outcomes[returned]
                 returned += 1
+    except BrokenPipeError:  # only a worker reads this process's writes
+        raise LegWorkerDied("a leg worker process ended before its leg") from None
     finally:
+        # A worker whose fork raised as it returned; only its first message tells its pid.
+        for result_r in list(task_pipes)[len(pids) :]:
+            if isinstance(pid := _receive(result_r), int):
+                pids.append(pid)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:

@@ -339,7 +339,10 @@ def run_federation(sources, config, task_arch, gen_arch, target=None, collect_tr
     """(server, round log, trace) of a federation over sources trained for config.rounds."""
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
-    return protocol._run_group([sources], [target], config, task_arch, gen_arch, collect_trace)[0]
+    server = protocol.init(config, task_arch, gen_arch)
+    leg = protocol._Leg(server, sources, [] if collect_trace else None, target)
+    protocol._run_group([leg], config, task_arch, gen_arch)
+    return leg.server, leg.log, leg.trace or []
 
 
 # ------------------------------------------------------------- checkpoints

@@ -802,10 +802,15 @@ def test_sigkill_of_a_just_forked_leg_worker_exits_5(tmp_path):
 @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads sessions from /proc")
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two workers")
 def test_sigkill_of_an_idle_leg_worker_exits_5(tmp_path):
-    # 3 legs on 2 CPUs: after legs 0 and 1, one worker trains leg 2 and the other idles.
+    # 2 legs of very unequal size on 2 CPUs train as one-leg groups, so no
+    # leg can be handed off: leg 1 trains on 27 rows and ends in well under
+    # a second, and its worker then idles while leg 0 trains on 2,700 rows
+    # for several seconds.
+    csv_path = tmp_path / "bench.csv"
+    helpers.unequal_csv_bench(csv_path, sizes=(30, 3000))
     cpus = sorted(os.sched_getaffinity(0))[:2]
     proc, err_path = start_run(
-        tmp_path, {"n_domains": 3, "rounds": 150},
+        tmp_path, {"data_csv": str(csv_path), "rounds": 150},
         preexec_fn=lambda: os.sched_setaffinity(0, cpus),
     )
 
@@ -939,18 +944,20 @@ def test_sigterm_as_a_fork_returns_ends_the_new_worker(tmp_path):
         "    return pid\n"
         "os.fork = fork_then_term\n"
     )
+    # The worker's first message tells the cleanup its pid, so main has
+    # reaped it by the time it returns.
     epilogue = (
-        "time.sleep(0.5)\n"
         "try:\n"
-        "    running = os.waitpid(workers[0], os.WNOHANG)[0] == 0\n"
+        "    os.waitpid(workers[0], os.WNOHANG)\n"
+        "    reaped = False\n"
         "except ChildProcessError:\n"
-        "    running = False\n"
-        "print(json.dumps(running))\n"
+        "    reaped = True\n"
+        "print(json.dumps(reaped))\n"
     )
     proc, stdout, stderr = run_in_script(tmp_path, prelude, epilogue)
     try:
         assert proc.returncode == 143, stderr
-        assert json.loads(stdout) is False
+        assert json.loads(stdout) is True
         assert not processes_left_after(proc.pid, 2.0)
     finally:
         kill_session(proc)
@@ -977,25 +984,55 @@ def test_importing_the_cli_leaves_other_forks_alone(tmp_path):
     assert json.loads(result.stdout) == [False], result.stderr
 
 
+# `feddag run` that prints [exit code, legs of each handoff this process
+# forwarded].  Every round of a group of two or more legs first sleeps, which
+# changes no bits, so a one-leg group's worker is done long before a pair's.
+COUNTING_RUN = """\
+import json, os, sys, time
+from feddag import cli, protocol
+caller, handoffs = os.getpid(), []
+group_round, send = protocol._group_round, protocol._send
+
+def slow_groups(legs, *args):
+    if len(legs) > 1:
+        time.sleep(0.05)
+    return group_round(legs, *args)
+
+def counting(fd, message):
+    if os.getpid() == caller and isinstance(message, protocol._Handoff):
+        handoffs.append(message.legs)
+    send(fd, message)
+
+protocol._group_round, protocol._send = slow_groups, counting
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, handoffs]))
+"""
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_run_writes_the_same_bytes_on_one_and_two_cpus(tmp_path):
     # Leg groups follow the usable CPUs: the 3 legs train as {0, 1, 2} on
-    # one CPU and as {0, 1} and {2} on two.
+    # one CPU, and as {0, 1} and {2} on two, where leg 2's worker then takes
+    # over leg 1 after one of the pair's 8 rounds.
     src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, rounds=8)
     cpus = sorted(os.sched_getaffinity(0))
-    artifacts = []
+    artifacts, handoffs = [], []
     for n in (1, 2):
         out = tmp_path / f"out{n}"
-        subprocess.run(
-            [sys.executable, "-m", "feddag.cli", "run", "--config", cfg, "--out", str(out)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True, timeout=120,
+        result = subprocess.run(
+            [sys.executable, "-c", COUNTING_RUN, "run", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
             preexec_fn=lambda n=n: os.sched_setaffinity(0, cpus[:n]),
         )
+        code, legs = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0, result.stderr
+        handoffs.append(legs)
         artifacts.append({
             str(path.relative_to(out)): path.read_bytes()
             for path in out.rglob("*") if path.is_file()
         })
+    assert handoffs == [[], [[1]]]
     one, two = artifacts
     assert sorted(one) == sorted(two)
     assert any(name.startswith("checkpoints") for name in one)

@@ -206,6 +206,24 @@ class TestClassMax:
         assert grad.tobytes() == ref_grad.tobytes()
 
 
+class TestClassSum:
+    """ndag._class_sum, the class-axis sum of the shifted exps in both cross-entropies."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_equals_the_reduction_bit_for_bit(self, k):
+        # Normal logits at scales that underflow some exps, with tied rows and
+        # -inf entries (exp 0, or NaN where a whole row is -inf).
+        rng = np.random.default_rng(k)
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            z = rng.normal(size=(4, 179, k)) * scale
+            z[:, :20] = z[:, :20, :1]
+            z[rng.random(z.shape) < 0.2] = -np.inf
+            z[:, -1] = -np.inf
+            ez = np.exp(z - ndag._class_max(z)[:, :, None])
+            assert ndag._class_sum(ez).tobytes() == ez.sum(axis=2, keepdims=True).tobytes()
+
+
 def reduction_cross_entropy(logits, labels):
     """ndag.cross_entropy as it was, shifting by logits.max(axis=2)."""
     c, n, _ = logits.shape

@@ -6,9 +6,11 @@ import ctypes
 import os
 import pickle
 import resource
+import select
 import signal
 import time
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -451,8 +453,8 @@ class TestRunLodo:
             assert trace and run.trace == trace
 
     def test_leg_inputs_are_not_pickled(self):
-        # Forked workers inherit the jobs; only (job, leg) indices and
-        # results cross the pipes.
+        # Forked workers inherit the jobs; only (job, leg) indices, results
+        # and handed-off legs' servers and records cross the pipes.
         class Unpicklable(data.DomainDataset):
             def __reduce__(self):
                 raise TypeError("a leg input was pickled")
@@ -517,12 +519,13 @@ class TestRunLodo:
     def test_leg_worker_reuses_freed_arrays(self, monkeypatch):
         # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
         # would fault in about that many in every round.
-        monkeypatch.setattr(protocol, "_run_legs", lambda job, legs: [_allocation_faults()])
+        monkeypatch.setattr(protocol, "_run_legs", lambda job, legs, *_: [_allocation_faults()])
         pids, task_pipes = [], {}
         protocol._fork_leg_worker([None], pids, task_pipes)
         [pid], [(result_r, task_w)] = pids, task_pipes.items()
         try:
-            os.write(task_w, protocol._TASK.pack(0, 0, 1))
+            protocol._send(task_w, (0, 0, 1))
+            assert protocol._receive(result_r) == pid
             faults = protocol._receive(result_r)
         finally:
             os.kill(pid, signal.SIGKILL)
@@ -532,7 +535,7 @@ class TestRunLodo:
         assert all(f < 256 for f in faults[1:]), faults
 
     def test_worker_killed_mid_leg_raises_at_once(self, monkeypatch):
-        def killed_leg(job, legs):
+        def killed_leg(job, legs, *_):
             if any(job.benchmark[idx].domain == 0 for idx in legs):
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(30.0)  # the other legs still train when leg 0's worker dies
@@ -551,14 +554,14 @@ class TestRunLodo:
         )
         run_legs = protocol._run_legs
 
-        def failing_legs(job, legs):
+        def failing_legs(job, legs, *rest):
             seed = job.config.seed
             if seed == 0 and 1 in legs:
                 time.sleep(0.2)  # with two or more workers, leg 3 and job 1 then fail first
             for idx in legs:
                 if (seed, job.benchmark[idx].domain) in ((0, 1), (0, 3), (1, 0)):
                     raise ndag.DivergenceError(f"job {seed} leg {job.benchmark[idx].domain}", 0)
-            return run_legs(job, legs)
+            return run_legs(job, legs, *rest)
 
         # The workers are forked, so they call the patched function.
         monkeypatch.setattr(protocol, "_run_legs", failing_legs)
@@ -761,3 +764,244 @@ class TestGroupFailures:
             protocol._run_legs(job, range(3))
         expected = self.assert_raises_as_alone(monkeypatch, job, 0)
         assert isinstance(expected, sha.ScoringDivergence)
+
+
+class Handoff(NamedTuple):
+    legs: tuple[int, ...]
+    state: bytes
+
+
+def release_after(round_idx: int, handoffs: list):
+    """A release check that takes the offered legs after round round_idx, as a worker would."""
+
+    def release(back):
+        if back[0].server.round != round_idx + 1:
+            return False
+        handoffs.append(Handoff(tuple(leg.idx for leg in back), protocol._leg_state(back)))
+        return True
+
+    return release
+
+
+class TestHandoffs:
+    """Legs released after a round train on elsewhere as they train alone."""
+
+    @pytest.mark.parametrize("mode", ["feddag", "fedavg"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_released_legs_train_on_as_alone(self, mode, r):
+        # 4 legs release legs 2 and 3 after round r; those resume as a group
+        # that releases leg 3 after round r + 1 unless that is the last.
+        job = lodo_job(BENCH4, mode)
+        assert job.config.rounds == 4 and job.config.warmup_rounds == 1
+        first, second = [], []
+        runs = protocol._leg_outcomes(job, range(4), None, release_after(r, first))
+        [handoff] = first
+        assert handoff.legs == (2, 3) and len(runs) == 2
+        runs += protocol._leg_outcomes(job, handoff.legs, handoff.state, release_after(r + 1, second))
+        assert len(second) == (r + 2 < job.config.rounds)
+        for handoff in second:
+            assert handoff.legs == (3,)
+            runs += protocol._leg_outcomes(job, handoff.legs, handoff.state)
+        assert len(runs) == 4
+        for idx, run in enumerate(runs):
+            server, rounds, trace = leg_alone(job, idx)
+            alone = protocol.DomainRun(job.benchmark[idx].domain, rounds, server.global_task, trace)
+            assert pickle.dumps(run) == pickle.dumps(alone)
+
+    def test_handoff_state_holds_no_dataset(self):
+        class Unpicklable(data.DomainDataset):
+            def __reduce__(self):
+                raise TypeError("a leg input was pickled")
+
+        bench = [Unpicklable(d.domain, d.train_x, d.train_y, d.val_x, d.val_y) for d in BENCH]
+        job = protocol.Job(bench, fed(mode="feddag", rounds=3, warmup=1), TASK_ARCH, GEN_ARCH)
+        handoffs = []
+        protocol._run_legs(job, range(3), release=release_after(1, handoffs))
+        [(idx, server, log, trace)] = pickle.loads(handoffs[0].state)
+        assert idx == 2 and server.round == 2 and len(log) == 2 and trace is None
+        assert server.histories and all(server.histories)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_resumed_legs_raise_as_alone(self):
+        # Domain 0's validation set is NaN, so every leg that trains on it
+        # fails when SHA first scores, in round 1; leg 0 does not.
+        broken = replace(BENCH4[0], val_x=np.full_like(BENCH4[0].val_x, np.nan))
+        bench = [broken, *BENCH4[1:]]
+        job = protocol.Job(bench, fed(mode="no_ndag", rounds=3, warmup=1, n_clients=3),
+                           TASK_ARCH, GEN_ARCH)
+        handoffs = []
+        kept = protocol._leg_outcomes(job, range(4), None, release_after(0, handoffs))
+        [handoff] = handoffs
+        resumed = protocol._leg_outcomes(job, handoff.legs, handoff.state)
+        assert handoff.legs == (2, 3)
+        assert len(kept) == 2 and len(resumed) == 1
+        assert kept[0].rounds == leg_alone(job, 0)[1]
+        for idx, outcome in ((1, kept[1]), (2, resumed[0])):
+            expected = TestGroupFailures.error_alone(job, idx)
+            assert type(outcome) is type(expected) is sha.ScoringDivergence
+            assert str(outcome) == str(expected) and outcome.client == expected.client
+
+
+def receive_within(fd: int, seconds: float = 20.0):
+    """The next message on result pipe fd; fails the test if none comes within seconds."""
+    assert select.select([fd], [], [], seconds)[0], "no message from the leg worker"
+    return protocol._receive(fd)
+
+
+@pytest.fixture
+def worker():
+    """Starts one leg worker on the jobs given; yields (task pipe, result pipe) past its pid."""
+    pids, task_pipes = [], {}
+
+    def start(jobs):
+        protocol._fork_leg_worker(jobs, pids, task_pipes)
+        [(result_r, task_w)] = task_pipes.items()
+        assert receive_within(result_r) == pids[0]
+        return task_w, result_r
+
+    yield start
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    for result_r, task_w in task_pipes.items():
+        os.close(result_r)
+        os.close(task_w)
+
+
+class TestReleaseIgnored:
+    """A worker that cannot act on a release request keeps its legs and serves on."""
+
+    @staticmethod
+    def outcomes(task_w, result_r, task, count):
+        protocol._send(task_w, task)
+        return [receive_within(result_r) for _ in range(count)]
+
+    def assert_runs_as_alone(self, job, runs, legs):
+        assert [type(run) for run in runs] == [protocol.DomainRun] * len(legs)
+        for idx, run in zip(legs, runs):
+            assert run.rounds == leg_alone(job, idx)[1]
+
+    def test_after_its_group_has_ended(self, worker):
+        job = lodo_job(BENCH)
+        task_w, result_r = worker([job])
+        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, (0, 0, 1), 1), [0])
+        protocol._send(task_w, protocol._RELEASE)
+        # The next group polls after each round and finds no request.
+        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, (0, 1, 2), 2), [1, 2])
+
+    def test_in_its_last_round(self, worker):
+        job = protocol.Job(BENCH, fed(mode="feddag", rounds=1, warmup=0), TASK_ARCH, GEN_ARCH)
+        task_w, result_r = worker([job])
+        protocol._send(task_w, (0, 0, 3))
+        protocol._send(task_w, protocol._RELEASE)
+        self.assert_runs_as_alone(job, [receive_within(result_r) for _ in range(3)], [0, 1, 2])
+        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, (0, 0, 2), 2), [0, 1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_while_it_retries_single_legs(self, worker):
+        # The group fails in its first round, before any poll, so the request
+        # waits while the worker trains leg 0 alone and then fails leg 1.
+        bench = [TestGroupFailures.OVERFLOWING, *BENCH[1:]]
+        job = protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1), TASK_ARCH, GEN_ARCH)
+        task_w, result_r = worker([job])
+        protocol._send(task_w, (0, 0, 3))
+        protocol._send(task_w, protocol._RELEASE)
+        leg0, leg1 = receive_within(result_r), receive_within(result_r)
+        self.assert_runs_as_alone(job, [leg0], [0])
+        assert isinstance(leg1, ndag.DivergenceError)
+        [leg2] = self.outcomes(task_w, result_r, (0, 2, 1), 1)
+        assert isinstance(leg2, ndag.DivergenceError)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two leg workers")
+class TestStealing:
+    """run_lodo_jobs with a leg handed off mid-run, on groups {0, 1} and {2}.
+
+    Every round of the pair first sleeps 0.2 s, so leg 2's worker finishes
+    long before it and takes over leg 1 after one of the pair's rounds.
+    """
+
+    @pytest.fixture(autouse=True)
+    def slow_pair(self, monkeypatch):
+        group_round = protocol._group_round
+
+        def slow_pairs(legs, *args):
+            if len(legs) > 1:
+                time.sleep(0.2)
+            return group_round(legs, *args)
+
+        monkeypatch.setattr(protocol, "leg_groups", lambda rows, workers: [[0, 1], [2]])
+        monkeypatch.setattr(protocol, "_group_round", slow_pairs)
+
+    @pytest.mark.parametrize("killed", ["victim on the request", "victim before the legs' state",
+                                        "victim after the legs' state", "thief on the handoff"])
+    def test_a_worker_killed_mid_handoff_raises_at_once(self, monkeypatch, killed):
+        caller, handed = os.getpid(), []
+        receive, send, send_frame, leg_state, run_legs = (
+            protocol._receive, protocol._send, protocol._send_frame, protocol._leg_state,
+            protocol._run_legs,
+        )
+
+        def die_if(case):
+            if killed == case and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def receiving(fd):
+            message = receive(fd)
+            if message == protocol._RELEASE:
+                die_if("victim on the request")
+            return message
+
+        def sending(fd, message):
+            send(fd, message)
+            if isinstance(message, protocol._Handoff):
+                die_if("victim before the legs' state")
+
+        def state_of(legs):
+            handed.append(True)
+            return leg_state(legs)
+
+        def sending_frame(fd, body):
+            send_frame(fd, body)
+            if handed:
+                die_if("victim after the legs' state")
+
+        def resuming(job, legs, state=None, release=None):
+            if state is not None:
+                die_if("thief on the handoff")
+            return run_legs(job, legs, state, release)
+
+        monkeypatch.setattr(protocol, "_receive", receiving)
+        monkeypatch.setattr(protocol, "_send", sending)
+        monkeypatch.setattr(protocol, "_send_frame", sending_frame)
+        monkeypatch.setattr(protocol, "_leg_state", state_of)
+        monkeypatch.setattr(protocol, "_run_legs", resuming)
+        config = fed(mode="fedavg", rounds=100, warmup=1)
+        start = time.monotonic()
+        with pytest.raises(protocol.LegWorkerDied):
+            protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
+        assert time.monotonic() - start < 10.0  # the pair alone would take 20 s
+        assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_leg_diverging_after_its_handoff_raises_as_alone(self, monkeypatch):
+        # Domain 0's validation set is NaN, so legs 1 and 2 fail when SHA
+        # first scores, in round 5: leg 2 at once, and leg 1 on leg 2's
+        # worker, which took it over after one of the pair's first rounds.
+        caller, handoffs, send = os.getpid(), [], protocol._send
+
+        def counting(fd, message):
+            if os.getpid() == caller and isinstance(message, protocol._Handoff):
+                handoffs.append(message.legs)
+            send(fd, message)
+
+        monkeypatch.setattr(protocol, "_send", counting)
+        broken = replace(BENCH[0], val_x=np.full_like(BENCH[0].val_x, np.nan))
+        job = protocol.Job([broken, *BENCH[1:]], fed(mode="no_ndag", rounds=10, warmup=5),
+                           TASK_ARCH, GEN_ARCH)
+        expected = TestGroupFailures.error_alone(job, 1)
+        with pytest.raises(sha.ScoringDivergence) as info:
+            protocol.run_lodo_jobs([job])
+        assert str(info.value) == str(expected) and info.value.client == expected.client
+        assert handoffs == [(1,)]
+        assert_no_child_left()
