@@ -66,9 +66,7 @@ SCHEMA: dict[str, tuple[Any, Any, str]] = {
     if f.default is not MISSING and f.type in _TYPES
 }
 SCHEMA.update({
-    # Builder arguments: FederationConfig, TaskArch and GenArch check their ranges.
-    "rounds": (14, _is_int, "integer"),
-    "warmup_rounds": (3, _is_int, "integer"),
+    # Builder arguments: TaskArch and GenArch check their ranges.
     "hidden_dims": ([32, 32], _int_list, "nonempty list of integers"),
     "feature_dim": (16, _is_int, "integer"),
     "gen_hidden_dims": ([32], _int_list, "nonempty list of integers"),

@@ -24,10 +24,10 @@ between rounds.  The workers inherit the job list with their memory.
 
 Each worker has a task pipe and a result pipe, and every message on either
 is a pickle behind its byte length.  The caller sends on the task pipe:
-- (job, first leg, leg count): train these legs from scratch as a group;
-- _RELEASE: after this round, hand off the back half of the group;
-- a _Handoff and then its legs' state (_leg_state): train those legs as a
-  group from the round they reached.
+- a _Handoff and then a frame of its legs' state (_leg_state): train those
+  legs as a group from the round they reached, or from scratch if the frame
+  is empty;
+- _RELEASE: after this round, hand off the back half of the group.
 The worker sends on the result pipe:
 - its pid, once, first;
 - each leg's DomainRun, or the exception it raised, in leg order;
@@ -47,7 +47,6 @@ handler only once the worker is recorded for run_lodo_jobs to kill
 from __future__ import annotations
 
 import gc
-import itertools
 import os
 import pickle
 import select
@@ -95,8 +94,8 @@ _RELEASE = "release"
 @dataclass(frozen=True)
 class FederationConfig:
     n_clients: int
-    rounds: int
-    warmup_rounds: int
+    rounds: int = 14
+    warmup_rounds: int = 3
     ndag: ndag.NdagHyper = ndag.NdagHyper()
     sha: sha.ShaHyper = sha.ShaHyper()
     mode: str = "feddag"
@@ -456,13 +455,13 @@ def _run_legs(
 ) -> list[DomainRun]:
     """The given legs of job, trained as one leg group; leg idx holds out benchmark[idx].
 
-    A leg starts from scratch or, if state (see _leg_state) holds it, from
-    the round it had reached.  The legs that release takes (see _run_group)
-    are left out of the result.
+    A leg starts from the round it had reached if state (see _leg_state)
+    holds it, and from scratch if state is empty or None.  The legs that
+    release takes (see _run_group) are left out of the result.
     """
     benchmark, config, task_arch, gen_arch, collect_trace = job
     config = replace(config, n_clients=len(benchmark) - 1)
-    resumed = {} if state is None else {idx: rest for idx, *rest in pickle.loads(state)}
+    resumed = {idx: rest for idx, *rest in pickle.loads(state)} if state else {}
     group = []
     for idx in legs:
         server, log, trace = resumed.get(idx) or (
@@ -514,11 +513,12 @@ def _leg_outcomes(
 
 
 class _Handoff(NamedTuple):
-    """Legs of job that a worker released after a round, for another to train on.
+    """Legs of job for a worker to train as a group: a task, or legs a worker released.
 
     On a pipe it comes just before a frame of the legs' state (_leg_state),
-    which the worker that resumes the legs unpickles and the process that
-    forwards it copies unopened.
+    which the worker that trains the legs unpickles and the process that
+    forwards it copies unopened.  The frame is empty for legs that start
+    from scratch.
     """
 
     job: int
@@ -588,14 +588,14 @@ def _forward_frame(src: int, dst: int) -> bool:
 def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
     """A leg worker's loop: train each leg group read from pipe tasks, report on pipe results.
 
-    Its first message is its pid.  A task is a (job, first leg, leg count)
-    triple, or a _Handoff followed by its legs' state to resume, and each
-    leg's outcome, its DomainRun or the exception it raised (see
-    _leg_outcomes), goes out in leg order.  After each round of a group,
-    one non-blocking poll of the task pipe looks for _RELEASE; if it is
-    there, the back legs go out as a _Handoff and their state before any
-    outcome of the group, and the rest train on.  A _RELEASE read between
-    groups came too late and is dropped.  Returns when the task pipe ends.
+    Its first message is its pid.  A task is a _Handoff followed by its
+    legs' state, empty for legs that start from scratch, and each leg's
+    outcome, its DomainRun or the exception it raised (see _leg_outcomes),
+    goes out in leg order.  After each round of a group, one non-blocking
+    poll of the task pipe looks for _RELEASE; if it is there, the back legs
+    go out as a _Handoff and their state before any outcome of the group,
+    and the rest train on.  A _RELEASE read between groups came too late
+    and is dropped.  Returns when the task pipe ends.
     """
     _send(results, os.getpid())
     poller = select.poll()
@@ -603,13 +603,9 @@ def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
     while (task := _receive(tasks)) is not None:
         if task == _RELEASE:
             continue
-        if isinstance(task, _Handoff):
-            j, legs = task
-            if (state := _read_frame(tasks)) is None:
-                return
-        else:
-            j, first, count = task
-            legs, state = range(first, first + count), None
+        if (state := _read_frame(tasks)) is None:
+            return
+        j, legs = task
 
         def release(back: list[_Leg]) -> bool:
             if not poller.poll(0) or _receive(tasks) != _RELEASE:
@@ -691,16 +687,17 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     its own, so no lock is shared between workers; the module docstring
     lists the messages on them.
 
-    Which worker owns a leg: none, until this process sends the leg's group
-    to a free worker.  Once no group is left to send, a worker that owns
-    no leg steals: this process sends _RELEASE to a worker that owns two
-    or more legs, which hands off the back half of its group after its
-    current round.  This process forwards the _Handoff, and copies the
-    legs' state after it a chunk at a time without unpickling it, to the
-    free worker, which owns those legs from then on.  A worker that reads
-    _RELEASE in its last round, while it trains single legs after a
-    failure, or after its group has ended keeps its legs.  A leg stays
-    owned until its outcome returns.
+    Which worker owns a leg, by (job, leg): none, until this process sends
+    the leg's group to a free worker, as a _Handoff with an empty state
+    frame.  Once no group is left to send, a worker that owns no leg
+    steals: this process sends _RELEASE to a worker that owns two or more
+    legs, which hands off the back half of its group after its current
+    round.  This process forwards the _Handoff, and copies the legs' state
+    after it a chunk at a time without unpickling it, to the free worker,
+    which owns those legs from then on.  A worker that reads _RELEASE in
+    its last round, while it trains single legs after a failure, or after
+    its group has ended keeps its legs.  A leg stays owned until its
+    outcome returns.
 
     Just before the first fork the heap is collected and frozen
     (gc.freeze): the workers' collections then leave the objects they share
@@ -723,20 +720,18 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
         raise ValueError("leave-one-domain-out needs at least 2 domains")
 
     cpus = len(os.sched_getaffinity(0))
-    first_leg = list(itertools.accumulate((len(job.benchmark) for job in jobs), initial=0))
-    n_legs = first_leg[-1]
     tasks = [
-        (j, group[0], len(group))
+        _Handoff(j, tuple(group))
         for j, job in enumerate(jobs)
         for group in leg_groups(_step_rows(job), cpus)
     ]
-    outcomes: dict[int, DomainRun | Exception] = {}
+    outcomes: dict[tuple[int, int], DomainRun | Exception] = {}
     pids: list[int] = []
     task_pipes: dict[int, int] = {}  # a worker's result pipe -> its task pipe
-    # A worker's result pipe -> the legs it owns, by their position in
-    # (job, leg) order.  A worker whose group failed stops after the
-    # failing leg and stays here until that leg raises.
-    owned: dict[int, list[int]] = {}
+    # A worker's result pipe -> the (job, leg)s it owns, in leg order.  A
+    # worker whose group failed stops after the failing leg and stays here
+    # until that leg raises.
+    owned: dict[int, list[tuple[int, int]]] = {}
     # A worker asked to release legs -> the free worker they are for.
     thieves: dict[int, int] = {}
 
@@ -748,16 +743,16 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
         poller = select.poll()
         for result_r in task_pipes:
             poller.register(result_r, select.POLLIN)
-        sent = returned = 0  # tasks sent, legs returned in order
-        while returned < n_legs:
+        unread = [(j, idx) for j, job in enumerate(jobs) for idx in range(len(job.benchmark))]
+        while unread:
             for worker in task_pipes:
                 if worker in owned or worker in thieves.values():
                     continue
-                if sent < len(tasks):
-                    j, first, count = tasks[sent]
-                    _send(task_pipes[worker], tasks[sent])
-                    owned[worker] = list(range(first_leg[j] + first, first_leg[j] + first + count))
-                    sent += 1
+                if tasks:
+                    task = tasks.pop(0)
+                    _send(task_pipes[worker], task)
+                    _send_frame(task_pipes[worker], b"")
+                    owned[worker] = [(task.job, idx) for idx in task.legs]
                     continue
                 victim = next((w for w, legs in owned.items() if len(legs) > 1 and w not in thieves), None)
                 if victim is not None:
@@ -774,19 +769,17 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
                     _send(task_pipes[thief], message)
                     if not _forward_frame(worker, task_pipes[thief]):
                         raise LegWorkerDied("a leg worker process ended before returning its leg")
-                    moved = [first_leg[message.job] + idx for idx in message.legs]
-                    owned[worker] = [pos for pos in owned[worker] if pos not in moved]
-                    owned[thief] = moved
+                    owned[thief] = [(message.job, idx) for idx in message.legs]
+                    owned[worker] = [leg for leg in owned[worker] if leg not in owned[thief]]
                     continue
                 pending = owned[worker]
                 outcomes[pending.pop(0)] = message
                 if not pending:
                     del owned[worker]
                     thieves.pop(worker, None)  # it kept its legs
-            while returned in outcomes:
-                if isinstance(outcomes[returned], Exception):
-                    raise outcomes[returned]
-                returned += 1
+            while unread and unread[0] in outcomes:
+                if isinstance(outcome := outcomes[unread.pop(0)], Exception):
+                    raise outcome
     except BrokenPipeError:  # only a worker reads this process's writes
         raise LegWorkerDied("a leg worker process ended before its leg") from None
     finally:
@@ -802,10 +795,9 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
             os.close(result_r)
             os.close(task_w)
 
-    legs = (outcomes[i] for i in range(n_legs))
     reports = []
-    for job in jobs:
-        runs = [next(legs) for _ in job.benchmark]
+    for j, job in enumerate(jobs):
+        runs = [outcomes[j, idx] for idx in range(len(job.benchmark))]
         avg = {
             "acc": float(np.mean([r.final.acc for r in runs])),
             "f1": float(np.mean([r.final.f1 for r in runs])),

@@ -985,25 +985,27 @@ def test_importing_the_cli_leaves_other_forks_alone(tmp_path):
 
 
 # `feddag run` that prints [exit code, legs of each handoff this process
-# forwarded].  Every round of a group of two or more legs first sleeps, which
-# changes no bits, so a one-leg group's worker is done long before a pair's.
+# received from a worker].  Every round of a group of two or more legs first
+# sleeps, which changes no bits, so a one-leg group's worker is done long
+# before a pair's.
 COUNTING_RUN = """\
 import json, os, sys, time
 from feddag import cli, protocol
 caller, handoffs = os.getpid(), []
-group_round, send = protocol._group_round, protocol._send
+group_round, receive = protocol._group_round, protocol._receive
 
 def slow_groups(legs, *args):
     if len(legs) > 1:
         time.sleep(0.05)
     return group_round(legs, *args)
 
-def counting(fd, message):
+def counting(fd):
+    message = receive(fd)
     if os.getpid() == caller and isinstance(message, protocol._Handoff):
         handoffs.append(message.legs)
-    send(fd, message)
+    return message
 
-protocol._group_round, protocol._send = slow_groups, counting
+protocol._group_round, protocol._receive = slow_groups, counting
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, handoffs]))
 """

@@ -524,7 +524,7 @@ class TestRunLodo:
         protocol._fork_leg_worker([None], pids, task_pipes)
         [pid], [(result_r, task_w)] = pids, task_pipes.items()
         try:
-            protocol._send(task_w, (0, 0, 1))
+            send_task(task_w, 0, [0])
             assert protocol._receive(result_r) == pid
             faults = protocol._receive(result_r)
         finally:
@@ -842,6 +842,12 @@ class TestHandoffs:
             assert str(outcome) == str(expected) and outcome.client == expected.client
 
 
+def send_task(task_w: int, job: int, legs, state: bytes = b"") -> None:
+    """Ask a leg worker to train legs of jobs[job], from scratch unless state holds them."""
+    protocol._send(task_w, protocol._Handoff(job, tuple(legs)))
+    protocol._send_frame(task_w, state)
+
+
 def receive_within(fd: int, seconds: float = 20.0):
     """The next message on result pipe fd; fails the test if none comes within seconds."""
     assert select.select([fd], [], [], seconds)[0], "no message from the leg worker"
@@ -868,13 +874,24 @@ def worker():
         os.close(task_w)
 
 
+def test_a_task_with_an_empty_state_frame_trains_from_scratch(worker):
+    job = lodo_job(BENCH)
+    task_w, result_r = worker([job])
+    send_task(task_w, 0, [1, 2])
+    for idx in (1, 2):
+        run = receive_within(result_r)
+        server, rounds, trace = leg_alone(job, idx)
+        alone = protocol.DomainRun(job.benchmark[idx].domain, rounds, server.global_task, trace)
+        assert pickle.dumps(run) == pickle.dumps(alone)
+
+
 class TestReleaseIgnored:
     """A worker that cannot act on a release request keeps its legs and serves on."""
 
     @staticmethod
-    def outcomes(task_w, result_r, task, count):
-        protocol._send(task_w, task)
-        return [receive_within(result_r) for _ in range(count)]
+    def outcomes(task_w, result_r, legs):
+        send_task(task_w, 0, legs)
+        return [receive_within(result_r) for _ in legs]
 
     def assert_runs_as_alone(self, job, runs, legs):
         assert [type(run) for run in runs] == [protocol.DomainRun] * len(legs)
@@ -884,18 +901,18 @@ class TestReleaseIgnored:
     def test_after_its_group_has_ended(self, worker):
         job = lodo_job(BENCH)
         task_w, result_r = worker([job])
-        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, (0, 0, 1), 1), [0])
+        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, [0]), [0])
         protocol._send(task_w, protocol._RELEASE)
         # The next group polls after each round and finds no request.
-        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, (0, 1, 2), 2), [1, 2])
+        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, [1, 2]), [1, 2])
 
     def test_in_its_last_round(self, worker):
         job = protocol.Job(BENCH, fed(mode="feddag", rounds=1, warmup=0), TASK_ARCH, GEN_ARCH)
         task_w, result_r = worker([job])
-        protocol._send(task_w, (0, 0, 3))
+        send_task(task_w, 0, range(3))
         protocol._send(task_w, protocol._RELEASE)
         self.assert_runs_as_alone(job, [receive_within(result_r) for _ in range(3)], [0, 1, 2])
-        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, (0, 0, 2), 2), [0, 1])
+        self.assert_runs_as_alone(job, self.outcomes(task_w, result_r, [0, 1]), [0, 1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_while_it_retries_single_legs(self, worker):
@@ -904,12 +921,12 @@ class TestReleaseIgnored:
         bench = [TestGroupFailures.OVERFLOWING, *BENCH[1:]]
         job = protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1), TASK_ARCH, GEN_ARCH)
         task_w, result_r = worker([job])
-        protocol._send(task_w, (0, 0, 3))
+        send_task(task_w, 0, range(3))
         protocol._send(task_w, protocol._RELEASE)
         leg0, leg1 = receive_within(result_r), receive_within(result_r)
         self.assert_runs_as_alone(job, [leg0], [0])
         assert isinstance(leg1, ndag.DivergenceError)
-        [leg2] = self.outcomes(task_w, result_r, (0, 2, 1), 1)
+        [leg2] = self.outcomes(task_w, result_r, [2])
         assert isinstance(leg2, ndag.DivergenceError)
 
 
@@ -967,7 +984,7 @@ class TestStealing:
                 die_if("victim after the legs' state")
 
         def resuming(job, legs, state=None, release=None):
-            if state is not None:
+            if state:
                 die_if("thief on the handoff")
             return run_legs(job, legs, state, release)
 
@@ -988,14 +1005,15 @@ class TestStealing:
         # Domain 0's validation set is NaN, so legs 1 and 2 fail when SHA
         # first scores, in round 5: leg 2 at once, and leg 1 on leg 2's
         # worker, which took it over after one of the pair's first rounds.
-        caller, handoffs, send = os.getpid(), [], protocol._send
+        caller, handoffs, receive = os.getpid(), [], protocol._receive
 
-        def counting(fd, message):
+        def counting(fd):
+            message = receive(fd)
             if os.getpid() == caller and isinstance(message, protocol._Handoff):
                 handoffs.append(message.legs)
-            send(fd, message)
+            return message
 
-        monkeypatch.setattr(protocol, "_send", counting)
+        monkeypatch.setattr(protocol, "_receive", counting)
         broken = replace(BENCH[0], val_x=np.full_like(BENCH[0].val_x, np.nan))
         job = protocol.Job([broken, *BENCH[1:]], fed(mode="no_ndag", rounds=10, warmup=5),
                            TASK_ARCH, GEN_ARCH)
