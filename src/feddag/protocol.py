@@ -361,20 +361,24 @@ def _run_group(
 
     Every leg starts at the same round.  Each leg's server, log and trace
     grow in place, and a leg with a target evaluates the global model on it
-    after the last round, or after every round with probe_every_round.
-    After each round but the last, a group of k >= 2 legs offers its back
-    k // 2 legs to release, which returns True if it has taken them: they
-    then leave legs, and the rest train on.
+    after the last round, or after every round with probe_every_round.  A
+    last round that leaves a leg's source_val_loss non-finite raises
+    DivergenceError (before it, the next local step catches a diverged
+    model).  After each round but the last, a group of k >= 2 legs offers
+    its back k // 2 legs to release, which returns True if it has taken
+    them: they then leave legs, and the rest train on.
     """
     while (r := legs[0].server.round) < config.rounds:
-        probe = config.probe_every_round or r == config.rounds - 1
+        last = r == config.rounds - 1
         for leg, rm in zip(legs, _group_round(legs, config, task_arch, gen_arch)):
-            if probe and leg.target is not None:
+            if last and not np.isfinite(rm.source_val_loss):
+                raise ndag.DivergenceError("final global model: non-finite source validation loss")
+            if (last or config.probe_every_round) and leg.target is not None:
                 xy = _domain_eval_arrays(leg.target)
                 rm = replace(rm, target=metrics.evaluate(leg.server.global_task, task_arch, *xy))
             leg.log.append(rm)
         keep = (len(legs) + 1) // 2
-        if release is not None and keep < len(legs) and r + 1 < config.rounds and release(legs[keep:]):
+        if release is not None and keep < len(legs) and not last and release(legs[keep:]):
             del legs[keep:]
 
 
@@ -447,20 +451,15 @@ def _step_rows(job: Job) -> list[int]:
     return [sum(batch) - own for own in batch]
 
 
-def _run_legs(
-    job: Job,
-    legs: Sequence[int],
-    state: bytes | bytearray | None = None,
-    release: Callable[[list[_Leg]], bool] | None = None,
-) -> list[DomainRun]:
-    """The given legs of job, trained as one leg group; leg idx holds out benchmark[idx].
+def _legs(job: Job, legs: Sequence[int], state: bytes | bytearray | None = None) -> list[_Leg]:
+    """The given legs of job, to train as one leg group; leg idx holds out benchmark[idx].
 
-    A leg starts from the round it had reached if state (see _leg_state)
-    holds it, and from scratch if state is empty or None.  The legs that
-    release takes (see _run_group) are left out of the result.
+    A leg resumes from the round it had reached if state (see _leg_state)
+    holds it, and starts from scratch if state is empty or None.  job's
+    config must already fit its bench, n_clients = len(benchmark) - 1, as
+    run_lodo_jobs makes it.
     """
     benchmark, config, task_arch, gen_arch, collect_trace = job
-    config = replace(config, n_clients=len(benchmark) - 1)
     resumed = {idx: rest for idx, *rest in pickle.loads(state)} if state else {}
     group = []
     for idx in legs:
@@ -469,11 +468,7 @@ def _run_legs(
         )
         sources = [d for i, d in enumerate(benchmark) if i != idx]
         group.append(_Leg(server, sources, trace, benchmark[idx], idx, log))
-    _run_group(group, config, task_arch, gen_arch, release)
-    return [
-        DomainRun(leg.target.domain, leg.log, leg.server.global_task, leg.trace or [])
-        for leg in group
-    ]
+    return group
 
 
 def _leg_outcomes(
@@ -484,30 +479,27 @@ def _leg_outcomes(
 ) -> list[DomainRun | Exception]:
     """Each leg's DomainRun, or the exception it raised, in leg order, but for those release takes.
 
-    The legs train as one group (_run_legs).  A group that raises is run
-    again one leg it kept at a time, from the same start, so a failing leg
-    raises the error, with the client index, that it raises alone; the
-    outcomes end at the first leg that raises, since no later one is read.
+    The legs (_legs) train as one group (_run_group), which drops the legs
+    release takes from its list.  A group that raises is run again one leg
+    of that list at a time, from the same start, so a failing leg raises
+    the error, with the client index, that it raises alone; the outcomes
+    end at the first leg that raises, since no later one is read.
     """
-    kept = list(legs)
-
-    def release_back(back: list[_Leg]) -> bool:
-        if not release(back):
-            return False
-        del kept[-len(back) :]
-        return True
-
+    group = _legs(job, legs, state)
     try:
-        return _run_legs(job, legs, state, release and release_back)
+        _run_group(group, job.config, job.task_arch, job.gen_arch, release)
     except Exception as exc:
-        if len(kept) == 1:
+        if len(group) == 1:
             return [exc]
+    else:
+        return [
+            DomainRun(leg.target.domain, leg.log, leg.server.global_task, leg.trace or [])
+            for leg in group
+        ]
     outcomes = []
-    for idx in kept:
-        try:
-            outcomes.append(_run_legs(job, [idx], state)[0])
-        except Exception as exc:
-            outcomes.append(exc)
+    for leg in group:
+        outcomes += _leg_outcomes(job, [leg.idx], state)
+        if isinstance(outcomes[-1], Exception):
             break
     return outcomes
 
@@ -674,7 +666,10 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     """Leave-one-domain-out for each job: hold out each domain, train on the rest.
 
     The held-out domain never contributes training, validation or scoring
-    data; its full sample set (train + val splits) is the test set.
+    data; its full sample set (train + val splits) is the test set.  So a
+    leg has one client fewer than its job has domains: each job's config is
+    fitted to that, n_clients = len(benchmark) - 1, once, before the forks,
+    and one config serves benches of any size.
 
     Every leg of every job runs in a forked worker process, one worker per
     CPU this process may use (at most one per leg group), with no setting
@@ -718,6 +713,9 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     """
     if any(len(job.benchmark) < 2 for job in jobs):
         raise ValueError("leave-one-domain-out needs at least 2 domains")
+    jobs = [
+        job._replace(config=replace(job.config, n_clients=len(job.benchmark) - 1)) for job in jobs
+    ]
 
     cpus = len(os.sched_getaffinity(0))
     tasks = [

@@ -344,6 +344,18 @@ class TestExitCodes:
         assert "training diverged" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_final_model_exits_3(self, tmp_path, capsys):
+        # The one local step leaves huge but finite weights, whose forward
+        # pass is non-finite; no later step checks it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "fedavg", "batch_size": 1000, "lr": 1e300, "rounds": 1,
+                                   "warmup_rounds": 0, "n_domains": 6, "samples_per_domain": 60}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("training diverged")
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["feddag", "no_sha"])
     def test_overflowing_features_are_divergence_not_collapse(self, tmp_path, capsys, mode):
         # At this rate the forward pass overflows in the first adversarial

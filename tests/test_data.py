@@ -226,6 +226,22 @@ class TestSplitDomain:
         with pytest.raises(ValueError, match="too small to split"):
             data.split_domain(0, xs, ys, split_seed=0)
 
+    @pytest.mark.parametrize(
+        "split",
+        [
+            dict(train_x=np.zeros(4)),
+            dict(train_y=np.zeros(3, dtype=int)),
+            dict(val_y=np.zeros((2, 1), dtype=int)),
+            dict(train_x=np.zeros((0, 2)), train_y=np.zeros(0, dtype=int)),
+            dict(val_x=np.zeros((0, 2)), val_y=np.zeros(0, dtype=int)),
+        ],
+    )
+    def test_malformed_or_empty_split_rejected(self, split):
+        xs, ys = self._tagged([0, 1, 0, 1])
+        fields = {**dict(train_x=xs, train_y=ys, val_x=xs[:2], val_y=ys[:2]), **split}
+        with pytest.raises(ValueError, match="^malformed or empty split$"):
+            data.DomainDataset(domain=0, **fields)
+
 
 class TestMakeBenchmark:
     def test_structure(self):

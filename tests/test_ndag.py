@@ -472,6 +472,20 @@ class TestClientRound:
                     rngs=[np.random.default_rng(0)],
                 )
 
+    @pytest.mark.parametrize("short", ["student", "xs", "ys", "rngs", "generator", "teacher"])
+    def test_one_of_each_per_client_required(self, short):
+        models, X, y = round_fixture(0)
+        student, generator, teacher = helpers.round_rows([models, models])
+        args = dict(student=student, generator=generator, teacher=teacher, xs=[X, X], ys=[y, y],
+                    rngs=[np.random.default_rng(0), np.random.default_rng(1)])
+        args[short] = args[short][:1]
+        if short in ("generator", "teacher"):
+            error, match = DimensionMismatch, "generator and teacher need one row per client"
+        else:
+            error, match = ValueError, "one student row, data set and rng per client"
+        with pytest.raises(error, match=match):
+            ndag.client_round(task_arch=TASK_ARCH, gen_arch=GEN_ARCH, hyper=step_hyper(), **args)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_lr_aborts_with_diagnostic(self):
         models, X, y = round_fixture(12)

@@ -476,6 +476,17 @@ class TestRunLodo:
             for a, b in zip(report.domains, expected.domains):
                 assert a.final_task.values.tobytes() == b.final_task.values.tobytes()
 
+    def test_each_jobs_config_is_fitted_to_its_bench(self):
+        # SHA keeps one history per client, and BENCH4's legs have 3 clients.
+        jobs = [
+            protocol.Job(BENCH4, fed(mode="no_ndag", n_clients=n, seed=5), TASK_ARCH, GEN_ARCH)
+            for n in (2, 3)
+        ]
+        fitted, exact = protocol.run_lodo_jobs(jobs)
+        assert len(fitted.domains) == len(BENCH4)
+        for a, b in zip(fitted.domains, exact.domains):
+            assert pickle.dumps(a) == pickle.dumps(b)
+
     def test_jobs_equal_one_job_calls(self):
         # The jobs differ in bench, task arch, mode and trace collection.
         wide = nets.TaskArch(6, (8, 8), 4, 3)
@@ -519,7 +530,7 @@ class TestRunLodo:
     def test_leg_worker_reuses_freed_arrays(self, monkeypatch):
         # 8 MiB is 2,048 pages: a heap that unmapped or trimmed the arrays
         # would fault in about that many in every round.
-        monkeypatch.setattr(protocol, "_run_legs", lambda job, legs, *_: [_allocation_faults()])
+        monkeypatch.setattr(protocol, "_leg_outcomes", lambda job, legs, *_: [_allocation_faults()])
         pids, task_pipes = [], {}
         protocol._fork_leg_worker([None], pids, task_pipes)
         [pid], [(result_r, task_w)] = pids, task_pipes.items()
@@ -540,7 +551,7 @@ class TestRunLodo:
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(30.0)  # the other legs still train when leg 0's worker dies
 
-        monkeypatch.setattr(protocol, "_run_legs", killed_leg)
+        monkeypatch.setattr(protocol, "_leg_outcomes", killed_leg)
         config = fed(mode="fedavg", rounds=2, warmup=1, n_clients=2)
         start = time.monotonic()
         with pytest.raises(protocol.LegWorkerDied):
@@ -552,19 +563,19 @@ class TestRunLodo:
         bench = data.make_benchmark(
             data.BenchSpec(n_domains=4, n_classes=3, input_dim=6, samples_per_domain=60, seed=3)
         )
-        run_legs = protocol._run_legs
+        run_group = protocol._run_group
 
-        def failing_legs(job, legs, *rest):
-            seed = job.config.seed
-            if seed == 0 and 1 in legs:
+        def failing_group(legs, config, *rest):
+            seed = config.seed
+            if seed == 0 and any(leg.idx == 1 for leg in legs):
                 time.sleep(0.2)  # with two or more workers, leg 3 and job 1 then fail first
-            for idx in legs:
-                if (seed, job.benchmark[idx].domain) in ((0, 1), (0, 3), (1, 0)):
-                    raise ndag.DivergenceError(f"job {seed} leg {job.benchmark[idx].domain}", 0)
-            return run_legs(job, legs, *rest)
+            for leg in legs:
+                if (seed, leg.target.domain) in ((0, 1), (0, 3), (1, 0)):
+                    raise ndag.DivergenceError(f"job {seed} leg {leg.target.domain}", 0)
+            return run_group(legs, config, *rest)
 
         # The workers are forked, so they call the patched function.
-        monkeypatch.setattr(protocol, "_run_legs", failing_legs)
+        monkeypatch.setattr(protocol, "_run_group", failing_group)
         jobs = [
             protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1, n_clients=3, seed=s),
                          TASK_ARCH, GEN_ARCH)
@@ -686,7 +697,7 @@ class TestGroupedLegs:
 
         monkeypatch.setattr(ndag, "client_round", recording)
         legs = range(len(job.benchmark))
-        runs = protocol._run_legs(job, legs)
+        runs = protocol._leg_outcomes(job, legs)
         clients = len(job.benchmark) - 1
         assert stacked == [len(legs) * clients] * job.config.rounds
         for idx, run in zip(legs, runs):
@@ -705,7 +716,7 @@ class TestGroupedLegs:
         bench[0].train_x[0] = 0.0
         config = fed(mode="feddag", rounds=2, warmup=0, n_clients=2, ndag_kw=dict(ema_decay=1.0))
         job = protocol.Job(bench, config, TASK_ARCH, GEN_ARCH)
-        runs = protocol._run_legs(job, range(3))
+        runs = protocol._leg_outcomes(job, range(3))
         counts = [[rm.degenerate_rows for rm in run.rounds] for run in runs]
         assert counts == [[0, 0], [2, 2], [2, 2]]
         for idx, run in enumerate(runs):
@@ -750,7 +761,7 @@ class TestGroupFailures:
         bench = [self.OVERFLOWING, *BENCH[1:]]
         job = protocol.Job(bench, fed(mode="fedavg", rounds=2, warmup=1), TASK_ARCH, GEN_ARCH)
         with pytest.raises(ndag.DivergenceError, match="^client 2: "):
-            protocol._run_legs(job, range(3))
+            protocol._run_group(protocol._legs(job, range(3)), *job[1:4])
         expected = self.assert_raises_as_alone(monkeypatch, job, 1)
         assert str(expected).startswith("client 0: ")
 
@@ -761,7 +772,7 @@ class TestGroupFailures:
         bench = [self.OVERFLOWING, BENCH[1], broken_val]
         job = protocol.Job(bench, fed(mode="no_ndag", rounds=3, warmup=1), TASK_ARCH, GEN_ARCH)
         with pytest.raises(ndag.DivergenceError, match="^client 2: "):
-            protocol._run_legs(job, range(3))
+            protocol._run_group(protocol._legs(job, range(3)), *job[1:4])
         expected = self.assert_raises_as_alone(monkeypatch, job, 0)
         assert isinstance(expected, sha.ScoringDivergence)
 
@@ -816,7 +827,7 @@ class TestHandoffs:
         bench = [Unpicklable(d.domain, d.train_x, d.train_y, d.val_x, d.val_y) for d in BENCH]
         job = protocol.Job(bench, fed(mode="feddag", rounds=3, warmup=1), TASK_ARCH, GEN_ARCH)
         handoffs = []
-        protocol._run_legs(job, range(3), release=release_after(1, handoffs))
+        protocol._leg_outcomes(job, range(3), None, release_after(1, handoffs))
         [(idx, server, log, trace)] = pickle.loads(handoffs[0].state)
         assert idx == 2 and server.round == 2 and len(log) == 2 and trace is None
         assert server.histories and all(server.histories)
@@ -954,9 +965,9 @@ class TestStealing:
                                         "victim after the legs' state", "thief on the handoff"])
     def test_a_worker_killed_mid_handoff_raises_at_once(self, monkeypatch, killed):
         caller, handed = os.getpid(), []
-        receive, send, send_frame, leg_state, run_legs = (
+        receive, send, send_frame, leg_state, leg_outcomes = (
             protocol._receive, protocol._send, protocol._send_frame, protocol._leg_state,
-            protocol._run_legs,
+            protocol._leg_outcomes,
         )
 
         def die_if(case):
@@ -986,13 +997,13 @@ class TestStealing:
         def resuming(job, legs, state=None, release=None):
             if state:
                 die_if("thief on the handoff")
-            return run_legs(job, legs, state, release)
+            return leg_outcomes(job, legs, state, release)
 
         monkeypatch.setattr(protocol, "_receive", receiving)
         monkeypatch.setattr(protocol, "_send", sending)
         monkeypatch.setattr(protocol, "_send_frame", sending_frame)
         monkeypatch.setattr(protocol, "_leg_state", state_of)
-        monkeypatch.setattr(protocol, "_run_legs", resuming)
+        monkeypatch.setattr(protocol, "_leg_outcomes", resuming)
         config = fed(mode="fedavg", rounds=100, warmup=1)
         start = time.monotonic()
         with pytest.raises(protocol.LegWorkerDied):

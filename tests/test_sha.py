@@ -163,6 +163,8 @@ class TestEvaluateScore:
             sha.evaluate_score(theta, ARCH, [(X, y)], [[]])
         with pytest.raises(ValueError):
             sha.evaluate_score(theta, ARCH, [(X[:0], y[:0])], [[0]])
+        with pytest.raises(ValueError, match="one list of scored rows per validation set"):
+            sha.evaluate_score(theta, ARCH, [(X, y)], [[0], [0]])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_rejected(self):
