@@ -1,7 +1,7 @@
 """Experiment entry point: run, ablate, sweep, export-bench.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence,
-4 I/O error, 5 a leg worker died, 143 stopped by SIGTERM.
+4 I/O error, 5 a leg worker died, 6 out of memory, 143 stopped by SIGTERM.
 
 A command that trains builds every job it runs before any trains, which
 range-checks every key they read, and then runs them all in one
@@ -294,6 +294,9 @@ def main(argv=None) -> int:
     except protocol.LegWorkerDied as exc:
         print(f"worker died: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 6
     except Terminated:
         print("terminated", file=sys.stderr)
         return 128 + signal.SIGTERM

@@ -11,6 +11,7 @@ domain, mirroring per-site preprocessing of real federated data.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +148,7 @@ def split_domain(
     """Stratified 9:1 train/val split, deterministic in (split_seed, domain)."""
     rng = np.random.default_rng([split_seed, _SPLIT_TAG, domain])
     val_idx: list[int] = []
-    for c in np.unique(ys):
+    for c in sorted(set(ys.tolist())):
         members = np.flatnonzero(ys == c)
         n_val = max(1, round(0.1 * members.size))
         if n_val >= members.size:
@@ -187,8 +188,10 @@ def load_csv(path: str, split_seed: int) -> list[DomainDataset]:
 
     Features are min-max normalized per coordinate over the whole file, so
     re-loading an exported benchmark reproduces it bit for bit (exported
-    features already span [0, 1] per domain).
+    features already span [0, 1] per domain).  Rows stream into flat typed
+    buffers, so no Python float outlives its row.
     """
+    domains, labels, values = array("q"), array("q"), array("d")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -200,7 +203,6 @@ def load_csv(path: str, split_seed: int) -> list[DomainDataset]:
         dim = len(header) - 2
         if header[2:] != [f"f{i}" for i in range(dim)]:
             raise ValueError(f"{path}: feature columns must be f0..f{dim - 1}")
-        domains, labels, rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != dim + 2:
                 raise ValueError(f"{path}:{lineno}: expected {dim + 2} fields")
@@ -208,33 +210,34 @@ def load_csv(path: str, split_seed: int) -> list[DomainDataset]:
                 ids = int(row[0]), int(row[1])
                 if ids[0] not in INT64_IDS or ids[1] not in INT64_IDS:
                     raise ValueError(f"domain or label outside int64: {row[0]},{row[1]}")
-                rows.append([float(v) for v in row[2:]])
+                values.extend(map(float, row[2:]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             domains.append(ids[0])
             labels.append(ids[1])
-    if not rows:
+    if not domains:
         raise ValueError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    domains_arr = np.asarray(domains, dtype=np.int64)
+    features = np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
+    labels_arr = np.frombuffer(labels, dtype=np.int64)
+    domains_arr = np.frombuffer(domains, dtype=np.int64)
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{path}: non-finite feature values")
-    present = np.unique(labels_arr)
-    if not np.array_equal(present, np.arange(present.size)):
-        raise ValueError(f"{path}: labels must be contiguous 0..C-1, got {present.tolist()}")
-    domain_ids = np.unique(domains_arr)
-    if domain_ids.size < 2:
-        raise ValueError(f"{path}: need at least 2 domains, got {domain_ids.size}")
+    present = sorted(set(labels))
+    if present != list(range(len(present))):
+        raise ValueError(f"{path}: labels must be contiguous 0..C-1, got {present}")
+    domain_ids = sorted(set(domains))
+    if len(domain_ids) < 2:
+        raise ValueError(f"{path}: need at least 2 domains, got {len(domain_ids)}")
     lo = features.min(axis=0)
     hi = features.max(axis=0)
     if np.any(hi - lo < 1e-12):
         raise ValueError(f"{path}: constant feature column")
-    features = (features - lo) / (hi - lo)
+    features -= lo
+    features /= hi - lo
     out = []
     for d in domain_ids:
         mask = domains_arr == d
         if mask.sum() < MIN_DOMAIN_SAMPLES:
             raise ValueError(f"{path}: domain {d} has fewer than {MIN_DOMAIN_SAMPLES} samples")
-        out.append(split_domain(int(d), features[mask], labels_arr[mask], split_seed))
+        out.append(split_domain(d, features[mask], labels_arr[mask], split_seed))
     return out

@@ -479,17 +479,19 @@ def _leg_outcomes(
 ) -> list[DomainRun | Exception]:
     """Each leg's DomainRun, or the exception it raised, in leg order, but for those release takes.
 
-    The legs (_legs) train as one group (_run_group), which drops the legs
-    release takes from its list.  A group that raises is run again one leg
-    of that list at a time, from the same start, so a failing leg raises
-    the error, with the client index, that it raises alone; the outcomes
-    end at the first leg that raises, since no later one is read.
+    The legs are built (_legs) and train as one group (_run_group), which
+    drops the legs release takes from its list.  A group that raises,
+    building or training, is run again one leg of that list at a time, from
+    the same start, so a failing leg raises the error, with the client
+    index, that it raises alone; the outcomes end at the first leg that
+    raises, since no later one is read.
     """
-    group = _legs(job, legs, state)
+    group: list[_Leg] = []
     try:
+        group = _legs(job, legs, state)
         _run_group(group, job.config, job.task_arch, job.gen_arch, release)
     except Exception as exc:
-        if len(group) == 1:
+        if len(group or legs) == 1:
             return [exc]
     else:
         return [
@@ -497,8 +499,8 @@ def _leg_outcomes(
             for leg in group
         ]
     outcomes = []
-    for leg in group:
-        outcomes += _leg_outcomes(job, [leg.idx], state)
+    for idx in [leg.idx for leg in group] or legs:
+        outcomes += _leg_outcomes(job, [idx], state)
         if isinstance(outcomes[-1], Exception):
             break
     return outcomes
@@ -583,11 +585,12 @@ def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
     Its first message is its pid.  A task is a _Handoff followed by its
     legs' state, empty for legs that start from scratch, and each leg's
     outcome, its DomainRun or the exception it raised (see _leg_outcomes),
-    goes out in leg order.  After each round of a group, one non-blocking
-    poll of the task pipe looks for _RELEASE; if it is there, the back legs
-    go out as a _Handoff and their state before any outcome of the group,
-    and the rest train on.  A _RELEASE read between groups came too late
-    and is dropped.  Returns when the task pipe ends.
+    goes out in leg order; an outcome that cannot be pickled goes out as
+    the exception pickling it raised.  After each round of a group, one
+    non-blocking poll of the task pipe looks for _RELEASE; if it is there,
+    the back legs go out as a _Handoff and their state before any outcome
+    of the group, and the rest train on.  A _RELEASE read between groups
+    came too late and is dropped.  Returns when the task pipe ends.
     """
     _send(results, os.getpid())
     poller = select.poll()
@@ -607,7 +610,11 @@ def _serve_legs(jobs: list[Job], tasks: int, results: int) -> None:
             return True
 
         for outcome in _leg_outcomes(jobs[j], legs, state, release):
-            _send(results, outcome)
+            try:
+                body = pickle.dumps(outcome)
+            except Exception as exc:
+                body = pickle.dumps(exc)
+            _send_frame(results, body)
 
 
 def _fork_leg_worker(jobs: list[Job], pids: list[int], task_pipes: dict[int, int]) -> None:

@@ -11,6 +11,8 @@ checkpoint is byte-identical.  The commands are:
 
 - ``feddag run`` on each workload config of perfbench/run.py's WORKLOADS,
   at seeds 0 and 3 (sha_many reads the CSV bench its export config makes);
+- ``feddag run`` on a CSV bench of unequal domains with non-contiguous ids,
+  out of order: an export with rows dropped and its ids remapped (REMAP);
 - ``feddag ablate``, 4 rounds over seeds 0-2;
 - ``feddag sweep`` over ``k`` in [0, 2, 4], at seeds 0 and 1.
 
@@ -23,6 +25,7 @@ module; pytest does not collect it.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -40,6 +43,9 @@ RUN_SEEDS = (0, 3)
 ABLATE = {"rounds": 4, "seeds": [0, 1, 2]}
 SWEEP = {"sweep_param": "k", "sweep_values": [0, 2, 4]}
 SWEEP_SEEDS = (0, 1)
+# The remapped CSV bench: exported domain -> (new id, keep all but every nth of its rows).
+REMAP_EXPORT = {"n_domains": 3, "samples_per_domain": 200}
+REMAP = {0: (7, 0), 1: (2**40, 3), 2: (3, 5)}
 
 
 def feddag(src: Path, work: Path, *args: str) -> None:
@@ -47,6 +53,20 @@ def feddag(src: Path, work: Path, *args: str) -> None:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, "-m", "feddag.cli", *args], cwd=work, env=env, check=True,
                    stdout=subprocess.DEVNULL)
+
+
+def write_remapped(exported: Path, out: Path) -> None:
+    """exported with each domain's id and rows changed as REMAP says."""
+    with open(exported, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    kept, seen = [header], {}
+    for domain, *rest in rows:
+        new_id, nth = REMAP[int(domain)]
+        seen[domain] = seen.get(domain, 0) + 1
+        if not nth or seen[domain] % nth:
+            kept.append([str(new_id), *rest])
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(kept)
 
 
 def commands(work: Path, src: Path) -> list[tuple[str, str, dict]]:
@@ -61,6 +81,10 @@ def commands(work: Path, src: Path) -> list[tuple[str, str, dict]]:
                 feddag(src, work, "export-bench", "--config", "export.json",
                        "--out", config["data_csv"], "--seed", str(seed))
             todo.append((f"run-{name}-seed{seed}", "run", config))
+    (work / "export.json").write_text(json.dumps(REMAP_EXPORT))
+    feddag(src, work, "export-bench", "--config", "export.json", "--out", "exported.csv")
+    write_remapped(work / "exported.csv", work / "remapped.csv")
+    todo.append(("run-csv-remapped", "run", {"data_csv": "remapped.csv"}))
     todo.append(("ablate", "ablate", ABLATE))
     todo += [(f"sweep-k-seed{seed}", "sweep", dict(SWEEP, seed=seed)) for seed in SWEEP_SEEDS]
     return todo

@@ -428,6 +428,23 @@ class TestExitCodes:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
+    # The bench is built in this process and the models in the forked leg
+    # workers, which call the patched function too.
+    @pytest.mark.parametrize("module, name", [(cli.cfgmod, "make_benchmark"), (cli.protocol, "init")],
+                             ids=["bench-build", "leg-build"])
+    def test_out_of_memory_exits_6(self, tmp_path, monkeypatch, capsys, module, name):
+        message = "Unable to allocate 38.8 TiB for an array with shape (333333333334, 16)"
+
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, name, no_memory)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 6
+        assert capsys.readouterr().err == f"out of memory: {message}\n"
+        assert not (out / "report.json").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
 
 def load_corrupted_checkpoint(tmp_path, corrupt):
     path = str(tmp_path / "ckpt.json")

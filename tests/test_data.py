@@ -369,6 +369,70 @@ class TestLoadCsvGuards:
             data.load_csv(self._write(tmp_path, text), 0)
 
 
+def assert_same_benches(got, want):
+    assert [d.domain for d in got] == [d.domain for d in want]
+    for a, b in zip(got, want):
+        for name in ("train_x", "train_y", "val_x", "val_y"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestLoadCsvAccepts:
+    """Inputs load_csv accepts, each loaded as its plain spelling is."""
+
+    HEADER = "domain,label,f0,f1\n"
+
+    def _rows(self, domains=(0, 1)):
+        return [[str(d), str(i % 2), f"0.{i + 1}", f"0.{2 * i + 1}{k}"]
+                for k, d in enumerate(domains) for i in range(12)]
+
+    def _load(self, tmp_path, rows, name="bench.csv"):
+        path = tmp_path / name
+        path.write_text(self.HEADER + "".join(",".join(row) + "\n" for row in rows))
+        return data.load_csv(str(path), 3)
+
+    def _variant(self, tmp_path, row, spelled):
+        """load_csv of the plain rows with row's fields spelled as given, and of the plain rows."""
+        rows = self._rows()
+        plain = self._load(tmp_path, rows, "plain.csv")
+        rows[row] = spelled
+        return self._load(tmp_path, rows), plain
+
+    def test_quoted_numbers(self, tmp_path):
+        # Row 4 is 0,0,0.5,0.90.
+        assert_same_benches(*self._variant(tmp_path, 4, ['"0"', '"0"', '"0.5"', '"0.90"']))
+
+    def test_spaces_around_values(self, tmp_path):
+        assert_same_benches(*self._variant(tmp_path, 4, [" 0", "0 ", " 0.5 ", "\t0.90"]))
+
+    def test_underscored_feature_and_signed_label(self, tmp_path):
+        # Row 5 is 0,1,0.6,0.110.
+        assert_same_benches(*self._variant(tmp_path, 5, ["0", "+1", "0.6", "0.1_10"]))
+
+    def test_blank_data_line_fails_with_its_line_number(self, tmp_path):
+        rows = self._rows()
+        rows.insert(3, [])  # the file's line 5
+        with pytest.raises(ValueError, match=r"bench\.csv:5: expected 4 fields$"):
+            self._load(tmp_path, rows)
+
+    def test_interleaved_non_contiguous_domains_come_back_sorted(self, tmp_path):
+        ids = (2**40, 7, 0)
+        by_domain = self._rows(ids)
+        # One row of each domain in turn, the largest id first.
+        rows = [row for group in zip(*(by_domain[12 * k : 12 * k + 12] for k in range(3)))
+                for row in group]
+        got = self._load(tmp_path, rows)
+        domains = np.array([int(r[0]) for r in rows])
+        labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
+        xs = np.array([[float(v) for v in r[2:]] for r in rows])
+        lo, hi = xs.min(axis=0), xs.max(axis=0)
+        xs = (xs - lo) / (hi - lo)
+        want = [data.split_domain(d, xs[domains == d], labels[domains == d], 3)
+                for d in sorted(ids)]
+        assert [d.domain for d in got] == [0, 7, 2**40]
+        assert_same_benches(got, want)
+
+
 class TestDomainGap:
     def _gap(self, strength, seed):
         """Held-in minus held-out accuracy of a single-domain model."""

@@ -9,6 +9,7 @@ the gradient w.r.t. the perturbed batch.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 import autodiff as ad
 import feddag
 import helpers
-from feddag import ndag, nets
+from feddag import data, ndag, nets
 from feddag.params import ParamVector
 from test_autodiff import GEN_ARCH, TASK_ARCH, clean_fixture
 
@@ -263,3 +264,29 @@ def test_cli_import_graph_leaves_out_the_tape():
         [sys.executable, "-c", code], cwd=src, env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_run_imports_no_numpy_module_past_numpy_and_its_random(tmp_path):
+    # Compared with what numpy itself loads, so numpy.ma, which numpy 1.x
+    # imports with numpy and numpy 2.x only on first use, is caught on 2.x.
+    small = {"n_domains": 3, "samples_per_domain": 60, "rounds": 1, "warmup_rounds": 0}
+    data.export_csv(data.BenchSpec(n_domains=3, samples_per_domain=60), str(tmp_path / "bench.csv"))
+    (tmp_path / "synthetic.json").write_text(json.dumps(small))
+    (tmp_path / "csv.json").write_text(json.dumps(dict(small, data_csv="bench.csv")))
+    code = (
+        "import sys\n"
+        "import numpy, numpy.random\n"
+        "before = set(sys.modules)\n"
+        "from feddag import cli\n"
+        "for bench in ('synthetic', 'csv'):\n"
+        "    assert cli.main(['run', '--config', f'{bench}.json', '--out', bench]) == 0\n"
+        "added = sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy')\n"
+        "assert not added, added\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feddag.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "csv" / "report.json").is_file()

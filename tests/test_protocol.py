@@ -586,6 +586,40 @@ class TestRunLodo:
         assert info.value.client == 0
         assert_no_child_left()
 
+    @pytest.mark.parametrize("failing_seeds, raised", [((1,), 1), ((0, 1), 0)],
+                             ids=["job-1", "both-jobs"])
+    def test_a_leg_build_error_is_returned_and_raised_in_job_order(
+        self, monkeypatch, failing_seeds, raised
+    ):
+        # A worker builds each leg's models with protocol.init; the workers
+        # are forked, so they call the patched function.
+        init = protocol.init
+
+        def failing_init(config, *rest):
+            if config.seed in failing_seeds:
+                raise MemoryError(f"job {config.seed}: no memory for the models")
+            return init(config, *rest)
+
+        monkeypatch.setattr(protocol, "init", failing_init)
+        jobs = [
+            protocol.Job(BENCH4, fed(mode="fedavg", rounds=2, warmup=1, n_clients=3, seed=s),
+                         TASK_ARCH, GEN_ARCH)
+            for s in (0, 1)
+        ]
+        with pytest.raises(MemoryError, match=f"^job {raised}: no memory for the models$"):
+            protocol.run_lodo_jobs(jobs)
+        assert_no_child_left()
+
+    def test_an_outcome_that_cannot_be_pickled_raises_its_pickling_error(self, monkeypatch):
+        def unpicklable(self, protocol_version):
+            raise TypeError("cannot pickle this DomainRun")
+
+        monkeypatch.setattr(protocol.DomainRun, "__reduce_ex__", unpicklable)
+        config = fed(mode="fedavg", rounds=2, warmup=1)
+        with pytest.raises(TypeError, match="^cannot pickle this DomainRun$"):
+            protocol.run_lodo(BENCH, config, TASK_ARCH, GEN_ARCH)
+        assert_no_child_left()
+
 
 def lodo_job(bench, mode="feddag", batch_size=32, **kw):
     """A job over bench with fast-moving models and every batch traced."""
