@@ -25,7 +25,7 @@ from . import metrics, protocol, reporting
 from .atomic import atomic_open, write_csv
 from .data import export_csv
 from .ndag import DivergenceError
-from .nets import GenArch, TaskArch
+from .nets import TaskArch
 from .params import ParamVector
 
 MODE_LABELS = {
@@ -35,26 +35,18 @@ MODE_LABELS = {
     "fedavg": "w/o Both",
 }
 
-# A checkpoint's arch object holds "kind", a key of ARCH_KINDS, plus every
-# field of that architecture class.
-ARCH_KINDS = {"task": TaskArch, "gen": GenArch}
-
 # ablation_stats.csv: what is compared, then the fields of its PairedComparison.
 STATS_HEADER = ["comparison", "metric", "pairing"] + [
     f.name for f in dataclasses.fields(metrics.PairedComparison)
 ]
 
 
-def save_checkpoint(path: str, params: ParamVector, arch, role: str, round_index: int) -> None:
-    """Model snapshot as JSON: {arch, values, role, round}."""
-    kind = next((k for k, cls in ARCH_KINDS.items() if isinstance(arch, cls)), None)
-    if kind is None:
-        raise ValueError(f"unknown arch type: {type(arch).__name__}")
-    desc = {"kind": kind, **dataclasses.asdict(arch)}
+def save_checkpoint(path: str, params: ParamVector, arch: TaskArch, round_index: int) -> None:
+    """Global task model snapshot as JSON: {arch: {kind, *fields}, values, role, round}."""
     doc = {
-        "arch": desc,
+        "arch": {"kind": "task", **dataclasses.asdict(arch)},
         "values": params.values.tolist(),
-        "role": role,
+        "role": "global_task",
         "round": round_index,
     }
     with atomic_open(path) as fh:
@@ -100,7 +92,6 @@ def cmd_run(cfg: dict) -> int:
             os.path.join(ckpt_dir, f"final_task_d{run.target_domain}.json"),
             run.final_task,
             job.task_arch,
-            role="global_task",
             round_index=cfg["rounds"],
         )
     avg = report.averages

@@ -146,7 +146,8 @@ def split_domain(
     domain: int, xs: np.ndarray, ys: np.ndarray, split_seed: int
 ) -> DomainDataset:
     """Stratified 9:1 train/val split, deterministic in (split_seed, domain)."""
-    rng = np.random.default_rng([split_seed, _SPLIT_TAG, domain])
+    # Seed entries must be non-negative; the modulus leaves every id >= 0 as it is.
+    rng = np.random.default_rng([split_seed, _SPLIT_TAG, domain % 2**64])
     val_idx: list[int] = []
     for c in sorted(set(ys.tolist())):
         members = np.flatnonzero(ys == c)

@@ -415,15 +415,15 @@ def student_step(
     """One step on every client's student, in place, on the freshly perturbed batch.
 
     Minimizes mean L_cls + mean L_sim (uncapped discrepancy to the teacher).
-    Returns (grad, l_cls, l_sim, degenerate_rows); grad is the flat student
-    gradient (C, P), kept for sharpness probing at aggregation time.
+    Returns (l_cls, l_sim, degenerate_rows); the flat student gradient
+    (C, P) stays in stack.student.grad.
     """
     ce, sim, bad, grad = student_grad(stack, task_arch, gen_arch, x, y, hyper, teacher_feats)
     ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
     stack.check(ok, "student step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "student l_cls is non-finite")
     stack.check(np.isfinite(sim), "l_sim is non-finite")
-    return grad, ce, sim, bad
+    return ce, sim, bad
 
 
 def plain_grad(stack: ClientStack, task_arch: nets.TaskArch, x: np.ndarray, y: np.ndarray):
@@ -442,15 +442,12 @@ def plain_step(
     y: np.ndarray,
     hyper: NdagHyper,
 ):
-    """Classification-only student step on the raw batch (warmup, baselines).
-
-    Returns (grad, l_cls).
-    """
+    """Classification-only student step on the raw batch (warmup, baselines); returns l_cls."""
     ce, grad = plain_grad(stack, task_arch, x, y)
     ok = sgd_step(stack.student, grad, hyper.lr, hyper.momentum, hyper.weight_decay)
     stack.check(ok, "plain step: non-finite parameters or gradient")
     stack.check(np.isfinite(ce), "l_cls is non-finite")
-    return grad, ce
+    return ce
 
 
 def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.ndarray:
@@ -475,11 +472,11 @@ def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
     client's degenerate feature rows.
     """
     if part.generator is None:
-        _, l_cls = plain_step(part, task_arch, x, y, hyper)
+        l_cls = plain_step(part, task_arch, x, y, hyper)
         return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], [0] * len(l_cls)
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
-    _, l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
+    l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
                "teacher is non-finite")
     losses = zip(l_cls_g.tolist(), l_dis.tolist(), l_cls_s.tolist(), l_sim.tolist())

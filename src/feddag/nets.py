@@ -50,9 +50,6 @@ class TaskArch:
         pairs.append((self.feature_dim, self.num_classes))
         return pairs
 
-    def param_count(self) -> int:
-        return sum((din + 1) * dout for din, dout in self.layer_dims())
-
 
 @dataclass(frozen=True)
 class GenArch:
@@ -69,9 +66,6 @@ class GenArch:
     def layer_dims(self) -> list[tuple[int, int]]:
         widths = [self.input_dim, *self.hidden_dims, self.input_dim]
         return list(zip(widths[:-1], widths[1:]))
-
-    def param_count(self) -> int:
-        return sum((din + 1) * dout for din, dout in self.layer_dims())
 
 
 def split_layers(values: np.ndarray, layer_dims) -> list[tuple[np.ndarray, np.ndarray]]:

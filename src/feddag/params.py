@@ -39,15 +39,11 @@ class ParamVector:
         arr.flags.writeable = False
         self.values = arr
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
     def __len__(self) -> int:
         return self.values.size
 
     def __repr__(self) -> str:
-        return f"ParamVector(dim={self.dim})"
+        return f"ParamVector(dim={len(self)})"
 
     def __reduce__(self):
         # Through the constructor: a pickled array comes back writeable.

@@ -87,7 +87,8 @@ def saturated_fixture(seed, task_arch, gen_arch, alpha=0.3, attempts=80):
             continue
         s = 40.0 / gamma
         vals = stu.values.copy()
-        head = task_arch.param_count() - (task_arch.feature_dim + 1) * task_arch.num_classes
+        n_head = (task_arch.feature_dim + 1) * task_arch.num_classes
+        head = helpers.param_count(task_arch) - n_head
         n_w = task_arch.feature_dim * task_arch.num_classes
         vals[head : head + n_w] = (s * W3).ravel()
         vals[head + n_w :] = s * b3

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from feddag import cli, data, ndag, protocol
+from feddag import data, ndag, protocol
 from feddag.atomic import write_csv
+from feddag.nets import TaskArch
 from feddag.params import ParamVector, SgdRows
 
 
@@ -37,6 +38,11 @@ def layer_shapes_task(arch):
 def layer_shapes_gen(arch):
     widths = [arch.input_dim, *arch.hidden_dims, arch.input_dim]
     return list(zip(widths[:-1], widths[1:]))
+
+
+def param_count(arch):
+    """Entries of arch's flat parameter vector: (fan_in + 1) * fan_out per layer."""
+    return sum((din + 1) * dout for din, dout in arch.layer_dims())
 
 
 def unpack(values, shapes):
@@ -359,19 +365,18 @@ def load_checkpoint(path: str):
     if missing:
         raise ValueError(f"checkpoint {path} missing fields: {missing}")
     desc = doc["arch"]
-    cls = cli.ARCH_KINDS.get(desc.get("kind"))
-    if cls is None:
+    if desc.get("kind") != "task":
         raise ValueError(f"checkpoint {path}: unknown arch kind {desc.get('kind')!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in dataclasses.fields(TaskArch)]
     missing = [name for name in names if name not in desc]
     if missing:
         raise ValueError(f"checkpoint {path}: arch missing keys: {missing}")
     fields = {name: desc[name] for name in names}
     fields["hidden_dims"] = tuple(fields["hidden_dims"])
-    arch = cls(**fields)
+    arch = TaskArch(**fields)
     params = ParamVector(np.asarray(doc["values"], dtype=np.float64))
-    if params.dim != arch.param_count():
-        raise ValueError(f"checkpoint {path}: {params.dim} values for {arch.param_count()} params")
+    if len(params) != param_count(arch):
+        raise ValueError(f"checkpoint {path}: {len(params)} values for {param_count(arch)} params")
     return params, arch, doc["role"], doc["round"]
 
 

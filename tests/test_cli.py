@@ -18,9 +18,9 @@ import pytest
 
 import feddag
 import helpers
-from feddag import cli, ndag, sha
+from feddag import cli, metrics, ndag, reporting, sha
 from feddag.metrics import PairedComparison
-from feddag.nets import GenArch, TaskArch
+from feddag.nets import TaskArch
 from feddag.params import ParamVector
 
 # Small bench and short schedule so each invocation stays fast.
@@ -53,33 +53,24 @@ def read_rows(path):
 
 class TestCheckpoint:
     TASK = TaskArch(input_dim=4, hidden_dims=(5,), feature_dim=3, num_classes=2)
-    GEN = GenArch(input_dim=4, hidden_dims=(6,))
 
     def test_task_round_trip(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        params = ParamVector(np.linspace(-1.0, 1.0, self.TASK.param_count()))
-        cli.save_checkpoint(path, params, self.TASK, role="global_task", round_index=7)
+        params = ParamVector(np.linspace(-1.0, 1.0, helpers.param_count(self.TASK)))
+        cli.save_checkpoint(path, params, self.TASK, round_index=7)
         loaded, arch, role, rnd = helpers.load_checkpoint(path)
         assert np.array_equal(loaded.values, params.values)
         assert arch == self.TASK
         assert role == "global_task"
         assert rnd == 7
 
-    def test_gen_round_trip(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        params = ParamVector(np.zeros(self.GEN.param_count()))
-        cli.save_checkpoint(path, params, self.GEN, role="generator", round_index=0)
-        _, arch, role, _ = helpers.load_checkpoint(path)
-        assert arch == self.GEN
-        assert role == "generator"
-
     def test_bytes_match_the_streaming_encoder(self, tmp_path):
         # json.dumps (C encoder) must write what json.dump (pure Python) wrote.
         arch = TaskArch(input_dim=16, hidden_dims=(32, 32), feature_dim=16, num_classes=3)
-        values = np.random.default_rng(4).normal(size=arch.param_count())
+        values = np.random.default_rng(4).normal(size=helpers.param_count(arch))
         values[:3] = [0.1, -0.0, 1e-300]
         path = tmp_path / "ckpt.json"
-        cli.save_checkpoint(str(path), ParamVector(values), arch, role="global_task", round_index=14)
+        cli.save_checkpoint(str(path), ParamVector(values), arch, round_index=14)
         doc = {
             "arch": {"kind": "task", **dataclasses.asdict(arch)},
             "values": values.tolist(),
@@ -106,8 +97,8 @@ class TestCheckpoint:
 
     def test_value_count_mismatch(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        params = ParamVector(np.zeros(self.TASK.param_count()))
-        cli.save_checkpoint(path, params, self.TASK, role="x", round_index=0)
+        params = ParamVector(np.zeros(helpers.param_count(self.TASK)))
+        cli.save_checkpoint(path, params, self.TASK, round_index=0)
         with open(path) as fh:
             doc = json.load(fh)
         doc["values"] = doc["values"][:-1]
@@ -115,12 +106,6 @@ class TestCheckpoint:
             json.dump(doc, fh)
         with pytest.raises(ValueError, match="values for"):
             helpers.load_checkpoint(path)
-
-    def test_unknown_arch_rejected_on_save(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown arch type"):
-            cli.save_checkpoint(
-                str(tmp_path / "x.json"), ParamVector(np.zeros(1)), object(), "x", 0
-            )
 
 
 RUN_ARTIFACTS = (
@@ -200,7 +185,7 @@ class TestRun:
             str(out / "checkpoints" / "final_task_d1.json")
         )
         assert arch == TaskArch(input_dim=6, hidden_dims=(8,), feature_dim=4, num_classes=3)
-        assert params.dim == arch.param_count()
+        assert len(params) == helpers.param_count(arch)
         assert role == "global_task"
         assert rnd == 3
 
@@ -428,28 +413,46 @@ class TestExitCodes:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
-    # The bench is built in this process and the models in the forked leg
-    # workers, which call the patched function too.
-    @pytest.mark.parametrize("module, name", [(cli.cfgmod, "make_benchmark"), (cli.protocol, "init")],
-                             ids=["bench-build", "leg-build"])
-    def test_out_of_memory_exits_6(self, tmp_path, monkeypatch, capsys, module, name):
-        message = "Unable to allocate 38.8 TiB for an array with shape (333333333334, 16)"
+    # A raise site of run, the exception it raises, the exit code and stderr
+    # line it ends with, and an artifact it leaves unwritten.  The bench is
+    # built and the artifacts written in this process; the models, local
+    # steps, SHA scoring and the final evaluation run in the forked leg
+    # workers, which inherit the patch.
+    OOM = "Unable to allocate 38.8 TiB for an array with shape (333333333334, 16)"
+    FAULTS = {
+        "bench-build": (cli.cfgmod, "make_benchmark", MemoryError(OOM), 6,
+                        f"out of memory: {OOM}", "report.json"),
+        "leg-build": (cli.protocol, "init", MemoryError(OOM), 6,
+                      f"out of memory: {OOM}", "report.json"),
+        "local-step": (ndag, "client_round", ndag.DivergenceError("l_cls is non-finite", 1), 3,
+                       "training diverged: client 1: l_cls is non-finite", "report.json"),
+        "sha-scoring": (sha, "evaluate_score", sha.ScoringDivergence(0, "validation loss"), 3,
+                        "training diverged: client 0: non-finite validation loss", "report.json"),
+        "final-eval": (metrics, "evaluate", MemoryError(OOM), 6,
+                       f"out of memory: {OOM}", "report.json"),
+        "trace-write": (reporting, "_trace_values", OSError(28, "No space left on device"), 4,
+                        "i/o error: [Errno 28] No space left on device", "train_trace.csv"),
+    }
 
-        def no_memory(*args):
-            raise MemoryError(message)
+    @pytest.mark.parametrize("site", FAULTS)
+    def test_fault_exits_with_its_code(self, tmp_path, monkeypatch, capsys, site):
+        module, name, exc, code, line, unwritten = self.FAULTS[site]
 
-        monkeypatch.setattr(module, name, no_memory)
+        def fault(*args, **kwargs):
+            raise exc.with_traceback(None)
+
+        monkeypatch.setattr(module, name, fault)
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 6
-        assert capsys.readouterr().err == f"out of memory: {message}\n"
-        assert not (out / "report.json").exists()
+        assert cli.main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"{line}\n"
+        assert not (out / unwritten).exists()
         assert not list(tmp_path.rglob("*.tmp"))
 
 
 def load_corrupted_checkpoint(tmp_path, corrupt):
     path = str(tmp_path / "ckpt.json")
     arch = TestCheckpoint.TASK
-    cli.save_checkpoint(path, ParamVector(np.zeros(arch.param_count())), arch, "x", 0)
+    cli.save_checkpoint(path, ParamVector(np.zeros(helpers.param_count(arch))), arch, 0)
     with open(path) as fh:
         doc = json.load(fh)
     corrupt(doc)

@@ -416,10 +416,11 @@ class TestLoadCsvAccepts:
             self._load(tmp_path, rows)
 
     def test_interleaved_non_contiguous_domains_come_back_sorted(self, tmp_path):
-        ids = (2**40, 7, 0)
+        # A negative id is an int64 too; its split is seeded by its 2**64 complement.
+        ids = (2**40, 7, 0, -3)
         by_domain = self._rows(ids)
         # One row of each domain in turn, the largest id first.
-        rows = [row for group in zip(*(by_domain[12 * k : 12 * k + 12] for k in range(3)))
+        rows = [row for group in zip(*(by_domain[12 * k : 12 * k + 12] for k in range(4)))
                 for row in group]
         got = self._load(tmp_path, rows)
         domains = np.array([int(r[0]) for r in rows])
@@ -429,7 +430,7 @@ class TestLoadCsvAccepts:
         xs = (xs - lo) / (hi - lo)
         want = [data.split_domain(d, xs[domains == d], labels[domains == d], 3)
                 for d in sorted(ids)]
-        assert [d.domain for d in got] == [0, 7, 2**40]
+        assert [d.domain for d in got] == [-3, 0, 7, 2**40]
         assert_same_benches(got, want)
 
 

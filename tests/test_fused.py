@@ -154,7 +154,7 @@ class TestEdgeCases:
         # A zero generator leaves x_hat = x, so inputs on the bounds stay there.
         zero_gen = helpers.Models(
             student=models.student,
-            generator=ParamVector(np.zeros(GEN_ARCH.param_count())),
+            generator=ParamVector(np.zeros(helpers.param_count(GEN_ARCH))),
             teacher=models.teacher,
         )
         X = rng.choice([lo, hi, 0.5], size=(4, TASK_ARCH.input_dim))
@@ -167,7 +167,7 @@ class TestEdgeCases:
         # pick inputs that land on the bounds after the perturbation.
         vals = models.generator.values.copy()
         d_in, d_out = GEN_ARCH.layer_dims()[-1]
-        head = GEN_ARCH.param_count() - (d_in + 1) * d_out
+        head = helpers.param_count(GEN_ARCH) - (d_in + 1) * d_out
         vals[head : head + d_in * d_out] = 0.0
         vals[-d_out:] = rng.uniform(-0.5, 0.5, size=d_out)
         const_gen = helpers.Models(
@@ -187,7 +187,7 @@ class TestEdgeCases:
         models, X, y, t_feats = random_case(TASK_ARCH, GEN_ARCH, 5, 6)
         hyper = ndag.NdagHyper(alpha=0.0, m=HYPER.m)
         _, _, _, grad, g_x_hat = check_generator(models, TASK_ARCH, GEN_ARCH, X, y, t_feats, hyper)
-        assert np.array_equal(grad, np.zeros(GEN_ARCH.param_count()))
+        assert np.array_equal(grad, np.zeros(helpers.param_count(GEN_ARCH)))
         assert np.any(g_x_hat != 0.0)
         check_student(models, TASK_ARCH, GEN_ARCH, X, y, t_feats, hyper)
 

@@ -27,17 +27,22 @@ def gen_forward(params, arch, x):
     return nets.gen_apply(params, arch, x[None, :])[0]
 
 
+def assert_takes_exactly(count, arch):
+    """init_params makes count entries, and split_layers accepts count and no other size."""
+    assert len(nets.init_params(arch, np.random.default_rng(0))) == count
+    nets.split_layers(np.zeros(count), arch.layer_dims())
+    for wrong in (count - 1, count + 1):
+        with pytest.raises(DimensionMismatch):
+            nets.split_layers(np.zeros(wrong), arch.layer_dims())
+
+
 class TestArchitectures:
     def test_task_param_count_closed_form(self):
-        arch = nets.TaskArch(4, (8, 8), 16, 3)
         # (4+1)*8 + (8+1)*8 + (8+1)*16 + (16+1)*3
-        assert arch.param_count() == 40 + 72 + 144 + 51
-        assert nets.init_params(arch, np.random.default_rng(0)).dim == arch.param_count()
+        assert_takes_exactly(40 + 72 + 144 + 51, nets.TaskArch(4, (8, 8), 16, 3))
 
     def test_gen_param_count_closed_form(self):
-        arch = nets.GenArch(4, (8,))
-        assert arch.param_count() == 40 + 36
-        assert nets.init_params(arch, np.random.default_rng(0)).dim == arch.param_count()
+        assert_takes_exactly(40 + 36, nets.GenArch(4, (8,)))
 
     def test_layer_dims_end_with_classifier(self):
         arch = nets.TaskArch(6, (5,), 4, 2)
@@ -132,7 +137,7 @@ class TestTaskForward:
 
     def test_zero_params_give_uniform_logits(self):
         arch = nets.TaskArch(4, (3,), 2, 3)
-        params = ParamVector(np.zeros(arch.param_count()))
+        params = ParamVector(np.zeros(helpers.param_count(arch)))
         _, logits = nets.task_apply(params, arch, np.random.default_rng(0).normal(size=(2, 4)))
         assert np.array_equal(logits, np.zeros((2, 3)))
 
@@ -199,7 +204,7 @@ class TestGenForward:
 
     def test_zero_params_emit_zero_delta(self):
         arch = nets.GenArch(4, (3,))
-        params = ParamVector(np.zeros(arch.param_count()))
+        params = ParamVector(np.zeros(helpers.param_count(arch)))
         delta = nets.gen_apply(params, arch, np.random.default_rng(0).normal(size=(3, 4)))
         assert np.array_equal(delta, np.zeros((3, 4)))
 

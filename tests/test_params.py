@@ -67,8 +67,8 @@ class TestParamVector:
 
     def test_dim_and_len(self):
         v = vec(1.0, 2.0, 3.0)
-        assert v.dim == 3
         assert len(v) == 3
+        assert repr(v) == "ParamVector(dim=3)"
 
 
 class TestAlgebra:

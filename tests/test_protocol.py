@@ -169,7 +169,7 @@ class TestTeacherLifecycle:
             if r == config.warmup_rounds:
                 snapshot = server.global_task.values.copy()
             helpers.run_round(server, sources, config, TASK_ARCH, GEN_ARCH)
-        assert server.teachers.shape == (2, TASK_ARCH.param_count())
+        assert server.teachers.shape == (2, helpers.param_count(TASK_ARCH))
         for row in server.teachers:
             assert np.array_equal(row, snapshot)
 

@@ -90,7 +90,7 @@ class TestPerturbModel:
 
 def uniform_logit_params(arch):
     """All-zero weights emit identical logits for every class."""
-    return np.zeros(arch.param_count())
+    return np.zeros(helpers.param_count(arch))
 
 
 class TestEvaluateScore:
@@ -109,7 +109,7 @@ class TestEvaluateScore:
         # zero feature path plus a classifier bias of ln(e^2 - 1) on the
         # wrong class makes every sample's loss exactly 2 nats
         arch = nets.TaskArch(2, (), 2, 2)
-        values = np.zeros(arch.param_count())
+        values = np.zeros(helpers.param_count(arch))
         values[-1] = np.log(np.expm1(2.0))
         X = np.random.default_rng(3).uniform(size=(5, 2))
         y = np.zeros(5, dtype=np.int64)
@@ -138,7 +138,7 @@ class TestEvaluateScore:
     def test_near_perfect_total_is_capped_and_flagged(self):
         # saturated correct-class bias drives the total loss below 1e-9
         arch = nets.TaskArch(2, (), 2, 2)
-        values = np.zeros(arch.param_count())
+        values = np.zeros(helpers.param_count(arch))
         values[-2] = 100.0
         X = np.random.default_rng(5).uniform(size=(4, 2))
         y = np.zeros(4, dtype=np.int64)
