@@ -38,17 +38,17 @@ class PairedComparison:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
+    """1-based ranks with ties sharing their group's average rank.
+
+    A group is a run of equal sorted values: -0.0 ties with 0.0, and each
+    NaN, equal to nothing, is a group of its own.
+    """
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    ends = np.append(starts[1:], values.size) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

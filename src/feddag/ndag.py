@@ -271,7 +271,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     logp, dz, sez = _log_softmax_parts(logits)
     logp -= np.log(sez)
     picked = (np.arange(c)[:, None], np.arange(n), labels)
-    loss = -logp[picked].mean(axis=1)
+    # .mean(axis=1)'s own ufuncs, without its Python wrapper: the same bits.
+    loss = -np.add.reduce(logp[picked], axis=1) / n
     dz /= sez
     dz[picked] -= 1.0
     dz *= 1.0 / n
@@ -283,7 +284,7 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     c, n, _ = logits.shape
     shifted, _, sez = _log_softmax_parts(logits)
     picked = shifted[np.arange(c)[:, None], np.arange(n), labels]
-    return -(picked - np.log(sez[:, :, 0])).mean(axis=1)
+    return -np.add.reduce(picked - np.log(sez[:, :, 0]), axis=1) / n
 
 
 def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
@@ -295,8 +296,9 @@ def _feature_distance(t_feats: np.ndarray, feats: np.ndarray):
     both norms are finite, and grad(g) is the gradient of sum(g * distances)
     w.r.t. feats.
     """
-    nt = np.linalg.norm(t_feats, axis=2)
-    nf = np.linalg.norm(feats, axis=2)
+    # np.linalg.norm(x, axis=2)'s own ufuncs, without its Python wrapper: the same bits.
+    nt = np.sqrt(np.add.reduce(t_feats * t_feats, axis=2))
+    nf = np.sqrt(np.add.reduce(feats * feats, axis=2))
     valid = (nt >= DEGENERATE_NORM) & (nf >= DEGENERATE_NORM)
     finite = np.isfinite(nt + nf)
     safe_nf = np.where(valid, nf, 1.0)
@@ -507,9 +509,10 @@ def client_round(
 
     Client c trains on (xs[c], ys[c]) and shuffles with rngs[c], drawing
     one permutation per local epoch, so it sees exactly the batches it
-    would see alone.  At local step k the clients that still have a batch
-    are grouped by batch size, and each group trains as one stack (a batch
-    is never padded).
+    would see alone.  It gathers its shuffled set once per epoch, and each
+    step's batch is the next slice of that set.  At local step k the
+    clients that still have a batch are grouped by batch size, and each
+    group trains as one stack (a batch is never padded).
 
     With NDAG the order per batch is: perturb, generator step, re-perturb,
     student step, EMA the teacher.  Teacher features are computed once per
@@ -545,7 +548,8 @@ def client_round(
     batch = hyper.batch_size
     n_batches = [-(-n // batch) for n in sizes]
     orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]
-    batch_idx = [None] * n_clients  # sample indices of each client's current batch
+    shuffled = [None] * n_clients  # each client's (x, y) in its current epoch's order
+    spans = [None] * n_clients  # the rows of shuffled that make each client's current batch
     traces: list[list[BatchTrace]] = [[] for _ in range(n_clients)]
     degenerate = [0] * n_clients
 
@@ -555,12 +559,19 @@ def client_round(
             epoch, j = divmod(k, nb)
             if epoch >= local_epochs:
                 continue
-            batch_idx[c] = orders[c][epoch][j * batch : (j + 1) * batch]
-            groups.setdefault(len(batch_idx[c]), []).append(c)
+            if j == 0:
+                order = orders[c][epoch]
+                shuffled[c] = xs[c][order], ys[c][order]
+            start = j * batch
+            stop = min(start + batch, sizes[c])
+            spans[c] = slice(start, stop)
+            groups.setdefault(stop - start, []).append(c)
         for size, clients in groups.items():
             part = stack.take(clients)
-            xb = np.stack([xs[c][batch_idx[c]] for c in clients])
-            yb = np.stack([ys[c][batch_idx[c]] for c in clients])
+            xb = np.concatenate([shuffled[c][0][spans[c]] for c in clients])
+            yb = np.concatenate([shuffled[c][1][spans[c]] for c in clients])
+            xb = xb.reshape(len(clients), size, *xb.shape[1:])
+            yb = yb.reshape(len(clients), size)
             batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
             stack.put(clients, part)
             for c, t, rows in zip(clients, batch_traces, bad):

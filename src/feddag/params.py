@@ -113,15 +113,18 @@ def sgd_step(
 
     A row whose gradient or new parameters hold NaN or +/-inf comes back
     False: training has diverged there, and continuing would silently
-    corrupt the run.  grads itself is left untouched.
+    corrupt the run.  grads itself is left untouched.  Checking the new
+    parameters alone covers the gradient: a non-finite gradient entry makes
+    its buffer entry non-finite, lr times that is non-finite for any lr
+    (0 * inf is NaN), and so is the parameter it is subtracted from.
     """
     if grads.shape != rows.params.shape:
         raise DimensionMismatch(f"gradient shape {grads.shape} != params {rows.params.shape}")
     rows.grad[...] = grads
-    finite = np.isfinite(grads).all(axis=1)
     g = weight_decay * rows.params
     g += grads
     rows.buf *= momentum
     rows.buf += g
-    rows.params -= lr * rows.buf
-    return finite & np.isfinite(rows.params).all(axis=1)
+    np.multiply(rows.buf, lr, out=g)
+    rows.params -= g
+    return np.isfinite(rows.params).all(axis=1)

@@ -104,9 +104,12 @@ def test_sgd_and_ema_match_their_allocating_forms():
     params = rng.normal(size=(4, 50))
     rows = SgdRows(params.copy())
     ref_p, ref_buf = params.copy(), np.zeros_like(params)
-    for _ in range(4):
+    for step in range(4):
         grads = rng.normal(size=params.shape)
-        sgd_step(rows, grads, 0.05, 0.9, 5e-4)
+        # Odd steps pass the gradient block itself, as every caller in src/ does.
+        if step % 2:
+            rows.grad[...] = grads
+        sgd_step(rows, rows.grad if step % 2 else grads, 0.05, 0.9, 5e-4)
         g = 5e-4 * ref_p
         g += grads
         ref_buf *= 0.9

@@ -111,6 +111,44 @@ def test_large_group_trains_as_one_stack(monkeypatch, ndag_enabled):
     assert_same_round(together, alone)
 
 
+@pytest.mark.parametrize("ndag_enabled", [True, False])
+def test_batches_are_slices_of_each_epochs_permutation(monkeypatch, ndag_enabled):
+    # Stacked and lone rounds share the batch assembly, so the tests above
+    # would not see a wrong gather; this one checks every batch against the
+    # permutations each client's rng draws, one per local epoch.
+    sizes, batch, local_epochs = [5, 9, 4], 4, 2
+    calls = []
+    original = ndag._local_step
+
+    def recording(part, k, task_arch, gen_arch, x, y, hyper):
+        calls.append((k, x.copy(), y.copy()))
+        return original(part, k, task_arch, gen_arch, x, y, hyper)
+
+    monkeypatch.setattr(ndag, "_local_step", recording)
+    models, xs, ys = make_clients(sizes, 11)
+    hyper = ndag.NdagHyper(batch_size=batch, lr=0.05, ema_decay=0.9)
+    train(models, xs, ys, hyper, ndag_enabled, rngs(len(sizes), 11), local_epochs)
+
+    perms = [[rng.permutation(n) for _ in range(local_epochs)]
+             for rng, n in zip(rngs(len(sizes), 11), sizes)]
+    expected = []
+    for k in range(local_epochs * max(-(-n // batch) for n in sizes)):
+        groups = {}
+        for c, n in enumerate(sizes):
+            epoch, j = divmod(k, -(-n // batch))
+            if epoch < local_epochs:
+                idx = perms[c][epoch][j * batch : (j + 1) * batch]
+                groups.setdefault(len(idx), []).append((xs[c][idx], ys[c][idx]))
+        expected += [(k, group) for group in groups.values()]
+    assert len(calls) == len(expected)
+    for (k, xb, yb), (step, group) in zip(calls, expected):
+        assert k == step
+        assert xb.shape == (len(group), len(group[0][1]), TASK_ARCH.input_dim)
+        for row, (x, y) in enumerate(group):
+            assert xb[row].tobytes() == x.tobytes()
+            assert yb[row].tolist() == y.tolist()
+
+
 def test_stack_of_one_matches_a_round_without_peers():
     """A client's result does not depend on who else trains in the round."""
     hyper = ndag.NdagHyper(batch_size=4, lr=0.05, ema_decay=0.9)

@@ -32,6 +32,37 @@ def pairwise_auc(scores, positives):
     return total / (len(pos) * len(neg))
 
 
+def loop_average_ranks(values):
+    """The per-sample loop metrics._average_ranks replaced: ranks of tie groups."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    def test_matches_the_loop_bit_for_bit(self):
+        # Few distinct values so ties are common, with NaN and both zeros.
+        rng = np.random.default_rng(12)
+        pool = np.array([-1.5, -0.0, 0.0, 0.25, 0.25 + 2**-54, 3.0, np.inf, -np.inf, np.nan])
+        for n in [0, 1, 2, 3, 7, 40, 600]:
+            for _ in range(20):
+                values = rng.choice(pool, size=n)
+                got = metrics._average_ranks(values)
+                assert got.tobytes() == loop_average_ranks(values).tobytes()
+
+    def test_ties_share_their_average_rank(self):
+        values = np.array([0.3, -0.0, 0.1, 0.0, 0.3, 0.3, np.nan, np.nan])
+        assert metrics._average_ranks(values).tolist() == [5.0, 1.5, 3.0, 1.5, 5.0, 5.0, 7.0, 8.0]
+
+
 class TestRankAuc:
     def test_worked_three_quarters_case(self):
         scores = np.array([0.9, 0.4, 0.6, 0.1])

@@ -136,6 +136,36 @@ class TestSgdStep:
         ok = sgd_step(p, grads((1.0, np.nan), (0.0, 0.0), (np.inf, 0.0)), 0.1, 0.0, 0.0)
         assert ok.tolist() == [False, True, False]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("lr", [0.0, 1e-320, 10.0])
+    def test_finite_mask_matches_checking_gradient_and_parameters(self, lr, momentum, weight_decay):
+        # The step checks only the new parameters; the mask must equal the
+        # one that also checks the gradient.  One row per (gradient entry,
+        # buffer entry) pair, plus a finite row whose update overflows.
+        entries = (0.0, 5e-324, np.inf, -np.inf, np.nan)
+        pairs = [(g, b) for g in entries for b in entries if not (b and np.isfinite(b))]
+        grad_rows = [[1.0, g] for g, _ in pairs] + [[1.0, -1e308]]
+        buf_rows = [[0.5, b] for _, b in pairs] + [[0.0, 0.0]]
+        params = np.array([[1.0, -2.0]] * len(pairs) + [[1.0, 1e308]])
+        gr = np.array(grad_rows)
+        p = SgdRows(params.copy(), np.array(buf_rows))
+        p.grad[...] = gr
+        ok = sgd_step(p, p.grad, lr, momentum, weight_decay)
+
+        ref_p, ref_buf = params.copy(), np.array(buf_rows)
+        g = weight_decay * ref_p
+        g += gr
+        ref_buf *= momentum
+        ref_buf += g
+        ref_p -= lr * ref_buf
+        want = np.isfinite(gr).all(axis=1) & np.isfinite(ref_p).all(axis=1)
+        assert ok.tolist() == want.tolist()
+        assert not ok[~np.isfinite(gr).all(axis=1)].any()
+        assert np.array_equal(p.params, ref_p, equal_nan=True)
+        assert np.array_equal(p.buf, ref_buf, equal_nan=True)
+
     def test_hyper_validation(self):
         with pytest.raises(DimensionMismatch):
             sgd_step(rows((1.0,)), grads((1.0, 2.0)), 0.1, 0.0, 0.0)
