@@ -41,18 +41,32 @@ STATS_HEADER = ["comparison", "metric", "pairing"] + [
 ]
 
 
+# Checkpoint values are written this many at a time.
+CHECKPOINT_CHUNK = 1024
+
+
 def save_checkpoint(path: str, params: ParamVector, arch: TaskArch, round_index: int) -> None:
-    """Global task model snapshot as JSON: {arch: {kind, *fields}, values, role, round}."""
+    """Global task model snapshot as JSON: {arch: {kind, *fields}, values, role, round}.
+
+    The file is json.dumps(doc, sort_keys=True) and a newline, written in
+    pieces: the document without values, whose keys sort before "values",
+    then the values CHECKPOINT_CHUNK at a time, each as the float repr that
+    json writes for it, so no list or string of them all is built.  The
+    values are finite: a run whose final model is not exits 3 first.
+    """
     doc = {
         "arch": {"kind": "task", **dataclasses.asdict(arch)},
-        "values": params.values.tolist(),
         "role": "global_task",
         "round": round_index,
     }
+    values = params.values
     with atomic_open(path) as fh:
-        # json.dumps runs the C encoder; json.dump writes the same bytes from Python.
-        fh.write(json.dumps(doc, sort_keys=True))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True)[:-1])
+        fh.write(', "values": [')
+        for start in range(0, len(values), CHECKPOINT_CHUNK):
+            chunk = values[start : start + CHECKPOINT_CHUNK].tolist()
+            fh.write((", " if start else "") + ", ".join(map(float.__repr__, chunk)))
+        fh.write("]}\n")
 
 
 def _bench_dims(bench) -> tuple[int, int]:

@@ -80,27 +80,38 @@ class NdagHyper:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class BatchTrace:
-    batch: int
-    l_cls_g: float | None
-    l_dis: float | None
-    l_cls_s: float
-    l_sim: float | None
+    """One round's batch losses for a stack of C clients.
 
-    def __reduce__(self):
-        # The dataclass default walks fields() for every object; leg workers
-        # pickle thousands of these.
-        return BatchTrace, (self.batch, self.l_cls_g, self.l_dis, self.l_cls_s, self.l_sim)
+    batches holds each client's batch count.  Each loss is a (C, K) float64
+    block whose row c holds client c's losses in batch order, so the batch
+    index is the column index; K is the most batches of any client, and a
+    client's cells past its count are 0.  The three NDAG losses are None in
+    a round without NDAG.
+    """
+
+    batches: np.ndarray
+    l_cls_g: np.ndarray | None
+    l_dis: np.ndarray | None
+    l_cls_s: np.ndarray
+    l_sim: np.ndarray | None
+
+    def rows(self, own: slice) -> BatchTrace:
+        """The trace of rows own alone, as those clients make it in a stack of their own."""
+        batches = self.batches[own]
+        k = int(batches.max())
+        losses = (self.l_cls_g, self.l_dis, self.l_cls_s, self.l_sim)
+        return BatchTrace(batches, *(None if b is None else b[own, :k] for b in losses))
 
 
 @dataclass(frozen=True)
 class RoundResult:
     """One local round of C clients; every array holds one row per client.
 
-    generator and teacher are None when the round ran without NDAG.
-    client_degenerate_rows counts each client's degenerate feature rows over
-    its batches.
+    generator and teacher are None when the round ran without NDAG.  trace
+    holds every client's batch losses, and client_degenerate_rows counts
+    each client's degenerate feature rows over its batches.
     """
 
     student: np.ndarray
@@ -108,7 +119,7 @@ class RoundResult:
     teacher: np.ndarray | None
     last_grads: np.ndarray
     mean_train_losses: list[float]
-    traces: list[list[BatchTrace]]
+    trace: BatchTrace
     client_degenerate_rows: tuple[int, ...]
 
     @property
@@ -181,7 +192,7 @@ class ClientStack:
 
     def check(self, ok: np.ndarray, message: str) -> None:
         """Record DivergenceError(message) for each row not ok, unless it failed earlier."""
-        if not ok.all():
+        if not np.logical_and.reduce(ok):
             for row in np.flatnonzero(~ok).tolist():
                 self.errors.setdefault(row, DivergenceError(message))
 
@@ -208,7 +219,7 @@ def _collapse_guard(stack: ClientStack, valid: np.ndarray, finite: np.ndarray) -
     collapsed: it fails its client with DivergenceError, which wins over the
     collapse check, and it is not counted as degenerate.
     """
-    stack.check(finite.all(axis=1), "non-finite features")
+    stack.check(np.logical_and.reduce(finite, axis=1), "non-finite features")
     n = valid.shape[1]
     bad = n - (valid | ~finite).sum(axis=1)
     for row in np.flatnonzero(bad * 2 > n).tolist():
@@ -463,26 +474,25 @@ def ema_update(teacher: np.ndarray, student: np.ndarray, decay: float) -> np.nda
         raise DimensionMismatch(f"teacher shape {teacher.shape} != student {student.shape}")
     teacher *= decay
     teacher += (1.0 - decay) * student
-    return np.isfinite(teacher).all(axis=1)
+    return np.logical_and.reduce(np.isfinite(teacher), axis=1)
 
 
-def _local_step(part, k, task_arch, gen_arch, x, y, hyper):
-    """Batch step k for a stack of clients, in place; NDAG when it has generators.
+def _local_step(part, task_arch, gen_arch, x, y, hyper):
+    """One batch step for a stack of clients, in place; NDAG when it has generators.
 
-    The student gradients land in part.student.grad.  Returns one
-    BatchTrace per client (the NDAG losses None without NDAG) and each
-    client's degenerate feature rows.
+    The student gradients land in part.student.grad.  Returns the step's
+    (l_cls_g, l_dis, l_cls_s, l_sim), each (C,) with the NDAG losses None
+    without NDAG, and each client's degenerate feature rows (None without
+    NDAG).
     """
     if part.generator is None:
-        l_cls = plain_step(part, task_arch, x, y, hyper)
-        return [BatchTrace(k, None, None, l, None) for l in l_cls.tolist()], [0] * len(l_cls)
+        return (None, None, plain_step(part, task_arch, x, y, hyper), None), None
     t_feats, _ = nets.task_apply(part.teacher, task_arch, x)
     l_cls_g, l_dis, bad_g = generator_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     l_cls_s, l_sim, bad_s = student_step(part, task_arch, gen_arch, x, y, hyper, t_feats)
     part.check(ema_update(part.teacher, part.student.params, hyper.ema_decay),
                "teacher is non-finite")
-    losses = zip(l_cls_g.tolist(), l_dis.tolist(), l_cls_s.tolist(), l_sim.tolist())
-    return [BatchTrace(k, *row) for row in losses], (bad_g + bad_s).tolist()
+    return (l_cls_g, l_dis, l_cls_s, l_sim), bad_g + bad_s
 
 
 def client_round(
@@ -512,7 +522,8 @@ def client_round(
     would see alone.  It gathers its shuffled set once per epoch, and each
     step's batch is the next slice of that set.  At local step k the
     clients that still have a batch are grouped by batch size, and each
-    group trains as one stack (a batch is never padded).
+    group trains as one stack (a batch is never padded).  Each group writes
+    its losses of step k into column k of the round's trace blocks.
 
     With NDAG the order per batch is: perturb, generator step, re-perturb,
     student step, EMA the teacher.  Teacher features are computed once per
@@ -547,13 +558,19 @@ def client_round(
         stack.teacher = teacher
     batch = hyper.batch_size
     n_batches = [-(-n // batch) for n in sizes]
+    batches = np.array(n_batches) * local_epochs
     orders = [[rng.permutation(n) for _ in range(local_epochs)] for rng, n in zip(rngs, sizes)]
     shuffled = [None] * n_clients  # each client's (x, y) in its current epoch's order
     spans = [None] * n_clients  # the rows of shuffled that make each client's current batch
-    traces: list[list[BatchTrace]] = [[] for _ in range(n_clients)]
-    degenerate = [0] * n_clients
+    steps = int(batches.max())
+    # Column k of each loss block holds local step k's losses (see BatchTrace).
+    l_cls_s = np.zeros((n_clients, steps))
+    losses = [None, None, l_cls_s, None]
+    if teacher is not None:
+        losses = [np.zeros_like(l_cls_s), np.zeros_like(l_cls_s), l_cls_s, np.zeros_like(l_cls_s)]
+    degenerate = np.zeros(n_clients, dtype=np.int64)
 
-    for k in range(local_epochs * max(n_batches)):
+    for k in range(steps):
         groups: dict[int, list[int]] = {}
         for c, nb in enumerate(n_batches):
             epoch, j = divmod(k, nb)
@@ -572,11 +589,14 @@ def client_round(
             yb = np.concatenate([shuffled[c][1][spans[c]] for c in clients])
             xb = xb.reshape(len(clients), size, *xb.shape[1:])
             yb = yb.reshape(len(clients), size)
-            batch_traces, bad = _local_step(part, k, task_arch, gen_arch, xb, yb, hyper)
+            step_losses, bad = _local_step(part, task_arch, gen_arch, xb, yb, hyper)
             stack.put(clients, part)
-            for c, t, rows in zip(clients, batch_traces, bad):
-                traces[c].append(t)
-                degenerate[c] += rows
+            rows = _rows(clients)
+            for block, values in zip(losses, step_losses):
+                if block is not None:
+                    block[rows, k] = values
+            if bad is not None:
+                degenerate[rows] += bad
         stack.raise_failure()
 
     return RoundResult(
@@ -584,7 +604,9 @@ def client_round(
         generator=None if stack.generator is None else stack.generator.params,
         teacher=stack.teacher,
         last_grads=stack.student.grad,
-        mean_train_losses=[float(np.mean([t.l_cls_s for t in rows])) for rows in traces],
-        traces=traces,
-        client_degenerate_rows=tuple(degenerate),
+        # np.mean's own pairwise sum over each client's batches, without its Python wrapper.
+        mean_train_losses=[float(np.add.reduce(l_cls_s[c, :n]) / n)
+                           for c, n in enumerate(batches.tolist())],
+        trace=BatchTrace(batches, *losses),
+        client_degenerate_rows=tuple(degenerate.tolist()),
     )

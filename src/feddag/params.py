@@ -127,4 +127,4 @@ def sgd_step(
     rows.buf += g
     np.multiply(rows.buf, lr, out=g)
     rows.params -= g
-    return np.isfinite(rows.params).all(axis=1)
+    return np.logical_and.reduce(np.isfinite(rows.params), axis=1)

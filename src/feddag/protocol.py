@@ -167,10 +167,6 @@ class RoundMetrics:
     degenerate_rows: int
 
 
-# One per-batch trace entry: (the client's domain id, round, its batch's losses).
-TraceEntry = tuple[int, int, ndag.BatchTrace]
-
-
 def init(config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenArch) -> ServerState:
     """Seeded global model initialization with empty per-client histories."""
     return ServerState(
@@ -206,13 +202,13 @@ class _Leg:
 
     idx is the leg's index in its job, and target the domain it holds out,
     if any.  val_x and val_y join the clients' validation sets once, for
-    every round's source_val_loss.  trace is None unless batch traces are
-    kept.
+    every round's source_val_loss.  trace holds one ndag.BatchTrace of the
+    leg's clients per round, and is None unless batch traces are kept.
     """
 
     server: ServerState
     sources: list[DomainDataset]
-    trace: list[TraceEntry] | None
+    trace: list[ndag.BatchTrace] | None
     target: DomainDataset | None = None
     idx: int = 0
     log: list[RoundMetrics] = field(default_factory=list)
@@ -274,8 +270,7 @@ def _group_round(
         if ndag_on:
             server.teachers = result.teacher[own]
         if leg.trace is not None:
-            for domain, batches in zip(sources, result.traces[own]):
-                leg.trace.extend((domain.domain, round_idx, row) for row in batches)
+            leg.trace.append(result.trace.rows(own))
 
         raw_scores = scores = None
         if warmup or not config.sha_active:
@@ -324,12 +319,18 @@ def _group_round(
 
 @dataclass
 class DomainRun:
-    """One LODO leg: federation over all domains except the target."""
+    """One LODO leg: federation over all domains except the target.
+
+    clients are the domain ids of its clients, in client order.  trace
+    holds one ndag.BatchTrace of them per round, from round 0, when batch
+    traces are kept, and is empty otherwise.
+    """
 
     target_domain: int
     rounds: list[RoundMetrics]
     final_task: ParamVector
-    trace: list[TraceEntry] = field(default_factory=list)
+    clients: tuple[int, ...]
+    trace: list[ndag.BatchTrace] = field(default_factory=list)
 
     @property
     def final(self) -> metrics.EvalResult:
@@ -495,7 +496,8 @@ def _leg_outcomes(
             return [exc]
     else:
         return [
-            DomainRun(leg.target.domain, leg.log, leg.server.global_task, leg.trace or [])
+            DomainRun(leg.target.domain, leg.log, leg.server.global_task,
+                      tuple(d.domain for d in leg.sources), leg.trace or [])
             for leg in group
         ]
     outcomes = []

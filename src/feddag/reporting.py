@@ -9,7 +9,7 @@ float is written as its repr, which reads back exactly).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from typing import Any
 
@@ -28,9 +28,9 @@ METRICS_HEADER = [
     "target_auc",
 ]
 SHA_LOG_HEADER = ["target_domain", "round", "client", "raw_score", "post_dense_score", "weight"]
-TRACE_FIELDS = [f.name for f in fields(BatchTrace)]
-TRACE_HEADER = ["target_domain", "client", "round", *TRACE_FIELDS]
-_trace_values = attrgetter(*TRACE_FIELDS)
+# A BatchTrace's loss blocks, one column each; its batch counts give the batch column.
+TRACE_FIELDS = [f.name for f in fields(BatchTrace) if f.name != "batches"]
+TRACE_HEADER = ["target_domain", "client", "round", "batch", *TRACE_FIELDS]
 
 
 def fmt(value) -> str:
@@ -44,6 +44,17 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _field_dict(record) -> dict[str, Any]:
+    """A dataclass's fields by name, a dataclass among them as its own fields.
+
+    dataclasses.asdict gives the same dict but deep-copies every value.
+    """
+    return {
+        f.name: _field_dict(value) if is_dataclass(value := getattr(record, f.name)) else value
+        for f in fields(record)
+    }
+
+
 def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
     """JSON-ready report: config echo (less `out`), per-domain rounds, final averages.
 
@@ -53,8 +64,8 @@ def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
     domains = [
         {
             "target_domain": run.target_domain,
-            "final": asdict(run.final),
-            "rounds": [asdict(rm) for rm in run.rounds],
+            "final": _field_dict(run.final),
+            "rounds": [_field_dict(rm) for rm in run.rounds],
         }
         for run in report.domains
     ]
@@ -66,6 +77,8 @@ def report_dict(cfg: dict[str, Any], report: RunReport) -> dict[str, Any]:
 
 def write_report_json(path: str, cfg: dict[str, Any], report: RunReport) -> None:
     with atomic_open(path) as fh:
+        # json.dump streams its pieces: one json.dumps string, and the list of pieces
+        # joined into it, raised sha_many's peak_rss_mb by 1.2 MB.
         json.dump(report_dict(cfg, report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -95,14 +108,23 @@ def write_sha_log_csv(path: str, report: RunReport) -> None:
     write_csv(path, SHA_LOG_HEADER, rows)
 
 
+def _trace_rows(run):
+    """The trace rows of one leg, by round, then client, then batch."""
+    for round_idx, trace in enumerate(run.trace):
+        blocks = [getattr(trace, name) for name in TRACE_FIELDS]
+        for c, (client, n) in enumerate(zip(run.clients, trace.batches.tolist())):
+            cells = [[""] * n if b is None else map(repr, b[c, :n].tolist()) for b in blocks]
+            for batch, losses in enumerate(zip(*cells)):
+                yield [run.target_domain, client, round_idx, batch, *losses]
+
+
 def write_trace_csv(path: str, report: RunReport) -> None:
-    """One row per (target, client, round, batch); the rest are BatchTrace's fields."""
-    rows = (
-        [run.target_domain, client, round_idx, *map(fmt, _trace_values(t))]
-        for run in report.domains
-        for client, round_idx, t in run.trace
-    )
-    write_csv(path, TRACE_HEADER, rows)
+    """One row per (target, client, round, batch), ordered by target, round, client, batch.
+
+    The rest of a row is the batch's cell of each BatchTrace loss, empty
+    where the round has no such loss.
+    """
+    write_csv(path, TRACE_HEADER, (row for run in report.domains for row in _trace_rows(run)))
 
 
 PALETTE = [

@@ -112,7 +112,8 @@ def probe_rows(theta: np.ndarray, grads: np.ndarray, rho: float) -> tuple[np.nda
     if theta.shape != grads.shape:
         raise DimensionMismatch(f"gradient shape {grads.shape} != params {theta.shape}")
     rows = theta.copy()
-    norms = np.array([np.linalg.norm(g) for g in grads])
+    # Each row's own dot with itself: np.linalg.norm's bits, in one stacked product.
+    norms = np.sqrt((grads[:, None, :] @ grads[:, :, None])[:, 0, 0])
     probed = norms >= GRAD_NORM_FLOOR
     rows[probed] = (rho / norms[probed])[:, None] * grads[probed] + theta[probed]
     return rows, probed

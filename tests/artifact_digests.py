@@ -13,6 +13,8 @@ checkpoint is byte-identical.  The commands are:
   at seeds 0 and 3 (sha_many reads the CSV bench its export config makes);
 - ``feddag run`` on a CSV bench of unequal domains with non-contiguous ids,
   out of order: an export with rows dropped and its ids remapped (REMAP);
+- ``feddag run`` with two local epochs, 4 rounds (EPOCHS): each client's
+  batch index runs on across the epochs of its round;
 - ``feddag ablate``, 4 rounds over seeds 0-2;
 - ``feddag sweep`` over ``k`` in [0, 2, 4], at seeds 0 and 1.
 
@@ -46,6 +48,7 @@ SWEEP_SEEDS = (0, 1)
 # The remapped CSV bench: exported domain -> (new id, keep all but every nth of its rows).
 REMAP_EXPORT = {"n_domains": 3, "samples_per_domain": 200}
 REMAP = {0: (7, 0), 1: (2**40, 3), 2: (3, 5)}
+EPOCHS = {"local_epochs": 2, "rounds": 4}
 
 
 def feddag(src: Path, work: Path, *args: str) -> None:
@@ -85,6 +88,7 @@ def commands(work: Path, src: Path) -> list[tuple[str, str, dict]]:
     feddag(src, work, "export-bench", "--config", "export.json", "--out", "exported.csv")
     write_remapped(work / "exported.csv", work / "remapped.csv")
     todo.append(("run-csv-remapped", "run", {"data_csv": "remapped.csv"}))
+    todo.append(("run-epochs2", "run", EPOCHS))
     todo.append(("ablate", "ablate", ABLATE))
     todo += [(f"sweep-k-seed{seed}", "sweep", dict(SWEEP, seed=seed)) for seed in SWEEP_SEEDS]
     return todo

@@ -323,6 +323,30 @@ def round_rows(clients, ndag_enabled=True):
     return student, generator, np.stack([m.teacher.values for m in clients])
 
 
+# ------------------------------------------------------------ batch traces
+
+
+def assert_same_trace(a: ndag.BatchTrace, b: ndag.BatchTrace) -> None:
+    """Every field of two BatchTraces equal bit for bit, a missing loss missing in both."""
+    for f in dataclasses.fields(ndag.BatchTrace):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None) == (y is None), f.name
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
+def assert_same_traces(a: list[ndag.BatchTrace], b: list[ndag.BatchTrace]) -> None:
+    """Two per-round trace lists equal round by round (see assert_same_trace)."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert_same_trace(x, y)
+
+
+def client_trace(trace: ndag.BatchTrace, c: int) -> ndag.BatchTrace:
+    """Client c's rows of a round's trace, as a stack of that client alone makes them."""
+    return trace.rows(slice(c, c + 1))
+
+
 # ------------------------------------------------------ one-leg federations
 
 

@@ -81,6 +81,32 @@ class TestCheckpoint:
         json.dump(doc, expected, sort_keys=True)
         assert path.read_text(encoding="utf-8") == expected.getvalue() + "\n"
 
+    EXTREMES = (5e-324, -0.0, 1.0, 1e308)
+
+    def assert_bytes_match_json_dumps(self, tmp_path, values):
+        arch = TaskArch(input_dim=16, hidden_dims=(32, 32), feature_dim=16, num_classes=3)
+        path = tmp_path / "ckpt.json"
+        cli.save_checkpoint(str(path), ParamVector(values), arch, round_index=3)
+        doc = {
+            "arch": {"kind": "task", **dataclasses.asdict(arch)},
+            "values": values.tolist(),
+            "role": "global_task",
+            "round": 3,
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025])
+    def test_bytes_match_json_dumps(self, tmp_path, count):
+        # Values are written cli.CHECKPOINT_CHUNK at a time; the counts straddle one chunk.
+        assert cli.CHECKPOINT_CHUNK == 1024
+        values = np.random.default_rng(count).normal(size=count) * 1e3
+        values[-min(count, 4) :] = self.EXTREMES[-min(count, 4) :]
+        self.assert_bytes_match_json_dumps(tmp_path, values)
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    def test_extreme_value_bytes_match_json_dumps(self, tmp_path, value):
+        self.assert_bytes_match_json_dumps(tmp_path, np.array([value]))
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"arch": {}, "values": []}))
@@ -430,7 +456,7 @@ class TestExitCodes:
                         "training diverged: client 0: non-finite validation loss", "report.json"),
         "final-eval": (metrics, "evaluate", MemoryError(OOM), 6,
                        f"out of memory: {OOM}", "report.json"),
-        "trace-write": (reporting, "_trace_values", OSError(28, "No space left on device"), 4,
+        "trace-write": (reporting, "_trace_rows", OSError(28, "No space left on device"), 4,
                         "i/o error: [Errno 28] No space left on device", "train_trace.csv"),
     }
 

@@ -67,7 +67,7 @@ def assert_same_client(a: ndag.RoundResult, c: int, b: ndag.RoundResult, d: int 
         assert (rows_a is None) == (rows_b is None), role
         if rows_a is not None:
             assert np.array_equal(rows_a[c], rows_b[d]), role
-    assert a.traces[c] == b.traces[d]
+    helpers.assert_same_trace(helpers.client_trace(a.trace, c), helpers.client_trace(b.trace, d))
     assert a.mean_train_losses[c] == b.mean_train_losses[d]
     assert a.client_degenerate_rows[c] == b.client_degenerate_rows[d]
 
@@ -88,7 +88,9 @@ def test_unequal_clients_match_stacks_of_one(ndag_enabled, local_epochs):
     hyper = ndag.NdagHyper(batch_size=4, lr=0.05, ema_decay=0.9)
     together, alone = stacked_and_alone(sizes, hyper, ndag_enabled, local_epochs)
     for c, n in enumerate(sizes):
-        assert len(together.traces[c]) == local_epochs * -(-n // 4)
+        assert together.trace.batches[c] == local_epochs * -(-n // 4)
+        # The batch index is the column index: a client's cells past its batches stay 0.
+        assert not together.trace.l_cls_s[c, together.trace.batches[c] :].any()
     assert_same_round(together, alone)
 
 
@@ -120,9 +122,9 @@ def test_batches_are_slices_of_each_epochs_permutation(monkeypatch, ndag_enabled
     calls = []
     original = ndag._local_step
 
-    def recording(part, k, task_arch, gen_arch, x, y, hyper):
-        calls.append((k, x.copy(), y.copy()))
-        return original(part, k, task_arch, gen_arch, x, y, hyper)
+    def recording(part, task_arch, gen_arch, x, y, hyper):
+        calls.append((x.copy(), y.copy()))
+        return original(part, task_arch, gen_arch, x, y, hyper)
 
     monkeypatch.setattr(ndag, "_local_step", recording)
     models, xs, ys = make_clients(sizes, 11)
@@ -139,10 +141,10 @@ def test_batches_are_slices_of_each_epochs_permutation(monkeypatch, ndag_enabled
             if epoch < local_epochs:
                 idx = perms[c][epoch][j * batch : (j + 1) * batch]
                 groups.setdefault(len(idx), []).append((xs[c][idx], ys[c][idx]))
-        expected += [(k, group) for group in groups.values()]
+        expected += groups.values()
+    # Steps run in order, so the n-th call is the n-th group of the steps in turn.
     assert len(calls) == len(expected)
-    for (k, xb, yb), (step, group) in zip(calls, expected):
-        assert k == step
+    for (xb, yb), group in zip(calls, expected):
         assert xb.shape == (len(group), len(group[0][1]), TASK_ARCH.input_dim)
         for row, (x, y) in enumerate(group):
             assert xb[row].tobytes() == x.tobytes()

@@ -414,8 +414,9 @@ class TestClientRound:
         assert np.array_equal(result.generator, stack.generator.params)
         assert np.array_equal(result.teacher, stack.teacher)
         assert np.array_equal(result.last_grads, stack.student.grad)
-        losses = (l_cls_g[0], l_dis[0], l_cls_s[0], l_sim[0])
-        assert result.traces == [[ndag.BatchTrace(0, *losses)]]
+        losses = (l_cls_g, l_dis, l_cls_s, l_sim)
+        expected = ndag.BatchTrace(np.array([1]), *(loss[None] for loss in losses))
+        helpers.assert_same_trace(result.trace, expected)
 
     def test_alpha_zero_decay_zero_degenerates_to_plain_sgd(self):
         hyper = step_hyper(alpha=0.0, ema_decay=0.0, weight_decay=5e-4)
@@ -437,21 +438,21 @@ class TestClientRound:
         assert np.array_equal(runs[0].teacher, runs[1].teacher)
         assert np.array_equal(runs[0].student, runs[1].student)
         assert np.array_equal(runs[0].uploads, runs[1].uploads)
-        assert runs[0].traces == runs[1].traces
+        helpers.assert_same_trace(runs[0].trace, runs[1].trace)
         assert runs[0].mean_train_losses == runs[1].mean_train_losses
 
     def test_trace_rows_cover_both_paths(self):
         models, X, y = round_fixture(7)
         plain = one_round(models, ndag.NdagHyper(batch_size=4), 3, False, X, y, local_epochs=2)
-        assert [t.batch for t in plain.traces[0]] == [0, 1, 2, 3]
-        assert all(
-            t.l_cls_g is None and t.l_dis is None and t.l_sim is None
-            for t in plain.traces[0]
-        )
+        assert plain.trace.batches.tolist() == [4]
+        assert plain.trace.l_cls_s.shape == (1, 4) and np.isfinite(plain.trace.l_cls_s).all()
+        assert plain.trace.l_cls_g is None and plain.trace.l_dis is None
+        assert plain.trace.l_sim is None
         full = one_round(models, step_hyper(batch_size=4), 3, True, X, y)
-        for t in full.traces[0]:
-            for value in (t.l_cls_g, t.l_dis, t.l_cls_s, t.l_sim):
-                assert isinstance(value, float) and np.isfinite(value)
+        assert full.trace.batches.tolist() == [2]
+        for block in (full.trace.l_cls_g, full.trace.l_dis, full.trace.l_cls_s, full.trace.l_sim):
+            assert block.dtype == np.float64 and block.shape == (1, 2)
+            assert np.isfinite(block).all()
 
     def test_empty_dataset_rejected(self):
         models, X, y = round_fixture(8)

@@ -393,9 +393,9 @@ class TestRunFederation:
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, collect_trace=True
         )
         assert quiet == []
-        assert len(chatty) > 0
-        adversarial = [round_idx for _, round_idx, t in chatty if t.l_dis is not None]
-        assert adversarial and all(round_idx >= 1 for round_idx in adversarial)
+        assert len(chatty) == 2
+        adversarial = [round_idx for round_idx, t in enumerate(chatty) if t.l_dis is not None]
+        assert adversarial == [1]
 
     def test_probe_cadence(self):
         config = fed(mode="fedavg", rounds=3, warmup=1, seed=3)
@@ -450,7 +450,9 @@ class TestRunLodo:
             assert run.rounds == rounds
             assert run.final_task.values.tobytes() == server.global_task.values.tobytes()
             assert not run.final_task.values.flags.writeable
-            assert trace and run.trace == trace
+            assert run.clients == tuple(d.domain for d in sources)
+            assert trace
+            helpers.assert_same_traces(run.trace, trace)
 
     def test_leg_inputs_are_not_pickled(self):
         # Forked workers inherit the jobs; only (job, leg) indices, results
@@ -507,7 +509,8 @@ class TestRunLodo:
                 assert a.target_domain == b.target_domain
                 assert a.final_task.values.tobytes() == b.final_task.values.tobytes()
                 assert a.rounds == b.rounds
-                assert a.trace == b.trace
+                assert a.clients == b.clients
+                helpers.assert_same_traces(a.trace, b.trace)
                 assert bool(a.trace) == job.collect_trace
 
     def test_leg_result_survives_pickling(self):
@@ -516,14 +519,15 @@ class TestRunLodo:
         server, rounds, trace = helpers.run_federation(
             BENCH[:2], config, TASK_ARCH, GEN_ARCH, BENCH[2], collect_trace=True
         )
-        run = protocol.DomainRun(2, rounds, server.global_task, trace)
-        assert any(entry[2].l_dis is None for entry in trace)
-        assert any(entry[2].l_dis is not None for entry in trace)
+        run = protocol.DomainRun(2, rounds, server.global_task, (0, 1), trace)
+        assert any(t.l_dis is None for t in trace)
+        assert any(t.l_dis is not None for t in trace)
         back = pickle.loads(pickle.dumps(run))
         assert back.target_domain == 2
         assert back.rounds == run.rounds
-        assert back.trace == run.trace
-        assert [type(entry[2]) for entry in back.trace] == [ndag.BatchTrace] * len(trace)
+        assert back.clients == (0, 1)
+        helpers.assert_same_traces(back.trace, run.trace)
+        assert [type(t) for t in back.trace] == [ndag.BatchTrace] * len(trace)
         assert back.final_task.values.tobytes() == run.final_task.values.tobytes()
 
     @pytest.mark.skipif(not _libc_has_mallopt(), reason="leg workers tune the heap with mallopt")
@@ -637,6 +641,13 @@ def leg_alone(job, idx):
     )
 
 
+def run_alone(job, idx):
+    """Leg idx of job trained alone in this process, as the DomainRun a worker returns."""
+    server, rounds, trace = leg_alone(job, idx)
+    clients = tuple(d.domain for i, d in enumerate(job.benchmark) if i != idx)
+    return protocol.DomainRun(job.benchmark[idx].domain, rounds, server.global_task, clients, trace)
+
+
 class TestLegGroups:
     """leg_groups: which legs of a job a worker trains as one stack."""
 
@@ -720,6 +731,15 @@ class TestGroupedLegs:
         assert len({len(d.train_y) for d in bench}) == 4
         self.assert_group_equals_legs_alone(monkeypatch, lodo_job(bench, mode, batch_size=48))
 
+    def test_leg_traces_keep_their_own_batch_count(self, monkeypatch, tmp_path):
+        # Batches of 40 over 36 to 135 rows: 1 to 4 batches a client, so the
+        # leg without the 135-row domain has 3 trace columns in a group of 4.
+        bench = helpers.unequal_csv_bench(tmp_path / "bench.csv")
+        job = lodo_job(bench, "feddag", batch_size=40)
+        self.assert_group_equals_legs_alone(monkeypatch, job)
+        widths = [run.trace[0].l_cls_s.shape[1] for run in protocol._leg_outcomes(job, range(4))]
+        assert widths == [4, 4, 4, 3]
+
     @staticmethod
     def assert_group_equals_legs_alone(monkeypatch, job):
         stacked = []
@@ -739,7 +759,8 @@ class TestGroupedLegs:
             assert run.target_domain == job.benchmark[idx].domain
             assert run.final_task.values.tobytes() == server.global_task.values.tobytes()
             assert run.rounds == rounds
-            assert trace and run.trace == trace
+            assert trace
+            helpers.assert_same_traces(run.trace, trace)
 
     def test_degenerate_rows_count_each_legs_own_clients(self):
         # An all-zero input of domain 0 meets the initial teachers' zero
@@ -849,9 +870,11 @@ class TestHandoffs:
             runs += protocol._leg_outcomes(job, handoff.legs, handoff.state)
         assert len(runs) == 4
         for idx, run in enumerate(runs):
-            server, rounds, trace = leg_alone(job, idx)
-            alone = protocol.DomainRun(job.benchmark[idx].domain, rounds, server.global_task, trace)
-            assert pickle.dumps(run) == pickle.dumps(alone)
+            alone = run_alone(job, idx)
+            assert len(alone.trace) == job.config.rounds
+            helpers.assert_same_traces(run.trace, alone.trace)
+            # Arrays unpickled from a handoff pickle their dtype again, not as a memo reference.
+            assert pickle.dumps(replace(run, trace=[])) == pickle.dumps(replace(alone, trace=[]))
 
     def test_handoff_state_holds_no_dataset(self):
         class Unpicklable(data.DomainDataset):
@@ -925,9 +948,7 @@ def test_a_task_with_an_empty_state_frame_trains_from_scratch(worker):
     send_task(task_w, 0, [1, 2])
     for idx in (1, 2):
         run = receive_within(result_r)
-        server, rounds, trace = leg_alone(job, idx)
-        alone = protocol.DomainRun(job.benchmark[idx].domain, rounds, server.global_task, trace)
-        assert pickle.dumps(run) == pickle.dumps(alone)
+        assert pickle.dumps(run) == pickle.dumps(run_alone(job, idx))
 
 
 class TestReleaseIgnored:

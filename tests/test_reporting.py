@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from feddag import reporting
@@ -96,6 +98,13 @@ class TestReportDict:
         assert [r["target"] is None for r in rounds] == [True, True, True, False]
         final = doc["domains"][0]["final"]
         assert set(final) == {"acc", "f1", "auc", "n", "support", "warnings"}
+
+    def test_records_match_asdict(self, every_round_report):
+        doc = reporting.report_dict(CFG, every_round_report)
+        for leg, run in zip(doc["domains"], every_round_report.domains):
+            assert leg["final"] == dataclasses.asdict(run.final)
+            assert leg["rounds"] == [dataclasses.asdict(rm) for rm in run.rounds]
+            assert all(r["target"] is not None for r in leg["rounds"])
 
     def test_keys_are_the_record_fields(self, report, tmp_path):
         path = tmp_path / "report.json"
@@ -219,15 +228,39 @@ class TestShaLogCsv:
 
 class TestTraceCsv:
     def test_columns_are_batch_trace_fields(self):
-        assert reporting.TRACE_HEADER[:3] == ["target_domain", "client", "round"]
-        assert reporting.TRACE_HEADER[3:] == [f.name for f in fields(BatchTrace)]
+        assert reporting.TRACE_HEADER[:4] == ["target_domain", "client", "round", "batch"]
+        losses = [f.name for f in fields(BatchTrace) if f.name != "batches"]
+        assert reporting.TRACE_HEADER[4:] == losses == ["l_cls_g", "l_dis", "l_cls_s", "l_sim"]
 
     def test_rows_match_report(self, report, tmp_path):
+        # Every cell, in order: target, then round, then client, then batch.
         path = tmp_path / "trace.csv"
         reporting.write_trace_csv(str(path), report)
         rows = read_rows(path)
         assert rows[0] == reporting.TRACE_HEADER
-        assert len(rows) == 1 + sum(len(run.trace) for run in report.domains)
+        expected = []
+        for run in report.domains:
+            assert len(run.trace) == len(run.rounds)
+            for r, t in enumerate(run.trace):
+                blocks = [t.l_cls_g, t.l_dis, t.l_cls_s, t.l_sim]
+                for c, client in enumerate(run.clients):
+                    for batch in range(t.batches[c]):
+                        cells = ["" if b is None else repr(float(b[c, batch])) for b in blocks]
+                        expected.append([str(run.target_domain), str(client), str(r), str(batch),
+                                         *cells])
+        assert rows[1:] == expected
+        # Each client's l_cls_s cells average to its logged train loss of the round.
+        by_client = {}
+        for target, client, r, batch, *cells in rows[1:]:
+            by_client.setdefault((target, r, client), []).append((int(batch), float(cells[2])))
+        for run in report.domains:
+            for rm in run.rounds:
+                for client, loss in zip(run.clients, rm.train_losses):
+                    batches, values = zip(*by_client.pop((str(run.target_domain), str(rm.round),
+                                                          str(client))))
+                    assert batches == tuple(range(len(batches)))
+                    assert float(np.mean(values)) == loss
+        assert not by_client
 
     def test_warmup_rows_blank_adversarial_columns(self, report, tmp_path):
         path = tmp_path / "trace.csv"

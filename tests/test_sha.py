@@ -87,6 +87,17 @@ class TestPerturbModel:
                 assert np.array_equal(rows[c], ref.values)
                 assert probed[c] == flag
 
+    def test_norms_match_linalg_norm_bit_for_bit(self):
+        # rho / ||g|| reaches every probed value, so the norm's bits matter.
+        rng = np.random.default_rng(29)
+        for trial in range(100):
+            grads = rng.normal(size=(16, 2179)) * 10.0 ** rng.uniform(-8, 8, size=(16, 1))
+            theta = np.zeros_like(grads)
+            rows, probed = sha.probe_rows(theta, grads, 1.0)
+            norms = np.array([np.linalg.norm(g) for g in grads])
+            assert probed.all()
+            assert np.array_equal(rows, (1.0 / norms)[:, None] * grads)
+
 
 def uniform_logit_params(arch):
     """All-zero weights emit identical logits for every class."""
