@@ -13,17 +13,26 @@ NDAG teacher rows and the SHA snapshot histories.
 
 The leave-one-domain-out legs share no state, so run_lodo_jobs runs every
 leg of every job it is given on forked worker processes, one per CPU this
-process may use, with no setting to change that; run_lodo is its one-job
-case.  A worker trains a leg group, consecutive legs of one job chosen by
-leg_groups, as one federation of all their clients: each round is one
-lockstep ndag.client_round over the group's clients, after which each leg
-scores, aggregates and records its own (_group_round).  A client's bits do
-not depend on what shares its stack, so a leg computes the same bits in
-any group, a group of one leg included, and it can move to another group
-between rounds.  The workers inherit the job list with their memory.
+process may use (at most one per leg group), with no setting to change
+that; run_lodo is its one-job case.  A worker trains a leg group,
+consecutive legs of one job chosen by leg_groups, as one federation of all
+their clients: each round is one lockstep ndag.client_round over the
+group's clients, after which each leg scores, aggregates and records its
+own (_group_round).  A client's bits do not depend on what shares its
+stack, so a leg computes the same bits in any group, a group of one leg
+included, and it can move to another group between rounds with its
+ServerState, which is all it needs to train on.  Forked workers import
+nothing, call this process's functions as they are and read the jobs from
+their copy of its memory.  A fork copies only the calling thread, so call
+run_lodo_jobs from a process with no other threads that hold locks.  Just
+before the first fork the heap is collected and frozen (gc.freeze): the
+workers' collections then leave the objects they share with the caller,
+and the pages those live on, untouched, and the caller's collections, the
+last one at exit included, skip them.
 
-Each worker has a task pipe and a result pipe, and every message on either
-is a pickle behind its byte length.  The caller sends on the task pipe:
+Each worker has a task pipe and a result pipe of its own, so no lock is
+shared between workers, and every message on either is a pickle behind its
+byte length.  The caller sends on the task pipe:
 - a _Handoff and then a frame of its legs' state (_leg_state): train those
   legs as a group from the round they reached, or from scratch if the frame
   is empty;
@@ -32,11 +41,22 @@ The worker sends on the result pipe:
 - its pid, once, first;
 - each leg's DomainRun, or the exception it raised, in leg order;
 - a _Handoff and then its legs' state: the legs it released.
-run_lodo_jobs says which worker owns a leg when.  Warnings raised while
-training, numpy's among them, come from the workers.  A worker's allocator
-keeps the memory its arrays free (see _start_leg_worker), so the arrays of
-one step reuse the pages of the last one across steps, rounds, legs and
-jobs.
+
+Which worker owns a leg, by (job, leg): none, until the caller sends the
+leg's group to a free worker, as a _Handoff with an empty state frame.
+Once no group is left to send, a worker that owns no leg steals: the
+caller sends _RELEASE to a worker that owns two or more legs, which hands
+off the back half of its group after its current round.  The caller
+forwards the _Handoff, and copies the legs' state after it a chunk at a
+time without unpickling it, to the free worker, which owns those legs from
+then on.  A worker that reads _RELEASE in its last round, while it trains
+single legs after a failure, or after its group has ended keeps its legs.
+A leg stays owned until its outcome returns.
+
+Warnings raised while training, numpy's among them, come from the workers.
+A worker's allocator keeps the memory its arrays free (see
+_start_leg_worker), so the arrays of one step reuse the pages of the last
+one across steps, rounds, legs and jobs.
 
 A worker takes SIGTERM's default action.  A SIGTERM sent mid-fork, say to
 the caller's process group, ends the new worker and reaches the caller's
@@ -140,18 +160,26 @@ class FederationConfig:
 
 @dataclass
 class ServerState:
-    """Global models plus the per-client state that outlives a round.
+    """A federation's state between rounds: its models, the per-client state, its records.
 
     teachers holds one NDAG teacher row per client (C, P).  It is None
     until the first adversarial round copies the global task model into it;
-    after that only the clients' EMA updates change it.
+    after that only the clients' EMA updates change it.  log holds one
+    RoundMetrics per round trained, and trace one ndag.BatchTrace of the
+    clients per round; trace is None unless batch traces are kept.
     """
 
     global_task: ParamVector
     global_gen: ParamVector
-    round: int
     histories: list[list[sha.ScoredSnapshot]]
     teachers: np.ndarray | None = None
+    log: list[RoundMetrics] = field(default_factory=list)
+    trace: list[ndag.BatchTrace] | None = None
+
+    @property
+    def round(self) -> int:
+        """The next round to train: the number of rounds trained."""
+        return len(self.log)
 
 
 @dataclass(frozen=True)
@@ -167,15 +195,20 @@ class RoundMetrics:
     degenerate_rows: int
 
 
-def init(config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenArch) -> ServerState:
-    """Seeded global model initialization with empty per-client histories."""
+def init(
+    config: FederationConfig,
+    task_arch: nets.TaskArch,
+    gen_arch: nets.GenArch,
+    collect_trace: bool = False,
+) -> ServerState:
+    """Seeded global model initialization with empty per-client histories and records."""
     return ServerState(
         global_task=nets.init_params(
             task_arch, np.random.default_rng([config.seed, _INIT_TASK_TAG])
         ),
         global_gen=nets.init_params(gen_arch, np.random.default_rng([config.seed, _INIT_GEN_TAG])),
-        round=0,
         histories=[[] for _ in range(config.n_clients)],
+        trace=[] if collect_trace else None,
     )
 
 
@@ -198,20 +231,17 @@ def _client_val_sets(
 
 @dataclass
 class _Leg:
-    """A federation trained in a leg group: its server, clients, target and records.
+    """A federation trained in a leg group: its server, clients and target.
 
     idx is the leg's index in its job, and target the domain it holds out,
     if any.  val_x and val_y join the clients' validation sets once, for
-    every round's source_val_loss.  trace holds one ndag.BatchTrace of the
-    leg's clients per round, and is None unless batch traces are kept.
+    every round's source_val_loss.
     """
 
     server: ServerState
     sources: list[DomainDataset]
-    trace: list[ndag.BatchTrace] | None
     target: DomainDataset | None = None
     idx: int = 0
-    log: list[RoundMetrics] = field(default_factory=list)
     val_x: np.ndarray = field(init=False)
     val_y: np.ndarray = field(init=False)
 
@@ -222,16 +252,22 @@ class _Leg:
 
 def _group_round(
     legs: list[_Leg], config: FederationConfig, task_arch: nets.TaskArch, gen_arch: nets.GenArch
-) -> list[RoundMetrics]:
+) -> None:
     """One communication round of each leg, all at the same round; mutates their servers.
 
     Every leg has the same number of clients.  One ndag.client_round trains
     all of them, each client on its leg's global models with its
     leg-local rng stream, so it computes the bits it computes alone; then
-    each leg scores, aggregates and records its own clients.  An error is
-    raised with the client's position in the whole stack.
+    each leg scores, aggregates and appends its RoundMetrics and trace rows
+    to its server.  A leg with a target evaluates the new global model on
+    it in the last round, or in every round with probe_every_round.  An
+    error is raised with the client's position in the whole stack, and a
+    last round that leaves a leg's source_val_loss non-finite raises
+    DivergenceError (before it, the next local step catches a diverged
+    model).
     """
     round_idx = legs[0].server.round
+    last = round_idx == config.rounds - 1
     warmup = round_idx < config.warmup_rounds
     ndag_on = config.ndag_active and not warmup
     n = len(legs[0].sources)
@@ -263,14 +299,13 @@ def _group_round(
         config.local_epochs,
     )
 
-    logged = []
     for i, leg in enumerate(legs):
         server, sources, own = leg.server, leg.sources, slice(i * n, (i + 1) * n)
         uploads = result.uploads[own]
         if ndag_on:
             server.teachers = result.teacher[own]
-        if leg.trace is not None:
-            leg.trace.append(result.trace.rows(own))
+        if server.trace is not None:
+            server.trace.append(result.trace.rows(own))
 
         raw_scores = scores = None
         if warmup or not config.sha_active:
@@ -284,7 +319,7 @@ def _group_round(
             raw = sha.evaluate_score(theta_hat, task_arch, val_sets, scored_on)
             merged_rows, post_list = [], []
             for c, row in enumerate(uploads):
-                current = sha.ScoredSnapshot(score=raw[c].score, round=round_idx, row=row.copy())
+                current = sha.ScoredSnapshot(score=raw[c].score, row=row.copy())
                 merged, server.histories[c] = sha.within_client_aggregate(
                     current, server.histories[c], config.sha.k, config.sha.history_cap
                 )
@@ -297,24 +332,27 @@ def _group_round(
             raw_scores = tuple(r.score for r in raw)
             scores = tuple(post_list)
 
-        server.round = round_idx + 1
-
         _, logits = nets.task_apply(server.global_task, task_arch, leg.val_x)
-        source_val_loss = ndag.cross_entropy_loss(logits[None], leg.val_y[None])
-        logged.append(
+        source_val_loss = float(ndag.cross_entropy_loss(logits[None], leg.val_y[None])[0])
+        if last and not np.isfinite(source_val_loss):
+            raise ndag.DivergenceError("final global model: non-finite source validation loss")
+        target = None
+        if (last or config.probe_every_round) and (t := leg.target) is not None:
+            x, y = np.concatenate([t.train_x, t.val_x]), np.concatenate([t.train_y, t.val_y])
+            target = metrics.evaluate(server.global_task, task_arch, x, y)
+        server.log.append(
             RoundMetrics(
                 round=round_idx,
                 warmup=warmup,
                 train_losses=tuple(result.mean_train_losses[own]),
-                source_val_loss=float(source_val_loss[0]),
+                source_val_loss=source_val_loss,
                 raw_scores=raw_scores,
                 scores=scores,
                 weights=tuple(weights.values.tolist()),
-                target=None,
+                target=target,
                 degenerate_rows=sum(result.client_degenerate_rows[own]),
             )
         )
-    return logged
 
 
 @dataclass
@@ -344,13 +382,6 @@ class RunReport:
     averages: dict[str, float]
 
 
-def _domain_eval_arrays(domain: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.concatenate([domain.train_x, domain.val_x]),
-        np.concatenate([domain.train_y, domain.val_y]),
-    )
-
-
 def _run_group(
     legs: list[_Leg],
     config: FederationConfig,
@@ -360,25 +391,15 @@ def _run_group(
 ) -> None:
     """Train legs as a leg group, round by round in lockstep, from their servers' round.
 
-    Every leg starts at the same round.  Each leg's server, log and trace
-    grow in place, and a leg with a target evaluates the global model on it
-    after the last round, or after every round with probe_every_round.  A
-    last round that leaves a leg's source_val_loss non-finite raises
-    DivergenceError (before it, the next local step catches a diverged
-    model).  After each round but the last, a group of k >= 2 legs offers
-    its back k // 2 legs to release, which returns True if it has taken
-    them: they then leave legs, and the rest train on.
+    Every leg starts at the same round, and each round is one _group_round.
+    After each round but the last, a group of k >= 2 legs offers its back
+    k // 2 legs to release, which returns True if it has taken them: they
+    then leave legs, and the rest train on.
     """
     while (r := legs[0].server.round) < config.rounds:
-        last = r == config.rounds - 1
-        for leg, rm in zip(legs, _group_round(legs, config, task_arch, gen_arch)):
-            if last and not np.isfinite(rm.source_val_loss):
-                raise ndag.DivergenceError("final global model: non-finite source validation loss")
-            if (last or config.probe_every_round) and leg.target is not None:
-                xy = _domain_eval_arrays(leg.target)
-                rm = replace(rm, target=metrics.evaluate(leg.server.global_task, task_arch, *xy))
-            leg.log.append(rm)
+        _group_round(legs, config, task_arch, gen_arch)
         keep = (len(legs) + 1) // 2
+        last = r == config.rounds - 1
         if release is not None and keep < len(legs) and not last and release(legs[keep:]):
             del legs[keep:]
 
@@ -461,14 +482,12 @@ def _legs(job: Job, legs: Sequence[int], state: bytes | bytearray | None = None)
     run_lodo_jobs makes it.
     """
     benchmark, config, task_arch, gen_arch, collect_trace = job
-    resumed = {idx: rest for idx, *rest in pickle.loads(state)} if state else {}
+    resumed = dict(pickle.loads(state)) if state else {}
     group = []
     for idx in legs:
-        server, log, trace = resumed.get(idx) or (
-            init(config, task_arch, gen_arch), [], [] if collect_trace else None
-        )
+        server = resumed.get(idx) or init(config, task_arch, gen_arch, collect_trace)
         sources = [d for i, d in enumerate(benchmark) if i != idx]
-        group.append(_Leg(server, sources, trace, benchmark[idx], idx, log))
+        group.append(_Leg(server, sources, benchmark[idx], idx))
     return group
 
 
@@ -496,8 +515,8 @@ def _leg_outcomes(
             return [exc]
     else:
         return [
-            DomainRun(leg.target.domain, leg.log, leg.server.global_task,
-                      tuple(d.domain for d in leg.sources), leg.trace or [])
+            DomainRun(leg.target.domain, leg.server.log, leg.server.global_task,
+                      tuple(d.domain for d in leg.sources), leg.server.trace or [])
             for leg in group
         ]
     outcomes = []
@@ -522,8 +541,8 @@ class _Handoff(NamedTuple):
 
 
 def _leg_state(legs: list[_Leg]) -> bytes:
-    """Each leg's (idx, server, round log, trace), pickled: what a leg needs to train on."""
-    return pickle.dumps([(leg.idx, leg.server, leg.log, leg.trace) for leg in legs])
+    """Each leg's (idx, server), pickled: what a leg needs to train on."""
+    return pickle.dumps([(leg.idx, leg.server) for leg in legs])
 
 
 def _read_exactly(fd: int, n: int) -> bytearray | None:
@@ -678,37 +697,8 @@ def run_lodo_jobs(jobs: list[Job]) -> list[RunReport]:
     data; its full sample set (train + val splits) is the test set.  So a
     leg has one client fewer than its job has domains: each job's config is
     fitted to that, n_clients = len(benchmark) - 1, once, before the forks,
-    and one config serves benches of any size.
-
-    Every leg of every job runs in a forked worker process, one worker per
-    CPU this process may use (at most one per leg group), with no setting
-    for it.  Each job's legs are split into contiguous leg groups
-    (leg_groups), and a worker trains a group as one federation of all its
-    legs' clients in lockstep (_run_group), which gives each leg the bits
-    it gets alone.  Forked workers import nothing, call this process's
-    functions as they are and read the jobs from their copy of this
-    process's memory.  Each worker has a task pipe and a result pipe of
-    its own, so no lock is shared between workers; the module docstring
-    lists the messages on them.
-
-    Which worker owns a leg, by (job, leg): none, until this process sends
-    the leg's group to a free worker, as a _Handoff with an empty state
-    frame.  Once no group is left to send, a worker that owns no leg
-    steals: this process sends _RELEASE to a worker that owns two or more
-    legs, which hands off the back half of its group after its current
-    round.  This process forwards the _Handoff, and copies the legs' state
-    after it a chunk at a time without unpickling it, to the free worker,
-    which owns those legs from then on.  A worker that reads _RELEASE in
-    its last round, while it trains single legs after a failure, or after
-    its group has ended keeps its legs.  A leg stays owned until its
-    outcome returns.
-
-    Just before the first fork the heap is collected and frozen
-    (gc.freeze): the workers' collections then leave the objects they share
-    with this process, and the pages those live on, untouched, and this
-    process's collections, the last one at exit included, skip them.  A
-    fork copies only the calling thread, so call this from a process with
-    no other threads that hold locks.
+    and one config serves benches of any size.  The module docstring says
+    how the legs train on worker processes.
 
     The legs are read back in (job, leg) order, so the first failing leg in
     that order raises its error, the one it raises when trained alone

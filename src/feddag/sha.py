@@ -59,10 +59,9 @@ class ShaHyper:
 
 @dataclass(frozen=True, eq=False)
 class ScoredSnapshot:
-    """A client's upload row with its score and the round it was scored in."""
+    """A client's upload row with its score."""
 
     score: float
-    round: int
     row: np.ndarray
 
     def __post_init__(self):
@@ -195,7 +194,6 @@ def within_client_aggregate(
     pool = chosen + [current]
     merged = ScoredSnapshot(
         score=float(np.mean([snap.score for snap in pool])),
-        round=current.round,
         row=param_mean(np.array([snap.row for snap in pool])).values,
     )
     return merged, new_history

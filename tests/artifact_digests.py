@@ -15,6 +15,8 @@ checkpoint is byte-identical.  The commands are:
   out of order: an export with rows dropped and its ids remapped (REMAP);
 - ``feddag run`` with two local epochs, 4 rounds (EPOCHS): each client's
   batch index runs on across the epochs of its round;
+- ``feddag run`` with the target evaluated every round and two of the
+  four clients drawn as evaluators each round, 4 rounds (PROBED);
 - ``feddag ablate``, 4 rounds over seeds 0-2;
 - ``feddag sweep`` over ``k`` in [0, 2, 4], at seeds 0 and 1.
 
@@ -49,6 +51,7 @@ SWEEP_SEEDS = (0, 1)
 REMAP_EXPORT = {"n_domains": 3, "samples_per_domain": 200}
 REMAP = {0: (7, 0), 1: (2**40, 3), 2: (3, 5)}
 EPOCHS = {"local_epochs": 2, "rounds": 4}
+PROBED = {"probe_every_round": True, "eval_clients_per_round": 2, "rounds": 4, "warmup_rounds": 1}
 
 
 def feddag(src: Path, work: Path, *args: str) -> None:
@@ -89,6 +92,7 @@ def commands(work: Path, src: Path) -> list[tuple[str, str, dict]]:
     write_remapped(work / "exported.csv", work / "remapped.csv")
     todo.append(("run-csv-remapped", "run", {"data_csv": "remapped.csv"}))
     todo.append(("run-epochs2", "run", EPOCHS))
+    todo.append(("run-probed", "run", PROBED))
     todo.append(("ablate", "ablate", ABLATE))
     todo += [(f"sweep-k-seed{seed}", "sweep", dict(SWEEP, seed=seed)) for seed in SWEEP_SEEDS]
     return todo

@@ -350,9 +350,10 @@ def client_trace(trace: ndag.BatchTrace, c: int) -> ndag.BatchTrace:
 # ------------------------------------------------------ one-leg federations
 
 
-def run_round(server, sources, config, task_arch, gen_arch, trace=None):
+def run_round(server, sources, config, task_arch, gen_arch, target=None):
     """One communication round over the clients' source domains; mutates server.
 
+    Returns the round's RoundMetrics, the one it appends to server.log.
     Every client's student starts from the global task model and, in
     adversarial rounds, its generator from the global generator, and the
     clients' local rounds run in lockstep (ndag.client_round): every client
@@ -361,18 +362,17 @@ def run_round(server, sources, config, task_arch, gen_arch, trace=None):
     those that fail at the earliest failing local step; if scoring does,
     sha.ScoringDivergence names the lowest-index client it failed on.
     """
-    leg = protocol._Leg(server, sources, trace)
-    return protocol._group_round([leg], config, task_arch, gen_arch)[0]
+    protocol._group_round([protocol._Leg(server, sources, target)], config, task_arch, gen_arch)
+    return server.log[-1]
 
 
 def run_federation(sources, config, task_arch, gen_arch, target=None, collect_trace=False):
     """(server, round log, trace) of a federation over sources trained for config.rounds."""
     if len(sources) != config.n_clients:
         raise ValueError(f"{len(sources)} source domains for {config.n_clients} clients")
-    server = protocol.init(config, task_arch, gen_arch)
-    leg = protocol._Leg(server, sources, [] if collect_trace else None, target)
-    protocol._run_group([leg], config, task_arch, gen_arch)
-    return leg.server, leg.log, leg.trace or []
+    server = protocol.init(config, task_arch, gen_arch, collect_trace)
+    protocol._run_group([protocol._Leg(server, sources, target)], config, task_arch, gen_arch)
+    return server, server.log, server.trace or []
 
 
 # ------------------------------------------------------------- checkpoints

@@ -242,8 +242,8 @@ def test_criterion_05_simplex_and_reductions(capsys):
         out, moved = sha.probe_rows(theta, grad, 0.0)
         assert moved.all()
         assert np.array_equal(out, theta)
-        current = sha.ScoredSnapshot(score=1.0, round=4, row=theta[0])
-        history = [sha.ScoredSnapshot(score=2.0, round=r, row=grad[0]) for r in range(3)]
+        current = sha.ScoredSnapshot(score=1.0, row=theta[0])
+        history = [sha.ScoredSnapshot(score=2.0, row=grad[0]) for _ in range(3)]
         merged, _ = sha.within_client_aggregate(current, history, k=0, history_cap=8)
         assert np.array_equal(merged.row, theta[0])
         assert merged.score == 1.0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import helpers
-from feddag import cli, config, data, ndag, nets, protocol, sha
+from feddag import cli, config, data, metrics, ndag, nets, protocol, sha
 from feddag.ndag import NdagHyper
 from feddag.protocol import FederationConfig
 from feddag.sha import ShaHyper
@@ -295,6 +295,27 @@ class TestRoundMetrics:
         ]
         assert all(rm.raw_scores is None for rm in log)
         assert all(rm.weights == (0.5, 0.5) for rm in log)
+
+    def test_last_round_record_holds_its_target(self):
+        config = fed(mode="feddag", rounds=2, warmup=1, seed=1)
+        server = protocol.init(config, TASK_ARCH, GEN_ARCH)
+        first = helpers.run_round(server, BENCH[:2], config, TASK_ARCH, GEN_ARCH, BENCH[2])
+        last = helpers.run_round(server, BENCH[:2], config, TASK_ARCH, GEN_ARCH, BENCH[2])
+        assert first.target is None and last.target is not None
+        assert server.log == [first, last] and server.round == 2
+        x = np.concatenate([BENCH[2].train_x, BENCH[2].val_x])
+        y = np.concatenate([BENCH[2].train_y, BENCH[2].val_y])
+        assert last.target == metrics.evaluate(server.global_task, TASK_ARCH, x, y)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_group_round_raises_for_a_diverged_final_model(self):
+        # The one local step leaves huge but finite weights, whose forward
+        # pass is non-finite; no later step checks it.
+        config = fed(mode="fedavg", rounds=1, warmup=0, ndag_kw=dict(batch_size=1000, lr=1e300))
+        leg = protocol._Leg(protocol.init(config, TASK_ARCH, GEN_ARCH), BENCH[:2], BENCH[2])
+        with pytest.raises(ndag.DivergenceError, match="^final global model: non-finite"):
+            protocol._group_round([leg], config, TASK_ARCH, GEN_ARCH)
+        assert leg.server.log == []
 
 
 def per_client_val_sets(clients, config, round_idx):
@@ -876,6 +897,21 @@ class TestHandoffs:
             # Arrays unpickled from a handoff pickle their dtype again, not as a memo reference.
             assert pickle.dumps(replace(run, trace=[])) == pickle.dumps(replace(alone, trace=[]))
 
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_resumed_round_counts_the_records(self, r):
+        job = lodo_job(BENCH4, "feddag")
+        handoffs = []
+        protocol._leg_outcomes(job, range(4), None, release_after(r, handoffs))
+        [handoff] = handoffs
+        legs = protocol._legs(job, handoff.legs, handoff.state)
+        assert [leg.idx for leg in legs] == [2, 3]
+        for leg in legs:
+            assert leg.server.round == len(leg.server.log) == len(leg.server.trace) == r + 1
+        protocol._run_group(legs, *job[1:4])
+        for leg in legs:
+            assert leg.server.round == len(leg.server.log) == job.config.rounds
+            assert [rm.round for rm in leg.server.log] == list(range(job.config.rounds))
+
     def test_handoff_state_holds_no_dataset(self):
         class Unpicklable(data.DomainDataset):
             def __reduce__(self):
@@ -885,8 +921,8 @@ class TestHandoffs:
         job = protocol.Job(bench, fed(mode="feddag", rounds=3, warmup=1), TASK_ARCH, GEN_ARCH)
         handoffs = []
         protocol._leg_outcomes(job, range(3), None, release_after(1, handoffs))
-        [(idx, server, log, trace)] = pickle.loads(handoffs[0].state)
-        assert idx == 2 and server.round == 2 and len(log) == 2 and trace is None
+        [(idx, server)] = pickle.loads(handoffs[0].state)
+        assert idx == 2 and server.round == 2 and len(server.log) == 2 and server.trace is None
         assert server.histories and all(server.histories)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -21,8 +21,8 @@ INV_TWO_LN2 = 0.7213475204444817
 SOFT_W0 = 0.4482004813398909
 
 
-def snapshot(values, score, rnd):
-    return sha.ScoredSnapshot(score=score, round=rnd, row=np.asarray(values, dtype=np.float64))
+def snapshot(values, score):
+    return sha.ScoredSnapshot(score=score, row=np.asarray(values, dtype=np.float64))
 
 
 def probe_one(theta, grad, rho):
@@ -367,24 +367,21 @@ class TestChunkedScoring:
 
 def latest_k_oracle(current, history, k):
     """Brute-force the densest qualifying subset: among all same-size subsets
-    of better-scoring entries, the latest-rounds one is the unique choice."""
+    of better-scoring entries, the one latest in history is the unique choice."""
     qualifying = [s for s in history if s.score > current.score]
     take = min(k, len(qualifying))
     if take == 0:
         return current.row.copy(), current.score
-    best = max(
-        itertools.combinations(qualifying, take),
-        key=lambda combo: sum(s.round for s in combo),
-    )
-    pool = list(best) + [current]
+    best = max(itertools.combinations(range(len(qualifying)), take), key=sum)
+    pool = [qualifying[i] for i in best] + [current]
     params = np.mean([s.row for s in pool], axis=0)
     return params, float(np.mean([s.score for s in pool]))
 
 
 class TestWithinClientAggregate:
     def test_single_qualifying_merge_example(self):
-        current = snapshot(np.full(2, 2.0), 0.5, rnd=2)
-        history = [snapshot(np.zeros(2), 0.7, rnd=1)]
+        current = snapshot(np.full(2, 2.0), 0.5)
+        history = [snapshot(np.zeros(2), 0.7)]
         merged, new_history = sha.within_client_aggregate(current, history, k=4, history_cap=8)
         assert np.array_equal(merged.row, np.ones(2))
         assert merged.score == pytest.approx(0.6, abs=1e-15)
@@ -392,44 +389,44 @@ class TestWithinClientAggregate:
 
     def test_latest_entry_wins_at_k_one(self):
         history = [
-            snapshot(np.array([1.0, 1.0]), 0.2, rnd=1),
-            snapshot(np.array([3.0, 5.0]), 0.6, rnd=2),
-            snapshot(np.array([4.0, 8.0]), 0.8, rnd=3),
+            snapshot(np.array([1.0, 1.0]), 0.2),
+            snapshot(np.array([3.0, 5.0]), 0.6),
+            snapshot(np.array([4.0, 8.0]), 0.8),
         ]
-        current = snapshot(np.array([0.0, 2.0]), 0.5, rnd=4)
+        current = snapshot(np.array([0.0, 2.0]), 0.5)
         merged, _ = sha.within_client_aggregate(current, history, k=1, history_cap=8)
         assert np.array_equal(merged.row, np.array([2.0, 5.0]))
         assert merged.score == pytest.approx(0.65, abs=1e-15)
 
     def test_no_qualifying_entries_is_identity(self):
-        current = snapshot(np.ones(3), 0.9, rnd=5)
-        history = [snapshot(np.zeros(3), 0.4, rnd=1), snapshot(np.full(3, 2.0), 0.8, rnd=2)]
+        current = snapshot(np.ones(3), 0.9)
+        history = [snapshot(np.zeros(3), 0.4), snapshot(np.full(3, 2.0), 0.8)]
         merged, new_history = sha.within_client_aggregate(current, history, k=4, history_cap=8)
         assert merged is current
         assert new_history == history + [current]
 
     def test_k_zero_is_identity(self):
-        current = snapshot(np.ones(3), 0.1, rnd=3)
-        history = [snapshot(np.zeros(3), 0.9, rnd=1)]
+        current = snapshot(np.ones(3), 0.1)
+        history = [snapshot(np.zeros(3), 0.9)]
         merged, new_history = sha.within_client_aggregate(current, history, k=0, history_cap=8)
         assert merged is current
         assert new_history == history + [current]
 
     def test_history_cap_evicts_oldest_first(self):
-        history = [snapshot(np.full(2, float(r)), 0.1 * r, rnd=r) for r in range(1, 4)]
-        current = snapshot(np.zeros(2), 0.05, rnd=4)
+        history = [snapshot(np.full(2, float(r)), 0.1 * r) for r in range(1, 4)]
+        current = snapshot(np.zeros(2), 0.05)
         _, new_history = sha.within_client_aggregate(current, history, k=0, history_cap=3)
-        assert [s.round for s in new_history] == [2, 3, 4]
+        assert new_history == [*history[1:], current]
 
     def test_matches_brute_force_selection(self):
         rng = np.random.default_rng(8)
         for trial in range(60):
             n_hist = int(rng.integers(0, 6))
             history = [
-                snapshot(rng.normal(size=4), float(rng.uniform(0.05, 1.0)), rnd=r)
-                for r in range(1, n_hist + 1)
+                snapshot(rng.normal(size=4), float(rng.uniform(0.05, 1.0)))
+                for _ in range(n_hist)
             ]
-            current = snapshot(rng.normal(size=4), float(rng.uniform(0.05, 1.0)), rnd=n_hist + 1)
+            current = snapshot(rng.normal(size=4), float(rng.uniform(0.05, 1.0)))
             k = int(rng.integers(0, 5))
             cap = int(rng.integers(1, 7))
             merged, new_history = sha.within_client_aggregate(current, history, k, cap)
@@ -607,6 +604,6 @@ class TestShaHyper:
 
     def test_snapshot_score_must_be_positive(self):
         with pytest.raises(ValueError):
-            snapshot(np.ones(2), 0.0, rnd=1)
+            snapshot(np.ones(2), 0.0)
         with pytest.raises(ValueError):
-            snapshot(np.ones(2), float("inf"), rnd=1)
+            snapshot(np.ones(2), float("inf"))
